@@ -22,6 +22,11 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 
 SPAWNED_AT = float(os.environ.get("PERFBENCH_SPAWNED_AT", time.monotonic()))
+# The process and every thread it starts run on one CPU, so that a time
+# does not depend on how much of a second CPU the machine lends psi-grid's
+# pool at the moment (README, "Thread setting").  Set before NumPy starts
+# any thread: threads inherit the affinity of the thread that starts them.
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 
 import numpy as np  # noqa: E402
 
@@ -62,25 +67,40 @@ DOMAINS = {
     }),
 }
 
-LANDSCAPE_BUDGET = ["--near-budget", "131072", "--replicates", "8"]
-CENSUS_BUDGET = ["--near-budget", "32768", "--replicates", "4", "--far-shells", "24"]
+# Quadrature budgets, each written once: the CLI flags (``_budget_argv``)
+# and the library configs (``_config``) are both made from them.  The
+# energy workload's CLI calls keep the CLI default (2^20 rays x 8); its
+# budget here is that of the ``bubbles.interaction`` calls.
+BUDGETS = {
+    "landscape": {"near_budget": 2**17, "replicates": 8},
+    "census": {"near_budget": 2**15, "replicates": 4, "far_shells": 24},
+    "audit": {"near_budget": 2**14, "replicates": 4, "far_shells": 24},
+    "energy": {"near_budget": 2**17, "replicates": 8, "far_shells": 32},
+}
 GRIDS = {
     "dumbbell": ["--steps", "7", "3", "--lo", "-2.4", "-0.5", "--hi", "2.4", "0.5"],
     "ball": ["--steps", "7", "7", "--lo", "-0.9", "-0.9", "--hi", "0.9", "0.9"],
 }
-# A run's cost follows the Newton step counts that its program seed sets,
-# the same for every trial and every domain of one seed, so the census and
-# the audit average over several program seeds made from the workload seed:
-# seed, seed + 1000, seed + 2000, ...
-SEEDS_PER_RUN = {"census": 2, "audit": 6}
-AUDIT_TRIALS = 2
-AUDIT_BUDGET = ["--near-budget", "16384", "--replicates", "4", "--far-shells", "24"]
+# The cost of crit and morse-audit follows the Newton step counts, which
+# the program seed sets, so repeating a round at one seed does not average
+# them out.  The census and the audit run at several program seeds made
+# from the workload seed instead: seed, seed + 1000, seed + 2000, ...  The
+# audit runs one trial per seed at rho = 0.01: over 36 seeds one trial cost
+# 1.10 s with a coefficient of variation of 0.25 there, against 1.52 s and
+# 0.27 at rho = 0.05.
+SEEDS_PER_RUN = {"census": 4, "audit": 12}
+AUDIT_TRIALS = 1
+AUDIT_RHO = 0.01
 INTERACTION_SEPS = (1.0, 2.0, 4.0)
 INTERACTION_DELTA = 1e-2
 
 
-def _census_config(seed: int):
-    return quadrature.QuadratureConfig(seed=seed, near_budget=32768, replicates=4, far_shells=24)
+def _budget_argv(workload: str) -> list:
+    return [arg for key, value in BUDGETS[workload].items() for arg in (f"--{key.replace('_', '-')}", str(value))]
+
+
+def _config(workload: str, seed: int):
+    return quadrature.QuadratureConfig(seed=seed, **BUDGETS[workload])
 
 
 class Workload:
@@ -101,6 +121,8 @@ class Workload:
         landscape.constants(4)
         self.ops = getattr(self, f"_ops_{name}")()
         self.state: dict = {}
+        # Operations that failed in any round; their outputs are not collected.
+        self.failed: set = set()
 
     # -- helpers ---------------------------------------------------------------
 
@@ -125,14 +147,14 @@ class Workload:
 
     def _ops_landscape(self):
         return [
-            self._cli("grid_dumbbell", ["psi-grid", "--domain", self.files["dumbbell"], *LANDSCAPE_BUDGET,
+            self._cli("grid_dumbbell", ["psi-grid", "--domain", self.files["dumbbell"], *_budget_argv("landscape"),
                                         *GRIDS["dumbbell"]]),
-            self._cli("grid_ball", ["psi-grid", "--domain", self.files["ball3"], *LANDSCAPE_BUDGET,
+            self._cli("grid_ball", ["psi-grid", "--domain", self.files["ball3"], *_budget_argv("landscape"),
                                     *GRIDS["ball"]]),
         ]
 
     def _ops_census(self):
-        cfg = _census_config(self.seed)
+        cfg = _config("census", self.seed)
         starts = [np.array([-0.9, 0.0, 0.0]), np.array([0.9, 0.0, 0.0])]
 
         def minima():
@@ -148,19 +170,19 @@ class Workload:
             return 0
 
         return [
-            *(self._cli(f"crit_holed_{k}", ["crit", "--domain", self.files["holed"], *CENSUS_BUDGET], seed)
+            *(self._cli(f"crit_holed_{k}", ["crit", "--domain", self.files["holed"], *_budget_argv("census")], seed)
               for k, seed in enumerate(self._program_seeds())),
             ("peanut_minima", minima, None),
             ("peanut_saddle", saddle, None),
         ]
 
     def _ops_audit(self):
-        argv = ["morse-audit", "--domain", self.files["two_balls"], *AUDIT_BUDGET, "--rho", "0.05",
+        argv = ["morse-audit", "--domain", self.files["two_balls"], *_budget_argv("audit"), "--rho", str(AUDIT_RHO),
                 "--trials", str(AUDIT_TRIALS)]
         return [self._cli(f"audit_{k}", argv, seed) for k, seed in enumerate(self._program_seeds())]
 
     def _ops_energy(self):
-        cfg = quadrature.QuadratureConfig(seed=self.seed, near_budget=2**17, far_shells=32, replicates=8)
+        cfg = _config("energy", self.seed)
 
         def interactions():
             out = []
@@ -193,21 +215,28 @@ class Workload:
         return 0
 
     def full_budget(self) -> int:
-        return 16384 if self.name == "audit" else 32768
+        return BUDGETS[self.name]["near_budget"]
 
     # -- outputs -------------------------------------------------------------------
 
     def collect(self) -> tuple:
-        """Outputs of the last round for ``checks``, plus extra check arguments."""
+        """Outputs of the last round for ``checks``, plus extra check
+        arguments.  Operations in ``self.failed`` are left out, so the
+        checks of the others still run."""
         return getattr(self, f"_collect_{self.name}")()
+
+    def _ok(self, op: str) -> bool:
+        return op not in self.failed
 
     def _collect_landscape(self):
         from checks import _dist, _dist_segment
 
         out = {}
         plans = {"dumbbell": (self.domains["dumbbell"], "grid_dumbbell"), "ball": (self.domains["ball3"], "grid_ball")}
-        cfg = quadrature.QuadratureConfig(seed=self.seed, near_budget=131072, replicates=8)
+        cfg = _config("landscape", self.seed)
         for name, (domain, op) in plans.items():
+            if not self._ok(op):
+                continue
             cells = _read_grid(os.path.join(self._dir(op), "psi_grid.csv"))
             ni = 1 + max(i for i, _ in cells)
             nj = 1 + max(j for _, j in cells)
@@ -236,20 +265,22 @@ class Workload:
         holed = []
         for k in range(SEEDS_PER_RUN["census"]):
             op = f"crit_holed_{k}"
+            if not self._ok(op):
+                continue
             with open(os.path.join(self._dir(op), "census.json")) as fh:
                 holed.append({"rc": self.state[op], "census": json.load(fh)})
-        return ({
-            "holed": holed,
-            "hole": DOMAINS["holed"][1]["right"]["center"],
-            "peanut": {
-                "minima": [p.to_dict() for p in self.state["peanut_minima"]],
-                "saddle": self.state["peanut_saddle"].to_dict(),
-            },
-        },)
+        peanut = {}
+        if self._ok("peanut_minima"):
+            peanut["minima"] = [p.to_dict() for p in self.state["peanut_minima"]]
+        if self._ok("peanut_saddle"):
+            peanut["saddle"] = self.state["peanut_saddle"].to_dict()
+        return ({"holed": holed, "hole": DOMAINS["holed"][1]["right"]["center"], "peanut": peanut},)
 
     def _collect_audit(self):
         audits = []
         for k in range(SEEDS_PER_RUN["audit"]):
+            if not self._ok(f"audit_{k}"):
+                continue
             with open(os.path.join(self._dir(f"audit_{k}"), "morse_audit.json")) as fh:
                 audits.append({"rc": self.state[f"audit_{k}"], "audit": json.load(fh)})
         # The deepest points of two unit balls 5 apart are their centres, and
@@ -257,7 +288,7 @@ class Workload:
         scale = 6.0
         fld = geometry.PerturbationField.random(
             3, bumps=3, seed=self.seed, support_center=np.array([2.5, 0.0, 0.0]), support_radius=1.2 * scale
-        ).with_c2_norm(0.05)
+        ).with_c2_norm(AUDIT_RHO)
         pdom = geometry.perturb(self.domains["two_balls"], fld)
         X = np.random.default_rng(self.seed).uniform(-3.5, 3.5, size=(256, 3))
         err = float(np.max(np.abs(pdom.pull_back(pdom.push_forward(X)) - X)))
@@ -274,9 +305,9 @@ class Workload:
             return {"rc": self.state[op], "params": params}
 
         return ({
-            "energy_check": {"sub": table("energy_sub", "sub"), "hole": table("energy_hole", "hole")},
-            "predict": {r: prediction(f"predict_{r}", r) for r in ("sub", "nodal", "hole")},
-            "interaction": self.state["interaction"],
+            "energy_check": {r: table(f"energy_{r}", r) for r in ("sub", "hole") if self._ok(f"energy_{r}")},
+            "predict": {r: prediction(f"predict_{r}", r) for r in ("sub", "nodal", "hole") if self._ok(f"predict_{r}")},
+            "interaction": self.state["interaction"] if self._ok("interaction") else [],
         },)
 
 
@@ -320,8 +351,10 @@ def _digest(path: str | None) -> str | None:
 
 def calibrate() -> float:
     """Seconds this process takes for a fixed mix of NumPy array work and
-    interpreter work.  It runs no bubblescape code, so it measures the
-    machine's current speed and nothing a change to the program can move."""
+    interpreter work.  It runs no bubblescape code, so it shows the
+    machine's current speed and nothing a change to the program can move.
+    It is printed beside the measured times, to make a drift in the
+    machine's speed visible; it scales no metric."""
     X = np.random.default_rng(12345).standard_normal((1 << 15, 3))
     t = time.perf_counter()
     acc = 0.0
@@ -350,6 +383,8 @@ def main(argv=None) -> int:
     ap.add_argument("--result", required=True)
     ap.add_argument("--setup-only", action="store_true")
     ap.add_argument("--mutations", action="store_true", help="also show that each check rejects wrong outputs")
+    ap.add_argument("--fail-first-op", action="store_true", help="make the first operation raise, to show that a "
+                    "failed operation makes the run incorrect")
     args = ap.parse_args(argv)
 
     src = os.path.realpath(os.path.join(os.getcwd(), "src"))
@@ -361,8 +396,15 @@ def main(argv=None) -> int:
     setup_s = time.monotonic() - SPAWNED_AT
     if args.setup_only:
         with open(args.result, "w") as fh:
-            json.dump({"setup_s": setup_s, "calibration_s": statistics.median(calibrate() for _ in range(3))}, fh)
+            json.dump({"setup_s": setup_s}, fh)
         return 0
+    if args.fail_first_op:
+        op, _, outdir = work.ops[0]
+
+        def broken():
+            raise RuntimeError("deliberate failure")
+
+        work.ops[0] = (op, broken, outdir)
 
     tracer = None
     if args.trace:
@@ -371,6 +413,7 @@ def main(argv=None) -> int:
 
     times = {op: [] for op, _, _ in work.ops}
     cpu = {op: [] for op, _, _ in work.ops}
+    fails = {op: 0 for op, _, _ in work.ops}
     digests: dict = {}
     calibrations: list = []
     errors: list = []
@@ -378,8 +421,8 @@ def main(argv=None) -> int:
     u0, s0, f0 = _usage()
     start = time.perf_counter()
     while rounds == 0 or time.perf_counter() - start < args.seconds:
+        calibrations.append(calibrate())
         for op, run, outdir in work.ops:
-            calibrations.append(calibrate())
             attempted += 1
             ut, st, _ = _usage()
             t = time.perf_counter()
@@ -392,11 +435,12 @@ def main(argv=None) -> int:
             ut2, st2, _ = _usage()
             cpu[op].append(ut2 - ut + st2 - st)
             failed += not ok
-            digest = _digest(outdir)
-            if digests.setdefault(op, digest) != digest:
-                errors.append(f"{op}: output bytes changed between rounds")
+            fails[op] += not ok
+            if ok:
+                digest = _digest(outdir)
+                if digests.setdefault(op, digest) != digest:
+                    errors.append(f"{op}: output bytes changed between rounds")
         rounds += 1
-    calibrations.append(calibrate())
     u1, s1, f1 = _usage()
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
@@ -422,13 +466,16 @@ def main(argv=None) -> int:
 
     import checks  # mpmath loads here, after the timed part
 
-    if failed == 0:
-        outputs = work.collect()
-        errors += checks.CHECKS[args.workload](*outputs)
-        if args.mutations:
-            missed = checks.rejected_mutations(args.workload, *outputs)
-            errors += [f"the checks accept a wrong output: {name}" for name in missed]
-            result["mutations"] = len(checks.MUTATIONS[args.workload])
+    # A failed operation makes the run incorrect; the outputs of the
+    # operations that did not fail are still checked.
+    errors += [f"{op}: failed in {n} of {rounds} rounds" for op, n in fails.items() if n]
+    work.failed = {op for op, n in fails.items() if n}
+    outputs = work.collect()
+    errors += checks.CHECKS[args.workload](*outputs)
+    if failed == 0 and args.mutations:
+        missed = checks.rejected_mutations(args.workload, *outputs)
+        errors += [f"the checks accept a wrong output: {name}" for name in missed]
+        result["mutations"] = len(checks.MUTATIONS[args.workload])
     result["errors"] = errors
     with open(args.result, "w") as fh:
         json.dump(result, fh)
