@@ -218,16 +218,21 @@ def cmd_crit(manifest: RunManifest, domain) -> int:
     return 0 if rep.satisfied else 1
 
 
+def _sub_xi(manifest: RunManifest, domain) -> np.ndarray:
+    """The ``--xi`` point of the sub regime; by default the lowest landscape minimum."""
+    xi = manifest.options.get("xi")
+    if xi is None:
+        pts = find_minima(domain, manifest.quadrature, manifest.critical, seed=manifest.seed)
+        xi = min(pts, key=lambda p: p.psi_value).location
+    return np.asarray(xi, dtype=float)
+
+
 def _predict(manifest: RunManifest, domain):
     opt = manifest.options
     consts = constants(domain.dimension)
     rep_small = float(opt["sweep"][-1])
     if manifest.regime == "sub":
-        xi = opt.get("xi")
-        if xi is None:
-            pts = find_minima(domain, manifest.quadrature, manifest.critical, seed=manifest.seed)
-            xi = min(pts, key=lambda p: p.psi_value).location
-        return predict_subcritical(domain, rep_small, np.asarray(xi, dtype=float), consts, manifest.quadrature)
+        return predict_subcritical(domain, rep_small, _sub_xi(manifest, domain), consts, manifest.quadrature)
     if manifest.regime == "nodal":
         return predict_nodal(
             domain, rep_small, consts, manifest.quadrature, eps_power_scale=opt.get("eps_power_scale")
@@ -277,12 +282,8 @@ def cmd_energy_check(manifest: RunManifest, domain) -> int:
     consts = constants(domain.dimension)
     values = [float(v) for v in opt["values"]]
     if manifest.regime == "sub":
-        xi = opt.get("xi")
-        if xi is None:
-            pts = find_minima(domain, manifest.quadrature, manifest.critical, seed=manifest.seed)
-            xi = min(pts, key=lambda p: p.psi_value).location
         table = expansion_residual_sub(
-            domain, np.asarray(xi, dtype=float), values, consts, manifest.quadrature, d=opt.get("d")
+            domain, _sub_xi(manifest, domain), values, consts, manifest.quadrature, d=opt.get("d")
         )
         small_name = "epsilon"
     else:
@@ -534,6 +535,18 @@ def _resolve_grid_options(args, domain) -> dict:
     }
 
 
+def _point_option(options: dict, name: str, values, regime: str, wanted: str, dimension: int) -> None:
+    """Validate a point flag that only the ``wanted`` regime reads; store it in options."""
+    if values is None:
+        return
+    flag = "--" + name.replace("_", "-")
+    if regime != wanted:
+        raise PreconditionError(f"{flag} applies only to the {wanted} regime")
+    if len(values) != dimension:
+        raise PreconditionError(f"{flag} needs exactly {dimension} coordinates")
+    options[name] = [float(v) for v in values]
+
+
 def _resolve_predict_options(args, dimension: int) -> dict:
     if not 0.0 < args.sweep_min <= args.sweep_max:
         raise PreconditionError("need 0 < --sweep-min <= --sweep-max")
@@ -541,12 +554,7 @@ def _resolve_predict_options(args, dimension: int) -> dict:
         raise PreconditionError("--sweep-count must be at least 1")
     sweep = [float(v) for v in np.geomspace(args.sweep_min, args.sweep_max, args.sweep_count)]
     options = {"sweep": sweep}
-    if args.xi is not None:
-        if args.regime != "sub":
-            raise PreconditionError("--xi applies only to the sub regime")
-        if len(args.xi) != dimension:
-            raise PreconditionError(f"--xi needs exactly {dimension} coordinates")
-        options["xi"] = [float(v) for v in args.xi]
+    _point_option(options, "xi", args.xi, args.regime, "sub", dimension)
     if args.eps_power_scale is not None:
         if args.regime != "nodal":
             raise PreconditionError("--eps-power-scale applies only to the nodal regime")
@@ -558,18 +566,8 @@ def _resolve_energy_options(args, dimension: int, regime: str) -> dict:
     defaults = {"sub": [0.1, 0.05, 0.025], "hole": [1e-2, 5e-3, 2.5e-3]}
     values = defaults[regime] if args.values is None else [float(v) for v in args.values]
     options: dict = {"values": values}
-    if args.xi is not None:
-        if regime != "sub":
-            raise PreconditionError("--xi applies only to the sub regime")
-        if len(args.xi) != dimension:
-            raise PreconditionError(f"--xi needs exactly {dimension} coordinates")
-        options["xi"] = [float(v) for v in args.xi]
-    if args.hole_center is not None:
-        if regime != "hole":
-            raise PreconditionError("--hole-center applies only to the hole regime")
-        if len(args.hole_center) != dimension:
-            raise PreconditionError(f"--hole-center needs exactly {dimension} coordinates")
-        options["hole_center"] = [float(v) for v in args.hole_center]
+    _point_option(options, "xi", args.xi, regime, "sub", dimension)
+    _point_option(options, "hole_center", args.hole_center, regime, "hole", dimension)
     if args.d is not None:
         if not args.d > 0.0:
             raise PreconditionError("--d must be positive")

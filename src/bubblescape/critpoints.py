@@ -22,14 +22,14 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from .errors import ConvergenceError, PreconditionError
 from .geometry import (
-    Ball,
-    Capsule,
-    Domain,
     PerturbationField,
+    _member,
     deep_point,
+    leaf_anchors,
     perturb,
     positive_leaf_components,
 )
@@ -258,31 +258,15 @@ def _dedupe(points: list, radius: float) -> list:
     return kept
 
 
-def _point_in_leaf(leaf, x: np.ndarray) -> bool:
-    if isinstance(leaf, Ball):
-        return float(np.linalg.norm(x - leaf.center)) < leaf.radius
-    if isinstance(leaf, Capsule):
-        ab = leaf.b - leaf.a
-        t = float(np.clip((x - leaf.a) @ ab / max(ab @ ab, 1e-300), 0.0, 1.0))
-        return float(np.linalg.norm(x - (leaf.a + t * ab))) < leaf.radius
-    return False
-
-
 def _component_seeds(domain) -> tuple[list, list]:
     """One interior anchor per positive-leaf component, plus the components."""
     comps = positive_leaf_components(domain)
     seeds = []
     for comp in comps:
-        cands = []
-        for leaf in comp:
-            if isinstance(leaf, Ball):
-                cands.append(leaf.center)
-            else:
-                cands.extend([0.5 * (leaf.a + leaf.b), leaf.a, leaf.b])
-        cands = [c for c in cands if _inside(domain, np.asarray(c, dtype=float))]
+        cands = [c for leaf in comp for c in leaf_anchors(leaf) if _inside(domain, c)]
         if cands:
-            depths = domain.depth_bound_many(np.array(cands, dtype=float))
-            seeds.append(np.asarray(cands[int(np.argmax(depths))], dtype=float))
+            depths = domain.depth_bound_many(np.array(cands))
+            seeds.append(cands[int(np.argmax(depths))])
     return seeds, comps
 
 
@@ -416,7 +400,7 @@ def census(domain, quad_cfg: QuadratureConfig, crit_cfg: CritConfig | None = Non
 
         def comp_of(x: np.ndarray) -> int:
             for ci, comp in enumerate(comps):
-                if any(_point_in_leaf(leaf, x) for leaf in comp):
+                if any(_member(leaf, x[None, :], closed=False)[0] for leaf in comp):
                     return ci
             return -1
 
@@ -443,14 +427,15 @@ def morse_audit(
     quad_cfg: QuadratureConfig,
     crit_cfg: CritConfig | None = None,
     seed: int = 0,
-    audit_cfg: QuadratureConfig | None = None,
 ) -> MorseAudit:
     """Census stability under random boundary deformations of C^2 size rho.
 
     Each trial perturbs the domain by a random bump field rescaled to C^2
     norm ``rho``, re-polishes the unperturbed census points on the deformed
     domain, and verifies that every point survives with the same Morse index,
-    nondegenerate Hessian, and a displacement comparable to ``rho``.
+    nondegenerate Hessian, and a displacement comparable to ``rho``.  Base
+    and re-polished points are paired by the assignment of least total
+    displacement, so a swapped pair neither fakes a failure nor hides one.
     """
     if not 0.0 < rho < 0.5:
         raise PreconditionError("the perturbation size must lie in (0, 0.5)")
@@ -460,7 +445,7 @@ def morse_audit(
     base = census(domain, quad_cfg, cfg, seed=seed)
     anchor = deep_point(domain)[0]
     scale = float(domain.bounding_radius(anchor))
-    light = audit_cfg or _light_config(quad_cfg)
+    light = _light_config(quad_cfg)
 
     failures: list = []
     min_margin = min((p.margin() for p in base.points), default=0.0)
@@ -481,16 +466,11 @@ def morse_audit(
                 f"trial {t}: point count changed from {len(base.points)} to {len(rep.points)}"
             )
             continue
-        used = set()
-        for bp in base.points:
-            dists = [
-                (float(np.linalg.norm(bp.location - rp.location)), k)
-                for k, rp in enumerate(rep.points)
-                if k not in used
-            ]
-            dist, k = min(dists)
-            used.add(k)
-            rp = rep.points[k]
+        cost = np.array(
+            [[np.linalg.norm(bp.location - rp.location) for rp in rep.points] for bp in base.points]
+        )
+        for i, k in zip(*linear_sum_assignment(cost)):
+            bp, rp, dist = base.points[i], rep.points[k], float(cost[i, k])
             max_disp = max(max_disp, dist)
             if dist > 0.25 * scale:
                 failures.append(f"trial {t}: a critical point moved by {dist:.3f}")

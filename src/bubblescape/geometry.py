@@ -28,6 +28,7 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import ndtri
 
 from .errors import ConvergenceError, PreconditionError
 
@@ -43,16 +44,12 @@ __all__ = [
     "BoundaryPoint",
     "PerturbationField",
     "contains",
-    "contains_many",
-    "bounding_radius",
-    "depth_bound",
     "boundary_nearest",
     "diameter_pair",
     "perturb",
     "deep_point",
     "positive_leaf_components",
     "domain_from_dict",
-    "domain_to_dict",
     "load_domain",
 ]
 
@@ -64,6 +61,27 @@ def _as_point(x, n: int) -> np.ndarray:
     if p.shape != (n,):
         raise PreconditionError(f"expected a point of dimension {n}, got shape {p.shape}")
     return p
+
+
+def _finite(value, what: str) -> np.ndarray:
+    arr = np.asarray(value, dtype=float).reshape(-1)
+    if not np.all(np.isfinite(arr)):
+        raise PreconditionError(f"{what} must be finite")
+    return arr
+
+
+def sphere_points(U: np.ndarray) -> np.ndarray:
+    """Map rows of the unit cube to unit vectors (Gaussian quantiles, normalized).
+
+    The clip keeps the quantiles finite at cube corners; a row whose
+    quantile vector vanishes maps to the diagonal direction.
+    """
+    G = ndtri(np.clip(U, 2.0**-50, 1.0 - 2.0**-50))
+    nrm = np.linalg.norm(G, axis=1)
+    bad = nrm < 1e-12
+    G[bad] = 1.0
+    nrm[bad] = np.sqrt(G.shape[1])
+    return G / nrm[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -79,10 +97,10 @@ class Ball:
     radius: float
 
     def __post_init__(self):
-        object.__setattr__(self, "center", np.asarray(self.center, dtype=float).reshape(-1))
+        object.__setattr__(self, "center", _finite(self.center, "ball center"))
         object.__setattr__(self, "radius", float(self.radius))
-        if not self.radius > 0.0:
-            raise PreconditionError("ball radius must be positive")
+        if not 0.0 < self.radius < np.inf:
+            raise PreconditionError("ball radius must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -94,11 +112,11 @@ class Capsule:
     radius: float
 
     def __post_init__(self):
-        object.__setattr__(self, "a", np.asarray(self.a, dtype=float).reshape(-1))
-        object.__setattr__(self, "b", np.asarray(self.b, dtype=float).reshape(-1))
+        object.__setattr__(self, "a", _finite(self.a, "capsule endpoint"))
+        object.__setattr__(self, "b", _finite(self.b, "capsule endpoint"))
         object.__setattr__(self, "radius", float(self.radius))
-        if not self.radius > 0.0:
-            raise PreconditionError("capsule radius must be positive")
+        if not 0.0 < self.radius < np.inf:
+            raise PreconditionError("capsule radius must be positive and finite")
         if self.a.shape != self.b.shape:
             raise PreconditionError("capsule endpoints must share a dimension")
 
@@ -123,7 +141,7 @@ class Translate:
     inner: object
 
     def __post_init__(self):
-        object.__setattr__(self, "offset", np.asarray(self.offset, dtype=float).reshape(-1))
+        object.__setattr__(self, "offset", _finite(self.offset, "translation offset"))
 
 
 @dataclass(frozen=True)
@@ -133,8 +151,8 @@ class Scale:
 
     def __post_init__(self):
         object.__setattr__(self, "factor", float(self.factor))
-        if not self.factor > 0.0:
-            raise PreconditionError("scale factor must be positive")
+        if not 0.0 < self.factor < np.inf:
+            raise PreconditionError("scale factor must be positive and finite")
 
 
 def _normalize(node, offset: np.ndarray, factor: float):
@@ -345,10 +363,6 @@ class Domain:
     def to_dict(self) -> dict:
         return {"dimension": self.dimension, "root": _node_to_dict(self.root)}
 
-    @staticmethod
-    def from_dict(data: dict) -> "Domain":
-        return domain_from_dict(data)
-
 
 def _node_to_dict(node) -> dict:
     if isinstance(node, Ball):
@@ -406,10 +420,6 @@ def domain_from_dict(data: dict) -> Domain:
     if not isinstance(data, dict) or "dimension" not in data or "root" not in data:
         raise PreconditionError("domain description needs 'dimension' and 'root' fields")
     return Domain(int(data["dimension"]), _node_from_dict(data["root"]))
-
-
-def domain_to_dict(domain: Domain) -> dict:
-    return domain.to_dict()
 
 
 def load_domain(path: str) -> Domain:
@@ -579,28 +589,20 @@ class PerturbedDomain:
     def bounding_radius(self, center) -> float:
         return self.base.bounding_radius(center) + self.theta.amplitude_bound()
 
-    def surface_crossing_candidates(
-        self,
-        origin,
-        D: np.ndarray,
-        t_hi: float,
-        strata_per_octave: int = 16,
-        octaves: int = 14,
-        refine_iters: int = 46,
-    ) -> np.ndarray:
+    def surface_crossing_candidates(self, origin, D: np.ndarray, t_hi: float) -> np.ndarray:
         """Membership-scan crossing parameters along each ray.
 
-        A geometric probe grid (``strata_per_octave`` per octave over
-        ``octaves`` octaves below ``t_hi``) locates membership flips, which
-        are then refined by bisection.  Features thinner than the local probe
-        spacing can be missed; the grid is sized for the smooth, C^2-small
-        perturbations this class produces.
+        A geometric probe grid (16 probes per octave over 14 octaves below
+        ``t_hi``) locates membership flips, which are then refined by 46
+        bisection steps.  Features thinner than the local probe spacing can
+        be missed; the grid is sized for the smooth, C^2-small perturbations
+        this class produces.
         """
         o = _as_point(origin, self.dimension)
         D = np.asarray(D, dtype=float)
         m = D.shape[0]
-        exps = np.arange(octaves * strata_per_octave, -1, -1, dtype=float)
-        ts = t_hi * np.power(2.0, -exps / strata_per_octave)
+        exps = np.arange(14 * 16, -1, -1, dtype=float)
+        ts = t_hi * np.power(2.0, -exps / 16)
         P = ts.shape[0]
         pts = o[None, None, :] + ts[None, :, None] * D[:, None, :]
         inside = self.contains_many(pts.reshape(m * P, -1)).reshape(m, P)
@@ -611,7 +613,7 @@ class PerturbedDomain:
         ray_idx, col = np.nonzero(flips)
         lo = grid[col].copy()
         hi = grid[col + 1].copy()
-        for _ in range(refine_iters):
+        for _ in range(46):
             mid = 0.5 * (lo + hi)
             pts = o[None, :] + mid[:, None] * D[ray_idx]
             mid_in = self.contains_many(pts)
@@ -645,21 +647,6 @@ def contains(domain, x) -> bool:
     """Open membership of a single point."""
     x = _as_point(x, domain.dimension)
     return bool(domain.contains_many(x[None, :])[0])
-
-
-def contains_many(domain, X, closed: bool = False) -> np.ndarray:
-    return domain.contains_many(np.atleast_2d(np.asarray(X, dtype=float)), closed)
-
-
-def bounding_radius(domain, center) -> float:
-    """Radius R with the domain contained in the closed ball B(center, R)."""
-    return float(domain.bounding_radius(center))
-
-
-def depth_bound(domain, x) -> float:
-    """Conservative signed interior depth at one point (positive inside)."""
-    x = _as_point(x, domain.dimension)
-    return float(domain.depth_bound_many(x[None, :])[0])
 
 
 def perturb(domain, theta: PerturbationField) -> PerturbedDomain:
@@ -763,16 +750,7 @@ def boundary_nearest(domain, x) -> BoundaryPoint:
     # Crease fallback: scan a deterministic direction fan for membership flips.
     from scipy.stats import qmc
 
-    n = domain.dimension
-    eng = qmc.Sobol(d=n, scramble=False)
-    raw = eng.random(512)
-    from scipy.special import ndtri
-
-    D = ndtri(np.clip(raw, 1e-12, 1.0 - 1e-12))
-    norms = np.linalg.norm(D, axis=1)
-    D[norms < 1e-12] = 1.0
-    norms[norms < 1e-12] = np.sqrt(n)
-    D /= norms[:, None]
+    D = sphere_points(qmc.Sobol(d=domain.dimension, scramble=False).random(512))
     inside0 = bool(domain.contains_many(x[None, :])[0])
     t_hi = scale if inside0 else 2.0 * scale
     cand = domain.surface_crossing_candidates(x, D, t_hi)
@@ -834,7 +812,6 @@ def _farthest_leaf_candidate(domain, q: np.ndarray):
 def _sample_boundary(domain, count: int, seed: int = 0) -> np.ndarray:
     """Seeded quasi-random boundary samples (valid surface patches only)."""
     from scipy.stats import qmc
-    from scipy.special import ndtri
 
     n = domain.dimension
     pos = [leaf for leaf, sign in domain.leaves() if sign > 0]
@@ -845,12 +822,7 @@ def _sample_boundary(domain, count: int, seed: int = 0) -> np.ndarray:
         eng = qmc.Sobol(
             d=n, scramble=True, seed=np.random.default_rng(np.random.SeedSequence((seed, 0xB0, idx)))
         )
-        raw = eng.random(int(2 ** np.ceil(np.log2(per))))
-        D = ndtri(np.clip(raw, 1e-12, 1.0 - 1e-12))
-        norms = np.linalg.norm(D, axis=1)
-        D[norms < 1e-12] = 1.0
-        norms[norms < 1e-12] = np.sqrt(n)
-        D /= norms[:, None]
+        D = sphere_points(eng.random(int(2 ** np.ceil(np.log2(per)))))
         if isinstance(leaf, Ball):
             cand = leaf.center + leaf.radius * D
         else:
@@ -941,6 +913,13 @@ def diameter_pair(domain, samples: int = 1024):
     return BoundaryPoint(p, nu_p), BoundaryPoint(q, nu_q)
 
 
+def leaf_anchors(leaf) -> list:
+    """Anchor points inside a leaf, middle first: a ball's center; a capsule's midpoint and ends."""
+    if isinstance(leaf, Ball):
+        return [leaf.center]
+    return [0.5 * (leaf.a + leaf.b), leaf.a, leaf.b]
+
+
 def deep_point(domain, seed: int = 0):
     """An interior point of (approximately) maximal conservative depth.
 
@@ -951,16 +930,7 @@ def deep_point(domain, seed: int = 0):
     if isinstance(domain, PerturbedDomain):
         return domain.deep_point_hint()
     n = domain.dimension
-    cands = []
-    for leaf, sign in domain.leaves():
-        if sign < 0:
-            continue
-        if isinstance(leaf, Ball):
-            cands.append(leaf.center)
-        else:
-            cands.append(0.5 * (leaf.a + leaf.b))
-            cands.append(leaf.a)
-            cands.append(leaf.b)
+    cands = [c for leaf, sign in domain.leaves() if sign > 0 for c in leaf_anchors(leaf)]
     if cands:
         C = np.array(cands)
         depths = domain.depth_bound_many(C)
@@ -1031,14 +1001,9 @@ def positive_leaf_components(domain) -> list[list[object]]:
     pos = [leaf for leaf, sign in base.leaves() if sign > 0]
     kept = []
     for leaf in pos:
-        if isinstance(leaf, Ball):
-            probes = [leaf.center]
-            ref = leaf.center
-        else:
-            probes = [0.5 * (leaf.a + leaf.b), leaf.a, leaf.b]
-            ref = 0.5 * (leaf.a + leaf.b)
+        probes = leaf_anchors(leaf)
         rng = np.random.default_rng(np.random.SeedSequence((0xC0, len(kept))))
-        extra = ref + leaf.radius * rng.uniform(-0.7, 0.7, size=(64, base.dimension))
+        extra = probes[0] + leaf.radius * rng.uniform(-0.7, 0.7, size=(64, base.dimension))
         P = np.vstack([np.array(probes), extra])
         if bool(np.any(base.contains_many(P))):
             kept.append(leaf)

@@ -28,11 +28,10 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
 
 from .errors import ConvergenceError, PreconditionError
 from .geometry import BoundaryPoint, diameter_pair
-from .quadrature import QuadratureConfig, bubble_alpha, bubble_moment, psi_integrals, sphere_area
+from .quadrature import QuadratureConfig, bubble_alpha, bubble_moment, psi_integrals, radial_integral, sphere_area
 
 __all__ = [
     "Constants",
@@ -89,18 +88,7 @@ def _half_space_kernel(n: int) -> float:
     ``omega_(n-2) * kappa * (1+s)^(-(n+1))`` with kappa evaluated by 1D
     quadrature, and the depth integral is exact.
     """
-
-    def g(t):
-        return t ** (n - 2.0) * (1.0 + t * t) ** (-n)
-
-    inner, _ = integrate.quad(g, 0.0, 1.0, epsabs=0.0, epsrel=1e-12, limit=200)
-
-    def g_tail(u):
-        t = 1.0 / u
-        return g(t) / (u * u)
-
-    outer, _ = integrate.quad(g_tail, 0.0, 1.0, epsabs=0.0, epsrel=1e-12, limit=200)
-    kappa = inner + outer
+    kappa = radial_integral(lambda t: t ** (n - 2.0) * (1.0 + t * t) ** (-n))
     return sphere_area(n - 1) * kappa / n
 
 
@@ -257,7 +245,6 @@ def reduced_energy_nodal(
     t2: float,
     eta1: BoundaryPoint,
     eta2: BoundaryPoint,
-    eps_power_scale: float | None = None,
     c2_nodal: float | None = None,
 ) -> float:
     """Two-bubble reduced energy ``Xi + Upsilon``.
@@ -266,13 +253,8 @@ def reduced_energy_nodal(
     ``Upsilon`` adds the separation drift of the wall offsets and the wall
     repulsion.  The pair is reordered canonically before evaluation, so the
     value is bitwise invariant under swapping the two bubbles.
-    ``eps_power_scale`` only calibrates the rate exponents reported by
-    :func:`predict_nodal` (default ``n - 2``) and does not change the value.
     """
     n = consts.n
-    scale = float(eps_power_scale) if eps_power_scale is not None else float(n - 2)
-    if not scale > 0.0:
-        raise PreconditionError("eps_power_scale must be positive")
     c2n = consts.c2_nodal if c2_nodal is None else float(c2_nodal)
     if min(d1, d2, t1, t2) <= 0.0:
         raise PreconditionError("scales and wall distances must be positive")
@@ -389,7 +371,7 @@ def predict_nodal(
     t2 = math.exp(z[2])
     d1 = r * sbar
     d2 = sbar / r
-    value = reduced_energy_nodal(consts, d1, d2, t1, t2, bp1, bp2, eps_power_scale=scale)
+    value = reduced_energy_nodal(consts, d1, d2, t1, t2, bp1, bp2)
     return RatePrediction(
         regime="nodal",
         dimension=n,

@@ -32,11 +32,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
-from scipy.special import ndtri
 from scipy.stats import qmc
 
 from .errors import PreconditionError
-from .geometry import deep_point
+from .geometry import deep_point, sphere_points
 
 __all__ = [
     "QuadratureConfig",
@@ -46,6 +45,7 @@ __all__ = [
     "exterior_lp_mass",
     "ball_lp_mass",
     "bubble_moment",
+    "radial_integral",
     "sphere_area",
 ]
 
@@ -88,6 +88,10 @@ class QuadratureConfig:
         if not self.target_rel_err > 0.0:
             raise PreconditionError("target_rel_err must be positive")
 
+    def accepts(self, value: float, std_error: float) -> bool:
+        """The convergence rule: standard error within ``target_rel_err`` of |value|."""
+        return bool(std_error <= self.target_rel_err * max(abs(value), 1e-300))
+
 
 @dataclass
 class PsiEvaluation:
@@ -127,20 +131,26 @@ def _base_direction_count(n: int, config: QuadratureConfig, nodes_per_ray: int =
     return 2 ** min(max(exponent, 5), 22)
 
 
-def _directions(n: int, m_base: int, seed_seq: np.random.SeedSequence) -> np.ndarray:
-    """m_base scrambled-Sobol sphere points folded into the positive orthant,
-    expanded over the full sign-flip orbit: shape (m_base * 2^n, n)."""
-    eng = qmc.Sobol(d=n, scramble=True, seed=np.random.default_rng(seed_seq))
-    raw = eng.random(m_base)
-    G = np.abs(ndtri(np.clip(raw, 2.0**-50, 1.0 - 2.0**-50)))
-    nrm = np.linalg.norm(G, axis=1)
-    bad = nrm < 1e-12
-    if np.any(bad):
-        G[bad] = 1.0
-        nrm[bad] = math.sqrt(n)
-    G /= nrm[:, None]
+def _fans(n: int, config: QuadratureConfig, tag: int, nodes_per_ray: int = 1):
+    """One direction fan per replicate, each independently scrambled.
+
+    A fan is ``m_base`` scrambled-Sobol sphere points folded into the
+    positive orthant, expanded over the full sign-flip orbit: shape
+    ``(m_base * 2^n, n)``.
+    """
+    m_base = _base_direction_count(n, config, nodes_per_ray)
     signs = _sign_orbit(n)
-    return (signs[:, None, :] * G[None, :, :]).reshape(-1, n)
+    for rep in range(config.replicates):
+        seed_seq = np.random.SeedSequence((int(config.seed), tag, rep))
+        eng = qmc.Sobol(d=n, scramble=True, seed=np.random.default_rng(seed_seq))
+        G = np.abs(sphere_points(eng.random(m_base)))
+        yield (signs[:, None, :] * G[None, :, :]).reshape(-1, n)
+
+
+def _reduce(samples):
+    """Replicate mean and standard error (sample deviation / sqrt(k)) along axis 0."""
+    samples = np.asarray(samples)
+    return samples.mean(axis=0), samples.std(axis=0, ddof=1) / math.sqrt(samples.shape[0])
 
 
 # ---------------------------------------------------------------------------
@@ -212,39 +222,21 @@ def psi_integrals(domain, xi, config: QuadratureConfig) -> PsiEvaluation:
     R = float(domain.bounding_radius(xi))
     omega = sphere_area(n)
 
-    m_base = _base_direction_count(n, config)
-    vals = np.empty(config.replicates)
-    grads = np.empty((config.replicates, n))
-    hesss = np.empty((config.replicates, n, n))
-    n_evals = 0
-    for rep in range(config.replicates):
-        ss = np.random.SeedSequence((int(config.seed), _TAG_PSI, rep))
-        D = _directions(n, m_base, ss)
-        v, g, h, ne = _psi_replicate(domain, xi, D, R, n)
-        vals[rep] = v
-        grads[rep] = g
-        hesss[rep] = h
-        n_evals += ne
-
-    far_value = omega * R**-n / n
-    far_hess = 2.0 * omega * R ** -(n + 2) * np.eye(n)
-    k = config.replicates
-    value = float(vals.mean()) + far_value
-    gradient = grads.mean(axis=0)
-    hessian = hesss.mean(axis=0) + far_hess
-    value_std = float(vals.std(ddof=1)) / math.sqrt(k)
-    gradient_std = grads.std(axis=0, ddof=1) / math.sqrt(k)
-    hessian_std = hesss.std(axis=0, ddof=1) / math.sqrt(k)
-    converged = value_std <= config.target_rel_err * max(abs(value), 1e-300)
+    samples = [_psi_replicate(domain, xi, D, R, n) for D in _fans(n, config, _TAG_PSI)]
+    vals, grads, hesss, n_memb = zip(*samples)
+    value, value_std = _reduce(vals)
+    gradient, gradient_std = _reduce(grads)
+    hessian, hessian_std = _reduce(hesss)
+    value = float(value) + omega * R**-n / n
     return PsiEvaluation(
         value=value,
         gradient=gradient,
-        hessian=hessian,
-        value_std=value_std,
+        hessian=hessian + 2.0 * omega * R ** -(n + 2) * np.eye(n),
+        value_std=float(value_std),
         gradient_std=gradient_std,
         hessian_std=hessian_std,
-        n_evals=n_evals,
-        converged=converged,
+        n_evals=sum(n_memb),
+        converged=config.accepts(value, value_std),
     )
 
 
@@ -253,17 +245,22 @@ def psi_integrals(domain, xi, config: QuadratureConfig) -> PsiEvaluation:
 # ---------------------------------------------------------------------------
 
 
-def _segment_quadrature(f_abs_p, origin, D, ray_idx, seg_a, seg_b, n):
-    """Integrate |f|^p * r^(n-1) dr over segments via geometric GL pieces.
+def _abs_pow(f, p: float):
+    """The integrand ``|f|^p`` of a point function f."""
+    return lambda X: np.abs(np.asarray(f(X), dtype=float)) ** p
+
+
+def _segment_quadrature(f_abs_p, origin, D, ray_idx, seg_a, seg_b):
+    """Fan average of the integral of |f|^p over ray segments, via geometric GL pieces.
 
     ``seg_a``/``seg_b`` are flat arrays of segment endpoints belonging to the
-    rays ``ray_idx``.  Returns per-ray sums and the number of f evaluations.
+    rays ``ray_idx``.  Integrates ``|f|^p r^(n-1) dr`` along each ray and
+    returns the sphere-measure-weighted mean over the fan, together with the
+    number of f evaluations.
     """
-    m = D.shape[0]
+    m, n = D.shape
     acc = np.zeros(m)
     n_evals = 0
-    if seg_a.size == 0:
-        return acc, n_evals
     for j in range(_MAX_OCTAVES):
         hi = seg_b * 2.0**-j
         lo = np.maximum(seg_a, seg_b * 2.0 ** -(j + 1))
@@ -282,7 +279,20 @@ def _segment_quadrature(f_abs_p, origin, D, ray_idx, seg_a, seg_b, n):
         n_evals += S * Q
         contrib = (vals * ts ** (n - 1) * _GL_WEIGHTS[None, :]).sum(axis=1) * half
         np.add.at(acc, rid, contrib)
-    return acc, n_evals
+    return sphere_area(n) * float(acc.mean()), n_evals
+
+
+def _whole_rays(f_abs_p, origin, D, lo: float, hi: float):
+    """``_segment_quadrature`` over the same interval ``[lo, hi]`` of every ray."""
+    m = D.shape[0]
+    return _segment_quadrature(f_abs_p, origin, D, np.arange(m), np.full(m, lo), np.full(m, hi))
+
+
+def _result(samples, n_evals: int, config: QuadratureConfig, decay_ok: bool = True) -> QuadratureResult:
+    """Reduce per-replicate masses; ``converged`` needs the tail check too."""
+    value, std_error = map(float, _reduce(samples))
+    converged = decay_ok and config.accepts(value, std_error)
+    return QuadratureResult(value=value, std_error=std_error, n_evals=n_evals, converged=converged, decay_ok=decay_ok)
 
 
 def exterior_lp_mass(domain, f, p: float, config: QuadratureConfig, center=None) -> QuadratureResult:
@@ -303,46 +313,26 @@ def exterior_lp_mass(domain, f, p: float, config: QuadratureConfig, center=None)
     if center.shape != (n,):
         raise PreconditionError(f"expected a center of dimension {n}")
     R = float(domain.bounding_radius(center))
-    omega = sphere_area(n)
+    f_abs_p = _abs_pow(f, p)
 
-    def f_abs_p(X):
-        return np.abs(np.asarray(f(X), dtype=float)) ** p
-
-    m_base = _base_direction_count(n, config, nodes_per_ray=24)
-    k = config.replicates
-    fans = []
-    near = np.empty(k)
+    fans = list(_fans(n, config, _TAG_LP, nodes_per_ray=24))
+    near = np.empty(len(fans))
     n_evals = 0
-    for rep in range(k):
-        ss = np.random.SeedSequence((int(config.seed), _TAG_LP, rep))
-        D = _directions(n, m_base, ss)
-        fans.append(D)
+    for rep, D in enumerate(fans):
         a, b, mask, n_memb = _outside_segments(domain, center, D, R)
-        n_evals += n_memb
         ri, ci = np.nonzero(mask)
-        acc, ne = _segment_quadrature(f_abs_p, center, D, ri, a[ri, ci], b[ri, ci], n)
-        n_evals += ne
-        near[rep] = omega * float(acc.mean())
+        near[rep], ne = _segment_quadrature(f_abs_p, center, D, ri, a[ri, ci], b[ri, ci])
+        n_evals += n_memb + ne
 
     # Far octaves: everything beyond R is outside the domain.
-    far = np.zeros(k)
+    far = np.zeros(len(fans))
     octave_masses = []
     stopped = False
     for shell in range(config.far_shells):
-        lo = R * 2.0**shell
-        hi = R * 2.0 ** (shell + 1)
-        shell_vals = np.empty(k)
-        for rep in range(k):
-            D = fans[rep]
-            m = D.shape[0]
-            mid = 0.5 * (lo + hi)
-            half = 0.5 * (hi - lo)
-            ts = mid + half * _GL_NODES
-            pts = center[None, None, :] + ts[None, :, None] * D[:, None, :]
-            vals = f_abs_p(pts.reshape(m * ts.size, -1)).reshape(m, ts.size)
-            n_evals += m * ts.size
-            per_ray = (vals * ts[None, :] ** (n - 1) * _GL_WEIGHTS[None, :]).sum(axis=1) * half
-            shell_vals[rep] = omega * float(per_ray.mean())
+        shell_vals = np.empty(len(fans))
+        for rep, D in enumerate(fans):
+            shell_vals[rep], ne = _whole_rays(f_abs_p, center, D, R * 2.0**shell, R * 2.0 ** (shell + 1))
+            n_evals += ne
         far += shell_vals
         octave_masses.append(float(shell_vals.mean()))
         total = abs(float((near + far).mean()))
@@ -358,12 +348,7 @@ def exterior_lp_mass(domain, f, p: float, config: QuadratureConfig, center=None)
         decay_ok = bool(np.all(np.diff(tail) <= 0.0)) or masses[-1] == 0.0
     else:
         decay_ok = bool(masses[-1] < 0.5 * masses[max(len(masses) - 4, 0)]) if len(masses) >= 4 else False
-
-    totals = near + far
-    value = float(totals.mean())
-    std_error = float(totals.std(ddof=1)) / math.sqrt(k)
-    converged = decay_ok and std_error <= config.target_rel_err * max(abs(value), 1e-300)
-    return QuadratureResult(value=value, std_error=std_error, n_evals=n_evals, converged=converged, decay_ok=decay_ok)
+    return _result(near + far, n_evals, config, decay_ok)
 
 
 def ball_lp_mass(f, p: float, center, radius: float, dimension: int, config: QuadratureConfig) -> QuadratureResult:
@@ -374,29 +359,11 @@ def ball_lp_mass(f, p: float, center, radius: float, dimension: int, config: Qua
         raise PreconditionError(f"expected a center of dimension {n}")
     if not radius > 0.0:
         raise PreconditionError("ball radius must be positive")
-    omega = sphere_area(n)
-
-    def f_abs_p(X):
-        return np.abs(np.asarray(f(X), dtype=float)) ** p
-
-    m_base = _base_direction_count(n, config, nodes_per_ray=24)
-    k = config.replicates
-    vals = np.empty(k)
-    n_evals = 0
-    for rep in range(k):
-        ss = np.random.SeedSequence((int(config.seed), _TAG_BALL, rep))
-        D = _directions(n, m_base, ss)
-        m = D.shape[0]
-        ray_idx = np.arange(m)
-        acc, ne = _segment_quadrature(
-            f_abs_p, center, D, ray_idx, np.zeros(m), np.full(m, float(radius)), n
-        )
-        n_evals += ne
-        vals[rep] = omega * float(acc.mean())
-    value = float(vals.mean())
-    std_error = float(vals.std(ddof=1)) / math.sqrt(k)
-    converged = std_error <= config.target_rel_err * max(abs(value), 1e-300)
-    return QuadratureResult(value=value, std_error=std_error, n_evals=n_evals, converged=converged, decay_ok=True)
+    f_abs_p = _abs_pow(f, p)
+    vals, n_evals = zip(
+        *(_whole_rays(f_abs_p, center, D, 0.0, float(radius)) for D in _fans(n, config, _TAG_BALL, nodes_per_ray=24))
+    )
+    return _result(vals, sum(n_evals), config)
 
 
 # ---------------------------------------------------------------------------
@@ -435,12 +402,18 @@ def bubble_moment(n: int, power: float, log_weight: bool = False) -> float:
             base = base * (math.log(alpha) - (n - 2.0) / 2.0 * math.log1p(r * r))
         return base
 
-    inner, _ = integrate.quad(g, 0.0, 1.0, epsabs=0.0, epsrel=1e-12, limit=200)
+    return omega * alpha**power * radial_integral(g)
 
-    def g_tail(t):
-        # r = 1/t substitution: dr = -dt/t^2, integrand g(1/t)/t^2
-        r = 1.0 / t
-        return g(r) / (t * t)
 
-    outer, _ = integrate.quad(g_tail, 0.0, 1.0, epsabs=0.0, epsrel=1e-12, limit=200)
-    return omega * alpha**power * (inner + outer)
+def radial_integral(g, cut: float = 1.0, points=None) -> float:
+    """Integral of g(r) over (0, inf) to relative accuracy 1e-12.
+
+    Adaptive quadrature over ``(0, cut)`` (with optional breakpoints
+    ``points``), plus the tail through the substitution ``r = cut / s``,
+    ``dr = -cut ds / s^2``, which maps it onto ``s`` in ``(0, 1)``.
+    """
+    inner, _ = integrate.quad(g, 0.0, cut, epsabs=0.0, epsrel=1e-12, limit=400, points=points)
+    outer, _ = integrate.quad(
+        lambda s: g(cut / s) * cut / s**2, 0.0, 1.0, epsabs=0.0, epsrel=1e-12, limit=400
+    )
+    return inner + outer

@@ -310,6 +310,17 @@ def test_interaction_against_axisymmetric_quadrature_and_decay():
     assert vals[4.0] == pytest.approx(model, rel=0.05)
 
 
+def test_interaction_converged_judged_on_assembled_value():
+    # the exterior piece alone misses the relative target, the assembled value meets it
+    cfg = QuadratureConfig(seed=0, near_budget=2**14, replicates=4)
+    b1 = Bubble(1, 1e-2, np.array([0.0, 0.0, 1.0]))
+    b2 = Bubble(1, 1e-2, np.array([0.0, 0.0, -1.0]))
+    got = interaction(3, b1, b2, cfg)
+    assert got.decay_ok
+    assert got.std_error <= cfg.target_rel_err * got.value
+    assert got.converged
+
+
 def test_ansatz_value_signs_and_shapes():
     bubbles = [Bubble(1, 0.3, np.zeros(3)), Bubble(-1, 0.3, np.array([1.0, 0.0, 0.0]))]
     mid = np.array([[0.5, 0.0, 0.0]])

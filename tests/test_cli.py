@@ -1,6 +1,7 @@
 """Command-line workflows: outputs, verdicts, exit codes, reproducibility."""
 
 import json
+import math
 import os
 import re
 
@@ -409,6 +410,19 @@ def test_manifest_records_resolved_configuration(tmp_path):
 def test_missing_domain_exits_2(tmp_path):
     assert main(["crit", "--out", str(tmp_path)]) == 2
     assert main(["crit", "--domain", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize(
+    "root",
+    [
+        {"type": "ball", "center": [0.0, 0.0, 0.0], "radius": math.inf},
+        {"type": "ball", "center": [math.nan, 0.0, 0.0], "radius": 1.0},
+    ],
+)
+def test_non_finite_domain_exits_2(tmp_path, capsys, root):
+    path = write_domain(tmp_path, "bad.json", {"dimension": 3, "root": root})
+    assert main(["crit", "--domain", path, "--out", str(tmp_path), *FAST]) == 2
+    assert "finite" in capsys.readouterr().err
 
 
 def test_dimension_mismatch_exits_2(tmp_path):

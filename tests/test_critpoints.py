@@ -10,8 +10,10 @@ import math
 import numpy as np
 import pytest
 
+from bubblescape import critpoints
 from bubblescape.critpoints import (
     CensusReport,
+    CriticalPoint,
     CritConfig,
     census,
     find_minima,
@@ -188,6 +190,18 @@ def test_morse_audit_ball_stable():
     assert rep.min_margin > 1e-4
     assert rep.max_displacement < 0.25
     assert len(rep.base.points) == 1
+
+
+def test_morse_audit_pairs_points_by_least_total_displacement(monkeypatch):
+    def point(x):
+        return CriticalPoint(np.array([x, 0.0, 0.0]), 1.0, 0.0, 0.0, np.ones(3), 0, True)
+
+    base = CensusReport(points=[point(0.0), point(1.0)], cat_lower_bound=1, satisfied=True)
+    moved = CensusReport(points=[point(0.6), point(-0.7)], cat_lower_bound=1, satisfied=True)
+    monkeypatch.setattr(critpoints, "census", lambda *a, warm_starts=None, **k: base if warm_starts is None else moved)
+    rep = morse_audit(ball3(), rho=0.05, trials=1, quad_cfg=CFG, crit_cfg=CRIT)
+    # nearest-neighbour pairing in base order takes 0 -> 0.6 and then 1 -> -0.7, a move of 1.7
+    assert rep.max_displacement == pytest.approx(0.7, abs=1e-12)
 
 
 def test_morse_audit_preconditions():

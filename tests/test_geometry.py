@@ -18,15 +18,11 @@ from bubblescape.geometry import (
     Scale,
     Translate,
     Union,
-    bounding_radius,
     boundary_nearest,
     contains,
-    contains_many,
     deep_point,
-    depth_bound,
     diameter_pair,
     domain_from_dict,
-    domain_to_dict,
     perturb,
     positive_leaf_components,
 )
@@ -85,9 +81,9 @@ def test_translate_scale_membership_equivariance():
     moved = Domain(3, Translate(offset, base.root))
     scaled = Domain(3, Scale(factor, base.root))
     X = rng.uniform(-3.0, 3.0, size=(1000, 3))
-    want = contains_many(base, X)
-    assert np.array_equal(contains_many(moved, X + offset), want)
-    assert np.array_equal(contains_many(scaled, factor * X), want)
+    want = base.contains_many(X)
+    assert np.array_equal(moved.contains_many(X + offset), want)
+    assert np.array_equal(scaled.contains_many(factor * X), want)
 
 
 def test_nested_transforms_compose():
@@ -109,30 +105,30 @@ def test_depth_bound_certifies_interior_balls():
     dom = dumbbell()
     pts = rng.uniform(-2.5, 2.5, size=(4000, 3))
     depths = dom.depth_bound_many(pts)
-    inside = contains_many(dom, pts)
+    inside = dom.contains_many(pts)
     # positive depth implies membership
     assert np.all(inside[depths > 0])
     # and the certified ball stays inside
     for x, d in zip(pts[depths > 0.05][:50], depths[depths > 0.05][:50]):
         probes = x + 0.99 * d * rng.uniform(-1, 1, size=(64, 3)) / np.sqrt(3)
-        assert np.all(contains_many(dom, probes))
+        assert np.all(dom.contains_many(probes))
 
 
 def test_bounding_radius_encloses_domain():
     rng = np.random.default_rng(13)
     for dom in (unit_ball(), dumbbell(), holed_ball()):
         center = np.array([0.2, -0.1, 0.4])
-        R = bounding_radius(dom, center)
+        R = dom.bounding_radius(center)
         pts = rng.uniform(-3, 3, size=(5000, 3))
-        ins = contains_many(dom, pts)
+        ins = dom.contains_many(pts)
         assert np.all(np.linalg.norm(pts[ins] - center, axis=1) <= R + 1e-12)
 
 
 def test_depth_bound_sign():
     dom = unit_ball()
-    assert depth_bound(dom, [0.0, 0.0, 0.0]) == pytest.approx(1.0)
-    assert depth_bound(dom, [2.0, 0.0, 0.0]) == pytest.approx(-1.0)
-    assert depth_bound(holed_ball(hole=0.25), [0.0, 0.0, 0.0]) == pytest.approx(-0.25)
+    assert dom.depth_bound_many([[0.0, 0.0, 0.0]])[0] == pytest.approx(1.0)
+    assert dom.depth_bound_many([[2.0, 0.0, 0.0]])[0] == pytest.approx(-1.0)
+    assert holed_ball(hole=0.25).depth_bound_many([[0.0, 0.0, 0.0]])[0] == pytest.approx(-0.25)
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +144,7 @@ def test_json_schema_round_trip(tmp_path):
             Translate([0.1, 0, 0], Scale(0.5, Ball([0, 0, 0], 1.0))),
         ),
     )
-    data = domain_to_dict(dom)
+    data = dom.to_dict()
     assert data["dimension"] == 3
     assert data["root"]["type"] == "difference"
     assert data["root"]["left"]["type"] == "union"
@@ -161,7 +157,7 @@ def test_json_schema_round_trip(tmp_path):
     clone = domain_from_dict(json.loads(json.dumps(data)))
     rng = np.random.default_rng(3)
     X = rng.uniform(-2, 3, size=(500, 3))
-    assert np.array_equal(contains_many(clone, X), contains_many(dom, X))
+    assert np.array_equal(clone.contains_many(X), dom.contains_many(X))
 
 
 def test_bad_domain_dicts_rejected():
@@ -173,6 +169,22 @@ def test_bad_domain_dicts_rejected():
         domain_from_dict({"dimension": 2, "root": {"type": "ball", "center": [0, 0], "radius": -1}})
     with pytest.raises(PreconditionError):
         domain_from_dict({"dimension": 2, "root": {"type": "scale", "factor": 0.0, "inner": {"type": "ball", "center": [0, 0], "radius": 1}}})
+
+
+def test_non_finite_fields_rejected():
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(PreconditionError):
+            Ball([0.0, bad], 1.0)
+        with pytest.raises(PreconditionError):
+            Ball([0.0, 0.0], bad)
+        with pytest.raises(PreconditionError):
+            Capsule([0.0, 0.0], [bad, 0.0], 1.0)
+        with pytest.raises(PreconditionError):
+            Capsule([0.0, 0.0], [1.0, 0.0], bad)
+        with pytest.raises(PreconditionError):
+            Translate([bad, 0.0], Ball([0.0, 0.0], 1.0))
+        with pytest.raises(PreconditionError):
+            Scale(bad, Ball([0.0, 0.0], 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +379,7 @@ def test_membership_translation_property(seed):
     dom = dumbbell()
     moved = Domain(3, Translate(v, dom.root))
     X = rng.uniform(-3, 3, size=(50, 3))
-    assert np.array_equal(contains_many(moved, X + v), contains_many(dom, X))
+    assert np.array_equal(moved.contains_many(X + v), dom.contains_many(X))
 
 
 def test_boundary_point_type():

@@ -285,8 +285,6 @@ def test_nodal_energy_c2_injection_and_preconditions():
         reduced_energy_nodal(cn, 0.2, 0.2, 0.3, 0.0, bp1, bp2)
     with pytest.raises(PreconditionError):
         reduced_energy_nodal(cn, 0.2, 0.2, 0.3, 0.3, bp1, bp1)  # coincident anchors
-    with pytest.raises(PreconditionError):
-        reduced_energy_nodal(cn, 0.2, 0.2, 0.3, 0.3, bp1, bp2, eps_power_scale=0.0)
 
 
 def test_predict_nodal_ball_matches_closed_form():
@@ -354,6 +352,8 @@ def test_predict_nodal_eps_power_scale_only_moves_exponents():
     assert scaled.parameters["t1"] == pytest.approx(base.parameters["t1"], rel=1e-12)
     assert scaled.delta_exponent == pytest.approx(0.5)
     assert scaled.tau_exponent == pytest.approx(0.25)
+    with pytest.raises(PreconditionError):
+        predict_nodal(ball3(), 0.1, cn, CFG, eps_power_scale=0.0)
 
 
 def test_predict_nodal_rejects_misaligned_diameter_normals():
