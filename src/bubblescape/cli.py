@@ -131,7 +131,8 @@ def cmd_psi_grid(manifest: RunManifest, domain) -> int:
 
     Cells outside the region (or with certified depth below ``min_depth``)
     carry the sentinel value -1.0, which is unambiguous because the landscape
-    is strictly positive at interior points.
+    is strictly positive at interior points.  The stdout summary counts the
+    cells whose estimate missed the convergence target.
     """
     opt = manifest.options
     n = domain.dimension
@@ -156,10 +157,9 @@ def cmd_psi_grid(manifest: RunManifest, domain) -> int:
     values = np.full(points.shape[0], -1.0)
     idx = np.flatnonzero(keep)
     with ThreadPoolExecutor(max_workers=min(8, os.cpu_count() or 1)) as pool:
-        evals = list(
-            pool.map(lambda k: psi_integrals(domain, points[k], manifest.quadrature).value, idx)
-        )
-    values[idx] = evals
+        evals = list(pool.map(lambda k: psi_integrals(domain, points[k], manifest.quadrature), idx))
+    values[idx] = [ev.value for ev in evals]
+    unconverged = sum(not ev.converged for ev in evals)
     if np.any(values[idx] <= 0.0):
         raise ConvergenceError("quadrature produced a non-positive landscape value")
 
@@ -185,7 +185,10 @@ def cmd_psi_grid(manifest: RunManifest, domain) -> int:
             )
     _write_text(os.path.join(manifest.output_dir, "psi_grid.csv"), lines)
     _write_manifest(manifest)
-    print(f"psi-grid: {idx.size} interior cells of {points.shape[0]}; {summary[2:]}")
+    print(
+        f"psi-grid: {idx.size} interior cells of {points.shape[0]}"
+        f" ({unconverged} not converged); {summary[2:]}"
+    )
     return 0
 
 

@@ -539,6 +539,14 @@ class PerturbedDomain:
     Membership inverts the map by the contraction iteration
     ``x <- y - theta(x)`` to absolute tolerance 1e-12 (times the domain
     scale); the C^2 bound below one half certifies the contraction.
+
+    Band certificate: the base depth is 1-Lipschitz and has the sign of base
+    membership, and every pulled-back point lies within
+    ``theta.amplitude_bound()`` of its image.  So a point whose base depth
+    exceeds that band (plus 1e-9 times the domain scale for rounding) in
+    absolute value is inside the perturbed domain exactly when it is inside
+    the base domain, for open and closed membership alike.  Only points
+    inside the band, or with a non-finite depth, are pulled back.
     """
 
     def __init__(self, base, theta: PerturbationField):
@@ -551,6 +559,7 @@ class PerturbedDomain:
         self.base = base
         self.theta = theta
         self._scale = base.bounding_radius(np.zeros(base.dimension))
+        self._band = theta.amplitude_bound() + 1e-9 * max(self._scale, 1.0)
 
     @property
     def dimension(self) -> int:
@@ -578,8 +587,14 @@ class PerturbedDomain:
     # -- queries --------------------------------------------------------------
 
     def contains_many(self, Y: np.ndarray, closed: bool = False) -> np.ndarray:
+        """Membership of each row; rows outside the depth band skip the pull-back."""
         Y = np.atleast_2d(np.asarray(Y, dtype=float))
-        return self.base.contains_many(self.pull_back(Y), closed)
+        d = self.base.depth_bound_many(Y)
+        inside = d > 0.0
+        near = ~(np.isfinite(d) & (np.abs(d) > self._band))  # non-finite depths take the full path
+        if np.any(near):
+            inside[near] = self.base.contains_many(self.pull_back(Y[near]), closed)
+        return inside
 
     def depth_bound_many(self, Y: np.ndarray) -> np.ndarray:
         Y = np.atleast_2d(np.asarray(Y, dtype=float))
@@ -596,7 +611,9 @@ class PerturbedDomain:
         ``t_hi``) locates membership flips, which are then refined by 46
         bisection steps.  Features thinner than the local probe spacing can
         be missed; the grid is sized for the smooth, C^2-small perturbations
-        this class produces.
+        this class produces.  Every probe goes through ``contains_many``, so
+        probes outside the depth band of the class docstring are answered by
+        the base domain alone, with the same booleans the pull-back gives.
         """
         o = _as_point(origin, self.dimension)
         D = np.asarray(D, dtype=float)
@@ -925,7 +942,8 @@ def deep_point(domain, seed: int = 0):
 
     Checks exact leaf candidates first (ball centers, capsule axis points);
     falls back to a seeded uniform scan of the enclosing ball.  Ties go to
-    the lexicographically largest point.
+    the lexicographically largest point.  Raises ``PreconditionError`` when
+    the scan finds no interior point (an empty or very thin domain).
     """
     if isinstance(domain, PerturbedDomain):
         return domain.deep_point_hint()
@@ -945,7 +963,7 @@ def deep_point(domain, seed: int = 0):
     depths = domain.depth_bound_many(X)
     i = int(np.argmax(depths))
     if depths[i] <= 0.0:
-        raise ConvergenceError("no certified interior point found")
+        raise PreconditionError("the domain is empty or too thin to find an interior point")
     return X[i].copy(), float(depths[i])
 
 

@@ -26,6 +26,7 @@ deviation across replicates divided by sqrt(replicates).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -131,19 +132,34 @@ def _base_direction_count(n: int, config: QuadratureConfig, nodes_per_ray: int =
     return 2 ** min(max(exponent, 5), 22)
 
 
+def _folded_fan(seed: int, tag: int, rep: int, n: int, m_base: int) -> np.ndarray:
+    """``m_base`` scrambled-Sobol sphere points folded into the positive orthant (read-only)."""
+    seed_seq = np.random.SeedSequence((seed, tag, rep))
+    eng = qmc.Sobol(d=n, scramble=True, seed=np.random.default_rng(seed_seq))
+    G = np.abs(sphere_points(eng.random(m_base)))
+    G.setflags(write=False)
+    return G
+
+
+# Every call with the same seed and budget draws the same fans.  Small fans
+# are cached: there the Sobol set-up is a visible share of a landscape call.
+# A fan above _CACHED_FAN_MAX base points costs little next to the call that
+# uses it, so caching it would only hold memory.
+_cached_folded_fan = functools.lru_cache(maxsize=32)(_folded_fan)
+_CACHED_FAN_MAX = 4096
+
+
 def _fans(n: int, config: QuadratureConfig, tag: int, nodes_per_ray: int = 1):
     """One direction fan per replicate, each independently scrambled.
 
-    A fan is ``m_base`` scrambled-Sobol sphere points folded into the
-    positive orthant, expanded over the full sign-flip orbit: shape
-    ``(m_base * 2^n, n)``.
+    A fan is a folded base fan expanded over the full sign-flip orbit into a
+    fresh array of shape ``(m_base * 2^n, n)``.
     """
     m_base = _base_direction_count(n, config, nodes_per_ray)
+    folded = _cached_folded_fan if m_base <= _CACHED_FAN_MAX else _folded_fan
     signs = _sign_orbit(n)
     for rep in range(config.replicates):
-        seed_seq = np.random.SeedSequence((int(config.seed), tag, rep))
-        eng = qmc.Sobol(d=n, scramble=True, seed=np.random.default_rng(seed_seq))
-        G = np.abs(sphere_points(eng.random(m_base)))
+        G = folded(int(config.seed), tag, rep, n, m_base)
         yield (signs[:, None, :] * G[None, :, :]).reshape(-1, n)
 
 

@@ -114,6 +114,20 @@ def test_psi_grid_ball_argmin_at_center(tmp_path):
     assert rc == 0 and snapshot(out) == first
 
 
+def test_psi_grid_reports_unconverged_cells(tmp_path, capsys):
+    out = str(tmp_path / "g")
+    rc = main(
+        ["psi-grid", "--domain", ball3_file(tmp_path), "--out", out, *FAST]
+        + ["--steps", "3", "3", "--lo", "-0.9", "-0.9", "--hi", "0.9", "0.9"]
+    )
+    assert rc == 0
+    line = capsys.readouterr().out.strip().splitlines()[-1]
+    match = re.match(r"psi-grid: (\d+) interior cells of 9 \((\d+) not converged\); ", line)
+    assert match, line
+    # the centre cell is exact; the off-centre cells miss 1e-3 at this budget
+    assert 0 < int(match.group(2)) < int(match.group(1))
+
+
 def test_psi_grid_csv_is_plain_lf_decimal_dot(tmp_path):
     out = str(tmp_path / "g")
     main(
@@ -423,6 +437,17 @@ def test_non_finite_domain_exits_2(tmp_path, capsys, root):
     path = write_domain(tmp_path, "bad.json", {"dimension": 3, "root": root})
     assert main(["crit", "--domain", path, "--out", str(tmp_path), *FAST]) == 2
     assert "finite" in capsys.readouterr().err
+
+
+def test_empty_domain_exits_2(tmp_path, capsys):
+    empty = {
+        "type": "difference",
+        "left": {"type": "ball", "center": [0.0, 0.0, 0.0], "radius": 1.0},
+        "right": {"type": "ball", "center": [0.0, 0.0, 0.0], "radius": 2.0},
+    }
+    path = write_domain(tmp_path, "empty.json", {"dimension": 3, "root": empty})
+    assert main(["crit", "--domain", path, "--out", str(tmp_path), *FAST]) == 2
+    assert "empty" in capsys.readouterr().err
 
 
 def test_dimension_mismatch_exits_2(tmp_path):

@@ -15,6 +15,7 @@ from bubblescape.geometry import (
     Difference,
     Domain,
     PerturbationField,
+    PerturbedDomain,
     Scale,
     Translate,
     Union,
@@ -369,6 +370,106 @@ def test_perturbation_equivariance_of_depth():
     y, d = dom.deep_point_hint()
     assert d > 0.5
     assert dom.contains_many(y[None, :])[0]
+
+
+# Random CSG trees in R^3: balls and capsules combined by union, difference,
+# translation and scaling.
+_coord = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
+_point3 = st.tuples(_coord, _coord, _coord).map(np.array)
+_radius = st.floats(min_value=0.2, max_value=1.2, allow_nan=False)
+_leaf = st.one_of(
+    st.builds(Ball, _point3, _radius),
+    st.builds(Capsule, _point3, _point3, _radius),
+)
+_tree = st.recursive(
+    _leaf,
+    lambda sub: st.one_of(
+        st.builds(Union, sub, sub),
+        st.builds(Difference, sub, sub),
+        st.builds(Translate, _point3, sub),
+        st.builds(Scale, st.floats(min_value=0.5, max_value=2.0, allow_nan=False), sub),
+    ),
+    max_leaves=4,
+)
+
+
+def _near_and_far_points(base, amplitude, rng):
+    """Points around the leaf surfaces (offsets up to 3 amplitudes) and far away."""
+    R = base.bounding_radius(np.zeros(3)) + 1.0
+    D = rng.normal(size=(64, 3))
+    D /= np.linalg.norm(D, axis=1, keepdims=True)
+    cand = base.surface_crossing_candidates(np.zeros(3), D, R)
+    ray, col = np.nonzero(np.isfinite(cand))
+    t = cand[ray, col] + amplitude * rng.uniform(-3.0, 3.0, size=ray.size)
+    near = t[:, None] * D[ray]
+    far = rng.uniform(-R, R, size=(200, 3))
+    return np.concatenate([near, far])
+
+
+@settings(max_examples=40, deadline=None)
+@given(_tree, st.floats(min_value=0.01, max_value=0.45), st.integers(min_value=0, max_value=10**6))
+def test_perturbed_membership_band_certificate(root, c2, seed):
+    base = Domain(3, root)
+    theta = PerturbationField.random(3, bumps=3, seed=seed, support_radius=1.5).with_c2_norm(c2)
+    dom = perturb(base, theta)
+    Y = _near_and_far_points(base, theta.amplitude_bound(), np.random.default_rng(seed))
+    X = dom.pull_back(Y)
+    for closed in (False, True):
+        assert np.array_equal(dom.contains_many(Y, closed), base.contains_many(X, closed))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_tree, st.integers(min_value=0, max_value=10**6))
+def test_depth_is_lipschitz_with_the_sign_of_membership(root, seed):
+    dom = Domain(3, root)
+    rng = np.random.default_rng(seed)
+    R = dom.bounding_radius(np.zeros(3)) + 1.0
+    X = rng.uniform(-R, R, size=(400, 3))
+    Z = X + rng.normal(scale=0.1, size=X.shape)
+    dX = dom.depth_bound_many(X)
+    dZ = dom.depth_bound_many(Z)
+    assert np.all(np.abs(dX - dZ) <= np.linalg.norm(X - Z, axis=1) * (1.0 + 1e-12) + 1e-12)
+    clear = np.abs(dX) > 1e-12
+    for closed in (False, True):
+        assert np.array_equal(dom.contains_many(X[clear], closed), dX[clear] > 0.0)
+
+
+def test_depth_zero_on_the_surface():
+    dom = holed_ball(hole=0.5)
+    S = np.array([[1.0, 0.0, 0.0], [0.0, -0.5, 0.0]])
+    assert np.array_equal(dom.depth_bound_many(S), [0.0, 0.0])
+    assert not np.any(dom.contains_many(S))
+    assert np.all(dom.contains_many(S, closed=True))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_rows_still_take_the_pull_back(bad):
+    dom = perturb(dumbbell(), small_field(norm=0.2))
+    Y = np.array([[0.0, 0.0, 0.0], [bad, 0.0, 0.0]])
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ConvergenceError):
+            dom.base.contains_many(dom.pull_back(Y))
+        with pytest.raises(ConvergenceError):
+            dom.contains_many(Y)
+
+
+def test_band_shortcut_keeps_scan_crossings():
+    class FullPullBack(PerturbedDomain):
+        def contains_many(self, Y, closed=False):
+            Y = np.atleast_2d(np.asarray(Y, dtype=float))
+            return self.base.contains_many(self.pull_back(Y), closed)
+
+    base = dumbbell()
+    theta = small_field(norm=0.2)
+    rng = np.random.default_rng(14)
+    D = rng.normal(size=(512, 3))
+    D /= np.linalg.norm(D, axis=1, keepdims=True)
+    origin = np.array([0.3, 0.1, 0.0])
+    t_hi = base.bounding_radius(origin) + theta.amplitude_bound()
+    fast = perturb(base, theta).surface_crossing_candidates(origin, D, t_hi)
+    full = FullPullBack(base, theta).surface_crossing_candidates(origin, D, t_hi)
+    assert np.isfinite(fast).sum() >= 512
+    assert np.array_equal(fast, full, equal_nan=True)
 
 
 @settings(max_examples=25, deadline=None)

@@ -214,6 +214,21 @@ def test_determinism_and_counters():
     assert a.n_evals == b.n_evals > 0
 
 
+def test_cached_fans_match_fresh_fans():
+    from bubblescape.quadrature import _cached_folded_fan, _fans, _folded_fan
+
+    cfg = QuadratureConfig(seed=5, near_budget=2**14, replicates=4)
+    first = list(_fans(3, cfg, 0x5A1))
+    again = list(_fans(3, cfg, 0x5A1))
+    for rep, (a, b) in enumerate(zip(first, again)):
+        assert a is not b and a.flags.writeable
+        assert np.array_equal(a, b)
+        cached = _cached_folded_fan(5, 0x5A1, rep, 3, a.shape[0] // 8)
+        assert not cached.flags.writeable
+        assert np.array_equal(cached, _folded_fan(5, 0x5A1, rep, 3, a.shape[0] // 8))
+        assert np.array_equal(a[: cached.shape[0]], cached)
+
+
 def test_interior_point_required():
     with pytest.raises(PreconditionError):
         psi_integrals(unit_ball(3), np.array([2.0, 0.0, 0.0]), CFG)
