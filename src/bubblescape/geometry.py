@@ -2,10 +2,15 @@
 
 Domains are finite unions and differences of open balls and capsules,
 optionally translated and rescaled.  The module provides exact membership
-tests, conservative interior-depth bounds, enclosing radii, boundary
-projections with inner normals, approximate diameter realizers, and smooth
-volume-preservation-free perturbations ``y = x + theta(x)`` with certified
-small C^2 norm.
+tests, exact ray classification, conservative interior-depth bounds,
+enclosing radii, boundary projections with inner normals, approximate
+diameter realizers, and smooth volume-preservation-free perturbations
+``y = x + theta(x)`` with certified small C^2 norm.
+
+Ray classification: every leaf is convex, so a ray meets it in one span of
+parameters.  Membership along the ray is a comparison of the ray parameter
+with those spans, combined down the CSG tree like point membership; the
+parameters where it flips are the ray's boundary crossings.
 
 All queries are deterministic.  Batched variants operate on ``(m, n)`` arrays
 of row points and are the workhorses of the quadrature layer; scalar wrappers
@@ -29,6 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtri
+from scipy.stats import qmc
 
 from .errors import ConvergenceError, PreconditionError
 
@@ -249,68 +255,78 @@ def _enclosing_radius(node, center: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Ray / surface intersection candidates
+# Ray spans (Roth, "Ray casting for modeling solids", CGIP 18, 1982)
 # ---------------------------------------------------------------------------
 
 
-def _sphere_roots(o: np.ndarray, D: np.ndarray, c: np.ndarray, r: float) -> np.ndarray:
-    """Parameters t of |o + t D - c| = r for unit rows D; (m, 2), NaN when missed."""
-    w = o - c
-    b = 2.0 * (D @ w)
-    c0 = float(w @ w) - r * r
-    disc = b * b - 4.0 * c0
-    out = np.full((D.shape[0], 2), np.nan)
-    hit = disc > 0.0
-    if np.any(hit):
-        s = np.sqrt(disc[hit])
-        out[hit, 0] = (-b[hit] - s) / 2.0
-        out[hit, 1] = (-b[hit] + s) / 2.0
-    return out
+def _quadratic_roots(A, B, C):
+    """Roots of ``A t^2 + B t + C`` per row, ascending; NaN without two distinct real roots."""
+    disc = B * B - 4.0 * A * C
+    s = np.sqrt(np.where((A > 1e-14) & (disc > 0.0), disc, np.nan))
+    return (-B - s) / (2.0 * A), (-B + s) / (2.0 * A)
 
 
-def _capsule_roots(o: np.ndarray, D: np.ndarray, cap: Capsule) -> np.ndarray:
-    """Candidate surface parameters for a capsule: cylinder wall + both caps; (m, 6)."""
-    m = D.shape[0]
-    out = np.full((m, 6), np.nan)
-    out[:, 0:2] = _sphere_roots(o, D, cap.a, cap.radius)
-    out[:, 2:4] = _sphere_roots(o, D, cap.b, cap.radius)
-    u = cap.b - cap.a
-    L2 = float(u @ u)
-    if L2 > 0.0:
-        uhat = u / np.sqrt(L2)
-        w = o - cap.a
-        Dp = D - np.outer(D @ uhat, uhat)
-        wp = w - (w @ uhat) * uhat
-        A = np.einsum("ij,ij->i", Dp, Dp)
-        B = 2.0 * (Dp @ wp)
-        C = float(wp @ wp) - cap.radius * cap.radius
-        disc = B * B - 4.0 * A * C
-        ok = (A > 1e-14) & (disc > 0.0)
-        if np.any(ok):
-            s = np.sqrt(disc[ok])
-            out[ok, 4] = (-B[ok] - s) / (2.0 * A[ok])
-            out[ok, 5] = (-B[ok] + s) / (2.0 * A[ok])
-    return out
+def _leaf_span(leaf, o: np.ndarray, D: np.ndarray):
+    """Entry and exit parameters of the rays ``o + t D`` (unit rows D) through a leaf.
 
-
-def _analytic_candidates(root, o: np.ndarray, D: np.ndarray, t_hi: float) -> np.ndarray:
-    """Sorted candidate crossing parameters in (0, t_hi) for all leaf surfaces.
-
-    Spurious candidates (surface pieces carved away by the CSG) are harmless:
-    callers classify the open intervals between consecutive candidates by a
-    membership test at the midpoint.
+    A leaf is convex, so each ray meets it in one open interval; both ends
+    are NaN when the ray misses.  A capsule's interval is the hull of its end
+    balls' intervals and of the wall roots whose foot on the axis lies on the
+    segment.
     """
-    blocks = []
-    for leaf, _sign in _leaves(root):
-        if isinstance(leaf, Ball):
-            blocks.append(_sphere_roots(o, D, leaf.center, leaf.radius))
-        else:
-            blocks.append(_capsule_roots(o, D, leaf))
-    ts = np.concatenate(blocks, axis=1)
-    lo = 1e-14 * max(t_hi, 1.0)
-    ts = np.where((ts > lo) & (ts < t_hi), ts, np.nan)
-    ts.sort(axis=1)
-    return ts
+    r2 = leaf.radius * leaf.radius
+
+    def ball(c):
+        w = o - c
+        return _quadratic_roots(1.0, 2.0 * (D @ w), float(w @ w) - r2)
+
+    if isinstance(leaf, Ball):
+        return ball(leaf.center)
+    lo, hi = ball(leaf.a)
+    lo_b, hi_b = ball(leaf.b)
+    lo, hi = np.fmin(lo, lo_b), np.fmax(hi, hi_b)
+    u = leaf.b - leaf.a
+    L = float(np.sqrt(u @ u))
+    if L > 0.0:
+        uhat = u / L
+        w = o - leaf.a
+        Du = D @ uhat
+        Dp = D - np.outer(Du, uhat)
+        wp = w - (w @ uhat) * uhat
+        for t in _quadratic_roots(np.einsum("ij,ij->i", Dp, Dp), 2.0 * (Dp @ wp), float(wp @ wp) - r2):
+            foot = w @ uhat + t * Du
+            t = np.where((foot >= 0.0) & (foot <= L), t, np.nan)
+            lo, hi = np.fmin(lo, t), np.fmax(hi, t)
+    return lo, hi
+
+
+def _on_ray(node, T: np.ndarray, spans) -> np.ndarray:
+    """``_member`` along rays: open membership at the (m, S) ray parameters T.
+
+    ``spans`` yields each leaf's ``(lo, hi)`` from ``_leaf_span``, in
+    ``_leaves`` order.
+    """
+    if isinstance(node, (Ball, Capsule)):
+        lo, hi = next(spans)
+        return (lo[:, None] < T) & (T < hi[:, None])
+    if isinstance(node, Union):
+        return _on_ray(node.left, T, spans) | _on_ray(node.right, T, spans)
+    if isinstance(node, Difference):
+        return _on_ray(node.left, T, spans) & ~_on_ray(node.right, T, spans)
+    raise PreconditionError(f"non-normalized node {type(node).__name__}")
+
+
+def _pack(m: int, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Scatter values, grouped by ascending row, into an (m, K) NaN-padded array; K the widest row, at least 1."""
+    counts = np.bincount(rows, minlength=m)
+    out = np.full((m, max(int(counts.max(initial=0)), 1)), np.nan)
+    out[rows, np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]] = values
+    return out
+
+
+def _probe_fan(n: int) -> np.ndarray:
+    """The fixed 512-direction fan of the boundary and carved-leaf queries."""
+    return sphere_points(qmc.Sobol(d=n, scramble=False).random(512))
 
 
 # ---------------------------------------------------------------------------
@@ -351,9 +367,24 @@ class Domain:
     def bounding_radius(self, center) -> float:
         return _enclosing_radius(self._norm, _as_point(center, self.dimension))
 
-    def surface_crossing_candidates(self, origin, D: np.ndarray, t_hi: float) -> np.ndarray:
+    def surface_crossing_candidates(self, origin, D: np.ndarray, t_hi: float):
+        """Membership flips along the rays ``origin + t D``, t in (0, t_hi), and first-segment flags.
+
+        Returns ``(flips, inside0)``: ``flips`` is (m, K), each row ascending
+        and NaN-padded.  The leaf span ends cut each ray into gaps, classified
+        at their midpoints by ``_on_ray``; an end is a flip where that changes.
+        """
         o = _as_point(origin, self.dimension)
-        return _analytic_candidates(self._norm, o, np.asarray(D, dtype=float), t_hi)
+        D = np.asarray(D, dtype=float)
+        spans = [_leaf_span(leaf, o, D) for leaf, _ in _leaves(self._norm)]
+        ends = np.concatenate([np.stack(span, axis=1) for span in spans], axis=1)
+        ends = np.where((ends > 1e-14 * max(t_hi, 1.0)) & (ends < t_hi), ends, np.nan)
+        ends.sort(axis=1)
+        m = D.shape[0]
+        edges = np.concatenate([np.zeros((m, 1)), np.where(np.isfinite(ends), ends, t_hi), np.full((m, 1), t_hi)], axis=1)
+        inside = _on_ray(self._norm, 0.5 * (edges[:, :-1] + edges[:, 1:]), iter(spans))
+        ray, col = np.nonzero((inside[:, 1:] != inside[:, :-1]) & np.isfinite(ends))
+        return _pack(m, ray, ends[ray, col]), inside[:, 0]
 
     def leaves(self) -> list[tuple[object, int]]:
         return _leaves(self._norm)
@@ -604,8 +635,8 @@ class PerturbedDomain:
     def bounding_radius(self, center) -> float:
         return self.base.bounding_radius(center) + self.theta.amplitude_bound()
 
-    def surface_crossing_candidates(self, origin, D: np.ndarray, t_hi: float) -> np.ndarray:
-        """Membership-scan crossing parameters along each ray.
+    def surface_crossing_candidates(self, origin, D: np.ndarray, t_hi: float):
+        """Membership-scan flips along each ray, with ``Domain``'s ``(flips, inside0)`` contract.
 
         A geometric probe grid (16 probes per octave over 14 octaves below
         ``t_hi``) locates membership flips, which are then refined by 46
@@ -614,6 +645,7 @@ class PerturbedDomain:
         this class produces.  Every probe goes through ``contains_many``, so
         probes outside the depth band of the class docstring are answered by
         the base domain alone, with the same booleans the pull-back gives.
+        Every ray's first-segment flag is the membership of ``origin``.
         """
         o = _as_point(origin, self.dimension)
         D = np.asarray(D, dtype=float)
@@ -637,16 +669,7 @@ class PerturbedDomain:
             upper = mid_in != inside[ray_idx, col + 1]
             lo = np.where(upper, mid, lo)
             hi = np.where(upper, hi, mid)
-        roots = 0.5 * (lo + hi)
-        counts = np.bincount(ray_idx, minlength=m)
-        K = max(int(counts.max()), 1) if counts.size else 1
-        out = np.full((m, K), np.nan)
-        slot = np.zeros(m, dtype=int)
-        for r, t in zip(ray_idx, roots):
-            out[r, slot[r]] = t
-            slot[r] += 1
-        out.sort(axis=1)
-        return out
+        return _pack(m, ray_idx, 0.5 * (lo + hi)), np.full(m, at0)
 
     def deep_point_hint(self):
         x, d = deep_point(self.base)
@@ -737,9 +760,9 @@ def boundary_nearest(domain, x) -> BoundaryPoint:
 
     Exact per-leaf projections are validated by a two-sided membership probe;
     if every leaf projection lands on a carved-away surface patch (the
-    nearest boundary point sits on a CSG crease), a seeded direction fan with
-    bisection refinement supplies the answer.  Distance ties are broken
-    toward the lexicographically largest point.
+    nearest boundary point sits on a CSG crease), the closest first
+    membership flip along a fixed direction fan supplies the answer.
+    Distance ties are broken toward the lexicographically largest point.
     """
     if isinstance(domain, PerturbedDomain):
         inner = boundary_nearest(domain.base, domain.pull_back(np.atleast_2d(x))[0])
@@ -764,43 +787,18 @@ def boundary_nearest(domain, x) -> BoundaryPoint:
     if best is not None:
         return BoundaryPoint(best[1], best[2])
 
-    # Crease fallback: scan a deterministic direction fan for membership flips.
-    from scipy.stats import qmc
-
-    D = sphere_points(qmc.Sobol(d=domain.dimension, scramble=False).random(512))
-    inside0 = bool(domain.contains_many(x[None, :])[0])
-    t_hi = scale if inside0 else 2.0 * scale
-    cand = domain.surface_crossing_candidates(x, D, t_hi)
-    first = cand[:, 0]
-    ok = np.isfinite(first)
-    if not np.any(ok):
+    # Crease fallback: the closest first flip along a deterministic direction
+    # fan (lexicographic tie-break among flips within eps of the closest).
+    D = _probe_fan(domain.dimension)
+    flips, inside0 = domain.surface_crossing_candidates(x, D, 2.0 * scale)
+    first = flips[:, 0]
+    if not np.any(np.isfinite(first)):
         raise ConvergenceError("no boundary found within the enclosing ball")
-    # Keep, per ray, the first candidate across which membership truly flips;
-    # among rays take the closest crossing (lexicographic tie-break).
-    tbest = np.inf
-    pbest = None
     eps = _EPS_FLIP * max(scale, 1.0)
-    for i in np.nonzero(ok)[0]:
-        for t in cand[i]:
-            if not np.isfinite(t):
-                break
-            lo_in = bool(domain.contains_many((x + (t - eps) * D[i])[None, :])[0])
-            hi_in = bool(domain.contains_many((x + (t + eps) * D[i])[None, :])[0])
-            if lo_in == hi_in:
-                continue
-            p = x + t * D[i]
-            if t < tbest - eps or (abs(t - tbest) <= eps and (pbest is None or _lex_key(p) < _lex_key(pbest))):
-                tbest = t
-                pbest = p
-            break
-    if pbest is None:
-        raise ConvergenceError("boundary projection failed along every probe ray")
-    nu = _probe_normal(domain, pbest, pbest - x, scale)
-    if nu is None:
-        nu = (pbest - x) / np.linalg.norm(pbest - x)
-        if inside0:
-            nu = -nu
-    return BoundaryPoint(pbest, nu)
+    i = min(np.nonzero(first <= np.nanmin(first) + eps)[0], key=lambda i: _lex_key(x + first[i] * D[i]))
+    p = x + first[i] * D[i]
+    nu = _probe_normal(domain, p, D[i], scale)
+    return BoundaryPoint(p, (-D[i] if inside0[i] else D[i]) if nu is None else nu)
 
 
 def _farthest_leaf_candidate(domain, q: np.ndarray):
@@ -828,8 +826,6 @@ def _farthest_leaf_candidate(domain, q: np.ndarray):
 
 def _sample_boundary(domain, count: int, seed: int = 0) -> np.ndarray:
     """Seeded quasi-random boundary samples (valid surface patches only)."""
-    from scipy.stats import qmc
-
     n = domain.dimension
     pos = [leaf for leaf, sign in domain.leaves() if sign > 0]
     per = max(8, count // max(len(pos), 1))
@@ -1013,17 +1009,19 @@ def positive_leaf_components(domain) -> list[list[object]]:
     The number of groups is a lower bound for the number of connected
     components of the domain (carving can only disconnect further, and any
     connection within the domain passes through overlapping positive leaves).
-    Leaves entirely carved away are dropped via an interior probe.
+    A leaf is kept when some ray of the fixed 512-direction fan from its
+    first anchor starts inside the domain or enters it before leaving the
+    leaf; leaves carved away along every ray are dropped.
     """
     base = domain.base if isinstance(domain, PerturbedDomain) else domain
-    pos = [leaf for leaf, sign in base.leaves() if sign > 0]
+    D = _probe_fan(base.dimension)
     kept = []
-    for leaf in pos:
-        probes = leaf_anchors(leaf)
-        rng = np.random.default_rng(np.random.SeedSequence((0xC0, len(kept))))
-        extra = probes[0] + leaf.radius * rng.uniform(-0.7, 0.7, size=(64, base.dimension))
-        P = np.vstack([np.array(probes), extra])
-        if bool(np.any(base.contains_many(P))):
+    for leaf, sign in base.leaves():
+        if sign < 0:
+            continue
+        o = leaf_anchors(leaf)[0]
+        flips, inside0 = base.surface_crossing_candidates(o, D, base.bounding_radius(o))
+        if np.any(inside0) or np.any(flips[:, 0] < _leaf_span(leaf, o, D)[1]):
             kept.append(leaf)
     parent = list(range(len(kept)))
 

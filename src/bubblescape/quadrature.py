@@ -3,9 +3,10 @@
 Everything here integrates over the *complement* of a domain (or over whole
 balls), with integrands that concentrate near the domain boundary or at a
 designated center.  The engine casts a quasi-random fan of rays from the
-center, slices each ray into inside/outside segments using exact
-surface-crossing parameters (membership-scan crossings for perturbed
-domains), and integrates radially along the outside segments:
+center, cuts each ray at the domain's membership flips (exact, from the
+per-leaf spans of the geometry layer; membership-scan flips for perturbed
+domains) into segments that alternate between inside and outside, and
+integrates radially along the outside segments:
 
 * inverse-power kernels (the concentration landscape and its first two
   derivatives) get closed-form radial antiderivatives per segment, so the
@@ -177,22 +178,19 @@ def _reduce(samples):
 def _outside_segments(domain, origin: np.ndarray, D: np.ndarray, t_hi: float):
     """Per-ray radial intervals lying outside the domain, within (0, t_hi).
 
-    Returns ``(a, b, mask, n_memberships)`` where ``a``, ``b`` are (m, S)
-    interval endpoint arrays and ``mask`` flags genuine outside intervals.
+    The domain's membership flips cut each ray into segments that alternate
+    between inside and outside, starting from the ray's first-segment flag.
+    Returns ``(a, b, mask, n_segments)`` where ``a``, ``b`` are (m, S)
+    interval endpoint arrays, ``mask`` flags outside intervals of positive
+    width, and ``n_segments = m * S`` counts the segments.
     """
-    m = D.shape[0]
-    cand = domain.surface_crossing_candidates(origin, D, t_hi)
-    cand = np.where(np.isfinite(cand), cand, t_hi)
-    ts = np.concatenate([np.zeros((m, 1)), cand, np.full((m, 1), t_hi)], axis=1)
+    flips, inside0 = domain.surface_crossing_candidates(origin, D, t_hi)
+    m, K = flips.shape
+    ts = np.concatenate([np.zeros((m, 1)), np.where(np.isfinite(flips), flips, t_hi), np.full((m, 1), t_hi)], axis=1)
     a = ts[:, :-1]
     b = ts[:, 1:]
-    width_ok = b > a * (1.0 + 1e-14) + 1e-300
-    mids = 0.5 * (a + b)
-    pts = origin[None, None, :] + mids[:, :, None] * D[:, None, :]
-    S = mids.shape[1]
-    inside = domain.contains_many(pts.reshape(m * S, -1)).reshape(m, S)
-    mask = (~inside) & width_ok
-    return a, b, mask, m * S
+    outside = (np.arange(K + 1) % 2 == 1) == inside0[:, None]
+    return a, b, outside & (b > a * (1.0 + 1e-14) + 1e-300), m * (K + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +200,7 @@ def _outside_segments(domain, origin: np.ndarray, D: np.ndarray, t_hi: float):
 
 def _psi_replicate(domain, xi: np.ndarray, D: np.ndarray, R: float, n: int):
     """One replicate's ray-averaged near-field value/gradient/hessian."""
-    a, b, mask, n_memb = _outside_segments(domain, xi, D, R)
+    a, b, mask, n_seg = _outside_segments(domain, xi, D, R)
     a_safe = np.where(mask, a, 1.0)
     b_safe = np.where(mask, b, 1.0)
     with np.errstate(divide="ignore", over="ignore"):
@@ -218,7 +216,7 @@ def _psi_replicate(domain, xi: np.ndarray, D: np.ndarray, R: float, n: int):
     grad = omega * 2.0 * n * (D * sg[:, None]).mean(axis=0)
     dd = np.einsum("mi,mj,m->ij", D, D, sh) / m
     hess = omega * 2.0 * n * ((2.0 * n + 2.0) * dd - np.eye(n) * float(sh.mean()))
-    return value, grad, hess, n_memb
+    return value, grad, hess, n_seg
 
 
 def psi_integrals(domain, xi, config: QuadratureConfig) -> PsiEvaluation:
@@ -239,7 +237,7 @@ def psi_integrals(domain, xi, config: QuadratureConfig) -> PsiEvaluation:
     omega = sphere_area(n)
 
     samples = [_psi_replicate(domain, xi, D, R, n) for D in _fans(n, config, _TAG_PSI)]
-    vals, grads, hesss, n_memb = zip(*samples)
+    vals, grads, hesss, n_seg = zip(*samples)
     value, value_std = _reduce(vals)
     gradient, gradient_std = _reduce(grads)
     hessian, hessian_std = _reduce(hesss)
@@ -251,7 +249,7 @@ def psi_integrals(domain, xi, config: QuadratureConfig) -> PsiEvaluation:
         value_std=float(value_std),
         gradient_std=gradient_std,
         hessian_std=hessian_std,
-        n_evals=sum(n_memb),
+        n_evals=sum(n_seg),
         converged=config.accepts(value, value_std),
     )
 
@@ -335,10 +333,10 @@ def exterior_lp_mass(domain, f, p: float, config: QuadratureConfig, center=None)
     near = np.empty(len(fans))
     n_evals = 0
     for rep, D in enumerate(fans):
-        a, b, mask, n_memb = _outside_segments(domain, center, D, R)
+        a, b, mask, n_seg = _outside_segments(domain, center, D, R)
         ri, ci = np.nonzero(mask)
         near[rep], ne = _segment_quadrature(f_abs_p, center, D, ri, a[ri, ci], b[ri, ci])
-        n_evals += n_memb + ne
+        n_evals += n_seg + ne
 
     # Far octaves: everything beyond R is outside the domain.
     far = np.zeros(len(fans))

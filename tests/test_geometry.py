@@ -1,12 +1,14 @@
 """Geometry layer: membership semantics, boundary queries, perturbations."""
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bubblescape import bubbles, quadrature
 from bubblescape.errors import ConvergenceError, PreconditionError
 from bubblescape.geometry import (
     Ball,
@@ -19,6 +21,8 @@ from bubblescape.geometry import (
     Scale,
     Translate,
     Union,
+    _leaf_nearest,
+    _leaf_span,
     boundary_nearest,
     contains,
     deep_point,
@@ -27,6 +31,7 @@ from bubblescape.geometry import (
     perturb,
     positive_leaf_components,
 )
+from bubblescape.quadrature import QuadratureConfig, _outside_segments, exterior_lp_mass, psi_integrals
 
 
 def unit_ball(n=3, center=None, radius=1.0):
@@ -283,6 +288,14 @@ def test_positive_leaf_components():
     assert len(positive_leaf_components(two)) == 2
 
 
+@pytest.mark.parametrize("inner", [0.899, 0.8])
+def test_thin_shell_keeps_its_leaf(inner):
+    # Two balls joined only through a carved shell of thickness 0.9 - inner.
+    shell = Difference(Ball([0.0, 0, 0], 0.9), Ball([0.0, 0, 0], inner))
+    dom = Domain(3, Union(Union(Ball([-1.7, 0, 0], 1.0), Ball([1.7, 0, 0], 1.0)), shell))
+    assert len(positive_leaf_components(dom)) == 1
+
+
 # ---------------------------------------------------------------------------
 # perturbations
 # ---------------------------------------------------------------------------
@@ -354,7 +367,7 @@ def test_perturbed_scan_finds_boundary():
     base = unit_ball()
     dom = perturb(base, small_field(norm=0.1))
     D = np.eye(3)
-    cand = dom.surface_crossing_candidates(np.zeros(3), D, 2.0)
+    cand, _ = dom.surface_crossing_candidates(np.zeros(3), D, 2.0)
     t = cand[:, 0]
     assert np.all(np.isfinite(t))
     # crossing point should sit on the perturbed sphere: pull back to |x| = 1
@@ -398,7 +411,7 @@ def _near_and_far_points(base, amplitude, rng):
     R = base.bounding_radius(np.zeros(3)) + 1.0
     D = rng.normal(size=(64, 3))
     D /= np.linalg.norm(D, axis=1, keepdims=True)
-    cand = base.surface_crossing_candidates(np.zeros(3), D, R)
+    cand, _ = base.surface_crossing_candidates(np.zeros(3), D, R)
     ray, col = np.nonzero(np.isfinite(cand))
     t = cand[ray, col] + amplitude * rng.uniform(-3.0, 3.0, size=ray.size)
     near = t[:, None] * D[ray]
@@ -466,10 +479,116 @@ def test_band_shortcut_keeps_scan_crossings():
     D /= np.linalg.norm(D, axis=1, keepdims=True)
     origin = np.array([0.3, 0.1, 0.0])
     t_hi = base.bounding_radius(origin) + theta.amplitude_bound()
-    fast = perturb(base, theta).surface_crossing_candidates(origin, D, t_hi)
-    full = FullPullBack(base, theta).surface_crossing_candidates(origin, D, t_hi)
+    fast, _ = perturb(base, theta).surface_crossing_candidates(origin, D, t_hi)
+    full, _ = FullPullBack(base, theta).surface_crossing_candidates(origin, D, t_hi)
     assert np.isfinite(fast).sum() >= 512
     assert np.array_equal(fast, full, equal_nan=True)
+
+
+def _origins(dom, rng):
+    """A point outside the domain, one on a leaf surface and, unless the domain is empty, a deepest point."""
+    leaf = dom.leaves()[0][0]
+    c = leaf.center if isinstance(leaf, Ball) else leaf.a
+    v = rng.normal(size=3)
+    v /= np.linalg.norm(v)
+    out = [c + (dom.bounding_radius(c) + 0.5) * v, _leaf_nearest(leaf, c + v)[0]]
+    try:
+        out.append(deep_point(dom)[0])
+    except PreconditionError:
+        pass
+    return out
+
+
+def _unit_rows(rng, m):
+    D = rng.normal(size=(m, 3))
+    return D / np.linalg.norm(D, axis=1, keepdims=True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_tree, st.integers(min_value=0, max_value=10**6))
+def test_alternating_segment_flags_match_membership(root, seed):
+    dom = Domain(3, root)
+    rng = np.random.default_rng(seed)
+    D = _unit_rows(rng, 256)
+    for origin in _origins(dom, rng):
+        t_hi = dom.bounding_radius(origin)
+        a, b, outside, _ = _outside_segments(dom, origin, D, t_hi)
+        ray, seg = np.nonzero(b - a > 1e-9 * t_hi)
+        # each wide segment's midpoint, and a random point away from its ends
+        frac = np.concatenate([np.full(ray.size, 0.5), rng.uniform(0.01, 0.99, ray.size)])
+        ray, seg = np.tile(ray, 2), np.tile(seg, 2)
+        t = a[ray, seg] + frac * (b[ray, seg] - a[ray, seg])
+        assert np.array_equal(dom.contains_many(origin + t[:, None] * D[ray]), ~outside[ray, seg])
+
+
+def _midpoint_segments(domain, origin, D, t_hi):
+    """Reference slicer: cut each ray at every leaf span end, classify each piece at its midpoint."""
+    m, n = D.shape
+    ends = np.concatenate([np.stack(_leaf_span(leaf, origin, D), axis=1) for leaf, _ in domain.leaves()], axis=1)
+    ends = np.sort(np.where((ends > 1e-14 * max(t_hi, 1.0)) & (ends < t_hi), ends, t_hi), axis=1)
+    ts = np.concatenate([np.zeros((m, 1)), ends, np.full((m, 1), t_hi)], axis=1)
+    a, b = ts[:, :-1], ts[:, 1:]
+    mids = 0.5 * (a + b)
+    inside = domain.contains_many((origin + mids[:, :, None] * D[:, None, :]).reshape(-1, n)).reshape(mids.shape)
+    return a, b, ~inside & (b > a * (1.0 + 1e-14) + 1e-300), mids.size
+
+
+def _agree(x, y, scale=None):
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    return np.max(np.abs(x - y)) <= 1e-12 * (np.max(np.abs(y)) if scale is None else scale)
+
+
+def _with_reference(fn):
+    with mock.patch.object(quadrature, "_outside_segments", _midpoint_segments):
+        return fn()
+
+
+@settings(max_examples=25, deadline=None)
+@given(_tree, st.integers(min_value=0, max_value=10**6))
+def test_span_engine_matches_midpoint_reference(root, seed):
+    dom = Domain(3, root)
+    rng = np.random.default_rng(seed)
+    cfg = QuadratureConfig(seed=seed, near_budget=2**12, replicates=2)
+    origins = _origins(dom, rng)
+    if len(origins) == 3:
+        xi = origins[2]
+        ev = psi_integrals(dom, xi, cfg)
+        ref = _with_reference(lambda: psi_integrals(dom, xi, cfg))
+        # psi's terms come from distances of at least the depth d, so value / d
+        # scales the gradient where symmetry makes it vanish.
+        d = dom.depth_bound_many(xi[None, :])[0]
+        assert _agree(ev.value, ref.value)
+        assert _agree(ev.gradient, ref.gradient, max(np.max(np.abs(ref.gradient)), ref.value / d))
+        assert _agree(ev.hessian, ref.hessian)
+    for c in origins:
+        R = dom.bounding_radius(c)
+
+        # |x - c|^2 inside the enclosing ball: a polynomial along each ray, so
+        # Gauss-Legendre is exact however a ray's outside part is cut up.
+        def f(X, c=c, R=R):
+            r2 = np.sum((X - c) ** 2, axis=1)
+            return np.where(r2 < R * R, r2, 0.0)
+
+        got = exterior_lp_mass(dom, f, 1.0, cfg, center=c)
+        want = _with_reference(lambda: exterior_lp_mass(dom, f, 1.0, cfg, center=c))
+        whole = quadrature.sphere_area(3) * R**5 / 5.0  # f over the whole enclosing ball
+        assert _agree(got.value, want.value, whole)
+        assert _agree(got.std_error, want.std_error, whole)
+
+
+def test_tangent_balls_start_inside_from_their_contact_point():
+    # The interaction integral casts rays from the tangency point of two
+    # balls: outside their open union, yet almost every ray starts inside one.
+    virtual = Domain(3, Union(Ball([-1.0, 0, 0], 1.0), Ball([1.0, 0, 0], 1.0)))
+    _, inside0 = virtual.surface_crossing_candidates(np.zeros(3), _unit_rows(np.random.default_rng(0), 512), 2.0)
+    assert not contains(virtual, np.zeros(3)) and inside0.mean() > 0.99
+    cfg = QuadratureConfig(seed=0, near_budget=2**13, replicates=2)
+    b1 = bubbles.Bubble(1, 0.05, np.array([-1.0, 0, 0]))
+    b2 = bubbles.Bubble(1, 0.07, np.array([1.0, 0, 0]))
+    got = bubbles.interaction(3, b1, b2, cfg)
+    want = _with_reference(lambda: bubbles.interaction(3, b1, b2, cfg))
+    assert _agree(got.value, want.value)
+    assert _agree(got.std_error, want.std_error, abs(want.value))
 
 
 @settings(max_examples=25, deadline=None)
