@@ -397,6 +397,11 @@ class ResidualTable:
     parameters: dict
 
 
+def _check_d(d: float | None):
+    if d is not None and not 0.0 < d < math.inf:
+        raise PreconditionError("the scale coefficient d must be positive and finite")
+
+
 def _check_decreasing(values, name: str):
     values = [float(v) for v in values]
     if len(values) < 2:
@@ -414,6 +419,7 @@ def expansion_residual_sub(domain, xi, eps_list, consts: Constants, config: Quad
     the leftover is divided by eps.  Residuals shrinking roughly like
     sqrt(eps) certify the expansion.
     """
+    _check_d(d)
     eps_list = _check_decreasing(eps_list, "eps")
     if eps_list[0] >= 0.2 or eps_list[-1] <= 0.0:
         raise PreconditionError("eps values must lie in (0, 0.2)")
@@ -447,6 +453,7 @@ def expansion_residual_hole(domain, rho_list, consts: Constants, config: Quadrat
     ``delta = d sqrt(rho)`` is centered there, and the reduced-energy
     prediction is removed.
     """
+    _check_d(d)
     rho_list = _check_decreasing(rho_list, "rho")
     if rho_list[-1] <= 0.0:
         raise PreconditionError("rho values must be positive")

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bubbles import expansion_residual_hole, expansion_residual_sub
+from .bubbles import _check_d, expansion_residual_hole, expansion_residual_sub
 from .critpoints import CritConfig, census, find_minima, morse_audit
 from .errors import ConvergenceError, PreconditionError
 from .geometry import deep_point, load_domain
@@ -571,9 +571,8 @@ def _resolve_energy_options(args, dimension: int, regime: str) -> dict:
     options: dict = {"values": values}
     _point_option(options, "xi", args.xi, regime, "sub", dimension)
     _point_option(options, "hole_center", args.hole_center, regime, "hole", dimension)
+    _check_d(args.d)  # before the default xi's minimum search
     if args.d is not None:
-        if not args.d > 0.0:
-            raise PreconditionError("--d must be positive")
         options["d"] = float(args.d)
     return options
 

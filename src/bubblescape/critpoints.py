@@ -46,23 +46,23 @@ __all__ = [
     "morse_audit",
 ]
 
+_NEWTON_ITERS = 80  # Newton steps before the acceptance check
+_STRING_NODES = 11  # mountain-pass string nodes, both endpoints included
+_STRING_ROUNDS = 30  # string relaxation rounds
+
 
 @dataclass(frozen=True)
 class CritConfig:
     """Knobs for critical-point search.
 
     ``newton_tol`` bounds the accepted final gradient norm; ``dedupe_radius``
-    merges converged points; ``string_nodes`` counts the nodes of the
-    mountain-pass string including both endpoints; ``morse_tol`` is the
-    relative eigenvalue floor below which a Hessian counts as degenerate.
+    merges converged points; ``morse_tol`` is the relative eigenvalue floor
+    below which a Hessian counts as degenerate.
     """
 
     multistart: int = 12
     newton_tol: float = 1e-3
-    max_iters: int = 80
     dedupe_radius: float = 0.05
-    string_nodes: int = 11
-    string_rounds: int = 30
     morse_tol: float = 1e-6
 
     def __post_init__(self):
@@ -70,14 +70,8 @@ class CritConfig:
             raise PreconditionError("multistart must be at least 1")
         if not self.newton_tol > 0.0:
             raise PreconditionError("newton_tol must be positive")
-        if self.max_iters < 1:
-            raise PreconditionError("max_iters must be at least 1")
         if not self.dedupe_radius > 0.0:
             raise PreconditionError("dedupe_radius must be positive")
-        if self.string_nodes < 8:
-            raise PreconditionError("the string needs at least 8 nodes")
-        if self.string_rounds < 1:
-            raise PreconditionError("string_rounds must be at least 1")
         if not 0.0 < self.morse_tol < 1.0:
             raise PreconditionError("morse_tol must lie in (0, 1)")
 
@@ -189,7 +183,7 @@ def _newton(domain, x0, quad_cfg: QuadratureConfig, cfg: CritConfig, pd_floor: b
     if not _inside(domain, x):
         raise PreconditionError("Newton start must lie inside the region")
     ev = psi_integrals(domain, x, quad_cfg)
-    for _ in range(cfg.max_iters):
+    for _ in range(_NEWTON_ITERS):
         g = ev.gradient
         gn = float(np.linalg.norm(g))
         sig = float(np.linalg.norm(ev.gradient_std))
@@ -331,10 +325,10 @@ def mountain_pass(domain, x1, x2, quad_cfg: QuadratureConfig, crit_cfg: CritConf
     scale = float(domain.bounding_radius(anchor))
     light = _light_config(quad_cfg)
 
-    K = cfg.string_nodes
+    K = _STRING_NODES
     nodes = np.linspace(0.0, 1.0, K)[:, None] * (x2 - x1)[None, :] + x1[None, :]
     values = np.zeros(K)
-    for _ in range(cfg.string_rounds):
+    for _ in range(_STRING_ROUNDS):
         grads = np.zeros_like(nodes)
         for i in range(1, K - 1):
             ev = psi_integrals(domain, nodes[i], light)

@@ -3,9 +3,10 @@
 Domains are finite unions and differences of open balls and capsules,
 optionally translated and rescaled.  The module provides exact membership
 tests, exact ray classification, conservative interior-depth bounds,
-enclosing radii, boundary projections with inner normals, approximate
-diameter realizers, and smooth volume-preservation-free perturbations
-``y = x + theta(x)`` with certified small C^2 norm.
+enclosing radii, boundary projections with inner normals, diameter pairs
+(exact for unions of leaves, refused when carving removes a longer pair),
+and smooth volume-preservation-free perturbations ``y = x + theta(x)`` with
+certified small C^2 norm.
 
 Ray classification: every leaf is convex, so a ray meets it in one span of
 parameters.  Membership along the ray is a comparison of the ray parameter
@@ -712,22 +713,15 @@ def _lex_key(p: np.ndarray) -> tuple:
     return tuple(-np.asarray(p, dtype=float))
 
 
-def _probe_normal(domain, p: np.ndarray, direction: np.ndarray, scale: float):
-    """Classify a candidate boundary point by membership on both probe sides.
+def _inner_normals(domain, P: np.ndarray, N: np.ndarray, scale: float) -> np.ndarray:
+    """Inner unit normals at candidate boundary points, from one two-sided membership probe.
 
-    Returns the inner unit normal if exactly one side of ``p`` along
-    ``direction`` lies inside the domain, else None.
+    Row i is ``N[i]`` or ``-N[i]`` (unit rows), whichever side of ``P[i]``
+    lies inside the domain when exactly one does, and NaN otherwise.
     """
-    nrm = np.linalg.norm(direction)
-    if nrm == 0.0:
-        return None
-    d = direction / nrm
     eps = _EPS_FLIP * max(scale, 1.0)
-    probes = np.stack([p + eps * d, p - eps * d])
-    ins = domain.contains_many(probes)
-    if bool(ins[0]) == bool(ins[1]):
-        return None
-    return d if ins[0] else -d
+    ins = domain.contains_many(np.concatenate([P + eps * N, P - eps * N])).reshape(2, -1)
+    return np.where((ins[0] != ins[1])[:, None], np.where(ins[0][:, None], N, -N), np.nan)
 
 
 def _leaf_nearest(leaf, x: np.ndarray):
@@ -758,7 +752,7 @@ def _leaf_nearest(leaf, x: np.ndarray):
 def boundary_nearest(domain, x) -> BoundaryPoint:
     """Project a point to the nearest boundary location, with inner normal.
 
-    Exact per-leaf projections are validated by a two-sided membership probe;
+    Exact per-leaf projections are validated by one two-sided membership probe;
     if every leaf projection lands on a carved-away surface patch (the
     nearest boundary point sits on a CSG crease), the closest first
     membership flip along a fixed direction fan supplies the answer.
@@ -774,18 +768,13 @@ def boundary_nearest(domain, x) -> BoundaryPoint:
 
     x = _as_point(x, domain.dimension)
     scale = domain.bounding_radius(x)
-    best = None
-    for leaf, _sign in domain.leaves():
-        p, nhat = _leaf_nearest(leaf, x)
-        nu = _probe_normal(domain, p, nhat, scale)
-        if nu is None:
-            continue
-        d = float(np.linalg.norm(p - x))
-        key = (d, _lex_key(p))
-        if best is None or key < best[0]:
-            best = (key, p, nu)
-    if best is not None:
-        return BoundaryPoint(best[1], best[2])
+    P, N = (np.array(rows) for rows in zip(*(_leaf_nearest(leaf, x) for leaf, _ in domain.leaves())))
+    nu = _inner_normals(domain, P, N, scale)
+    dist = np.linalg.norm(P - x, axis=1)
+    valid = np.nonzero(np.isfinite(nu[:, 0]))[0]
+    if valid.size:
+        i = min(valid, key=lambda i: (dist[i], _lex_key(P[i])))
+        return BoundaryPoint(P[i], nu[i])
 
     # Crease fallback: the closest first flip along a deterministic direction
     # fan (lexicographic tie-break among flips within eps of the closest).
@@ -797,133 +786,58 @@ def boundary_nearest(domain, x) -> BoundaryPoint:
     eps = _EPS_FLIP * max(scale, 1.0)
     i = min(np.nonzero(first <= np.nanmin(first) + eps)[0], key=lambda i: _lex_key(x + first[i] * D[i]))
     p = x + first[i] * D[i]
-    nu = _probe_normal(domain, p, D[i], scale)
-    return BoundaryPoint(p, (-D[i] if inside0[i] else D[i]) if nu is None else nu)
+    nu = _inner_normals(domain, p[None, :], D[i][None, :], scale)[0]
+    return BoundaryPoint(p, (-D[i] if inside0[i] else D[i]) if np.isnan(nu[0]) else nu)
 
 
-def _farthest_leaf_candidate(domain, q: np.ndarray):
-    """Farthest valid boundary point from q among exact per-leaf extremizers."""
-    scale = domain.bounding_radius(q)
-    best = None
-    for leaf, sign in domain.leaves():
-        if sign < 0:
-            continue
-        anchors = [leaf.center] if isinstance(leaf, Ball) else [leaf.a, leaf.b]
-        for c in anchors:
-            v = c - q
-            nv = np.linalg.norm(v)
-            vhat = v / nv if nv > 1e-300 else np.eye(domain.dimension)[0]
-            p = c + leaf.radius * vhat
-            nu = _probe_normal(domain, p, vhat, scale)
-            if nu is None:
-                continue
-            d = float(np.linalg.norm(p - q))
-            key = (-d, _lex_key(p))
-            if best is None or key < best[0]:
-                best = (key, p, nu)
-    return None if best is None else (best[1], best[2])
+def diameter_pair(domain):
+    """Diameter-realizing boundary pair, with inner normals, larger point first.
 
-
-def _sample_boundary(domain, count: int, seed: int = 0) -> np.ndarray:
-    """Seeded quasi-random boundary samples (valid surface patches only)."""
+    The farthest points of two balls lie on the line through their centers,
+    ``|c_i - c_j| + r_i + r_j`` apart, and a capsule's farthest points lie on
+    its end balls.  So the candidates are the pairs of positive-leaf ends
+    (ball centers, capsule endpoints), ranked by that analytic length; a
+    repeated end is tried along the coordinate axes, then along the probe
+    fan.  Length ties go to the lexicographically largest point.  Both ends
+    of every candidate are probed in one membership call, and the first pair
+    whose ends both lie on the boundary is returned: exact for unions.  When
+    carving removed a strictly longer candidate the diameter may sit on a
+    crease, and ``ConvergenceError`` is raised instead of a shorter pair.
+    """
     n = domain.dimension
-    pos = [leaf for leaf, sign in domain.leaves() if sign > 0]
-    per = max(8, count // max(len(pos), 1))
-    pts = []
-    scale = domain.bounding_radius(np.zeros(n))
-    for idx, leaf in enumerate(pos):
-        eng = qmc.Sobol(
-            d=n, scramble=True, seed=np.random.default_rng(np.random.SeedSequence((seed, 0xB0, idx)))
-        )
-        D = sphere_points(eng.random(int(2 ** np.ceil(np.log2(per)))))
-        if isinstance(leaf, Ball):
-            cand = leaf.center + leaf.radius * D
-        else:
-            ts = qmc.Sobol(
-                d=1,
-                scramble=True,
-                seed=np.random.default_rng(np.random.SeedSequence((seed, 0xB1, idx))),
-            ).random(D.shape[0])[:, 0]
-            axis = leaf.a + ts[:, None] * (leaf.b - leaf.a)
-            cand = axis + leaf.radius * D
-            u = leaf.b - leaf.a
-            uu = float(u @ u)
-            if uu > 0:
-                # project the offset off the axis so the point lies on the wall
-                t = np.clip((cand - leaf.a) @ u / uu, 0.0, 1.0)
-                foot = leaf.a + t[:, None] * u
-                v = cand - foot
-                nv = np.linalg.norm(v, axis=1, keepdims=True)
-                nv[nv == 0] = 1.0
-                cand = foot + leaf.radius * v / nv
-        pts.append(cand)
-    P = np.concatenate(pts, axis=0)
-    eps = _EPS_FLIP * max(scale, 1.0)
-    # validity: membership must flip across the local leaf normal
-    keep = []
-    for p in P:
-        b = boundary_validity(domain, p, eps)
-        if b is not None:
-            keep.append(p)
-    return np.array(keep) if keep else P[:0]
-
-
-def boundary_validity(domain, p: np.ndarray, eps: float):
-    """Inner normal at p if p lies on the domain boundary, else None.
-
-    Uses the nearest positive-leaf normal direction as the probe axis.
-    """
-    best = None
-    for leaf, _sign in domain.leaves():
-        q, nhat = _leaf_nearest(leaf, p)
-        d = float(np.linalg.norm(q - p))
-        if best is None or d < best[0]:
-            best = (d, nhat)
-    if best is None or best[0] > 10.0 * eps:
-        return None
-    return _probe_normal(domain, p, best[1], eps / _EPS_FLIP)
-
-
-def diameter_pair(domain, samples: int = 1024):
-    """Approximate diameter-realizing boundary pair, with inner normals.
-
-    Seeds with quasi-random boundary samples, then alternates exact
-    farthest-point steps until fixed.  The pair is returned with the
-    lexicographically larger point first.
-    """
-    P = _sample_boundary(domain, int(samples))
-    if P.shape[0] < 2:
-        raise ConvergenceError("not enough valid boundary samples for a diameter search")
-    # farthest pair among samples (chunked to bound memory)
-    best_d = -1.0
-    best_pair = (P[0], P[1])
-    chunk = 1024
-    for i0 in range(0, P.shape[0], chunk):
-        A = P[i0 : i0 + chunk]
-        d2 = ((A[:, None, :] - P[None, :, :]) ** 2).sum(axis=2)
-        i, j = np.unravel_index(np.argmax(d2), d2.shape)
-        if d2[i, j] > best_d:
-            best_d = d2[i, j]
-            best_pair = (A[i], P[j])
-    p, q = best_pair
-    for _ in range(64):
-        cand = _farthest_leaf_candidate(domain, q)
-        p_new = cand[0] if cand is not None else p
-        cand = _farthest_leaf_candidate(domain, p_new)
-        q_new = cand[0] if cand is not None else q
-        if np.allclose(p_new, p, atol=1e-14) and np.allclose(q_new, q, atol=1e-14):
-            p, q = p_new, q_new
-            break
-        p, q = p_new, q_new
-    if _lex_key(q) < _lex_key(p):
-        p, q = q, p
-    scale = domain.bounding_radius(p)
-    eps = _EPS_FLIP * max(scale, 1.0)
-    nu_p = boundary_validity(domain, p, eps)
-    nu_q = boundary_validity(domain, q, eps)
-    if nu_p is None or nu_q is None:
-        raise ConvergenceError("diameter endpoints failed boundary validation")
-    return BoundaryPoint(p, nu_p), BoundaryPoint(q, nu_q)
+    ends = [
+        (c, leaf.radius)
+        for leaf, sign in domain.leaves()
+        if sign > 0
+        for c in ([leaf.center] if isinstance(leaf, Ball) else [leaf.a, leaf.b])
+    ]
+    C, R = (np.array(values) for values in zip(*ends))
+    i, j = np.triu_indices(len(ends), k=1)
+    V = C[i] - C[j]
+    dist = np.linalg.norm(V, axis=1)
+    apart = dist > 0.0
+    i, j, V, dist = i[apart], j[apart], V[apart], dist[apart]
+    # repeated ends: the coordinate axes (tier 0), then the fan (tier 1)
+    fan = np.concatenate([np.eye(n), _probe_fan(n)])
+    k = np.repeat(np.arange(len(ends)), fan.shape[0])
+    I, J = np.concatenate([i, k]), np.concatenate([j, k])
+    U = np.concatenate([V / dist[:, None], np.tile(fan, (len(ends), 1))])
+    L = np.concatenate([dist + R[i] + R[j], 2.0 * R[k]])
+    tier = np.concatenate([np.zeros(i.size), np.tile(np.arange(fan.shape[0]) >= n, len(ends))])
+    P = C[I] + R[I][:, None] * U
+    Q = C[J] - R[J][:, None] * U
+    nu = _inner_normals(domain, np.concatenate([P, Q]), np.concatenate([U, -U]), float(L.max()))
+    nu_p, nu_q = nu[: U.shape[0]], nu[U.shape[0] :]
+    # orient each pair larger point first
+    diff = P - Q
+    swap = diff[np.arange(diff.shape[0]), np.argmax(diff != 0.0, axis=1)] < 0.0
+    P[swap], Q[swap], nu_p[swap], nu_q[swap] = Q[swap], P[swap], nu_q[swap], nu_p[swap]
+    order = np.lexsort((*(-P[:, ::-1].T), tier, -L))
+    hit = order[np.isfinite(nu_p[order, 0]) & np.isfinite(nu_q[order, 0])]
+    if hit.size == 0 or L[hit[0]] < L[order[0]]:
+        raise ConvergenceError("the diameter endpoints are carved away")
+    h = hit[0]
+    return BoundaryPoint(P[h], nu_p[h]), BoundaryPoint(Q[h], nu_q[h])
 
 
 def leaf_anchors(leaf) -> list:

@@ -351,9 +351,9 @@ def predict_nodal(
     _check_eps(eps)
     n = consts.n
     scale = float(eps_power_scale) if eps_power_scale is not None else float(n - 2)
-    if not scale > 0.0:
-        raise PreconditionError("eps_power_scale must be positive")
-    bp1, bp2 = diameter_pair(domain, samples=1024)
+    if not 0.0 < scale < math.inf:
+        raise PreconditionError("eps_power_scale must be positive and finite")
+    bp1, bp2 = diameter_pair(domain)
     diff = bp1.point - bp2.point
     sep = float(np.linalg.norm(diff))
     e = diff / sep

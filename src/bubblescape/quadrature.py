@@ -81,6 +81,8 @@ class QuadratureConfig:
     target_rel_err: float = 1e-3
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise PreconditionError(f"seed must be non-negative, got {self.seed}")
         if self.near_budget < 1024:
             raise PreconditionError("near_budget must be at least 1024")
         if self.far_shells < 16:

@@ -286,13 +286,16 @@ def test_predict_nodal_ball_antipodal_boundary_pair(tmp_path):
         assert float(r[1]) / eps == pytest.approx(np.pi / 16.0, rel=1e-8)
         assert float(r[2]) / eps == pytest.approx(np.pi / 16.0, rel=1e-8)
         assert float(r[3]) / np.sqrt(eps) == pytest.approx((np.pi**2 / 512.0) ** 0.25, rel=1e-8)
-    # the two centers stay antipodal and approach the boundary as eps -> 0
+    # the two centers stay antipodal and approach the boundary as eps -> 0;
+    # the anchors are the exact diameter pair (+-1, 0, 0), so each center
+    # sits a distance tau inward from its anchor on the first axis
     taus = [float(r[3]) for r in rows]
     assert taus == sorted(taus)
     for r in rows:
         c1 = np.array([float(v) for v in r[5:8]])
         c2 = np.array([float(v) for v in r[8:11]])
         np.testing.assert_allclose(c1, -c2, atol=1e-14)
+        np.testing.assert_allclose(c1, [1.0 - float(r[3]), 0.0, 0.0], atol=1e-14)
     last = rows[0]
     c1 = np.array([float(v) for v in last[5:8]])
     assert np.linalg.norm(c1) == pytest.approx(1.0, abs=2.0 * taus[0])
@@ -448,6 +451,22 @@ def test_empty_domain_exits_2(tmp_path, capsys):
     path = write_domain(tmp_path, "empty.json", {"dimension": 3, "root": empty})
     assert main(["crit", "--domain", path, "--out", str(tmp_path), *FAST]) == 2
     assert "empty" in capsys.readouterr().err
+
+
+def test_negative_seed_exits_2(tmp_path, capsys):
+    assert main(["crit", "--domain", ball3_file(tmp_path), "--seed", "-1", "--out", str(tmp_path), *FAST]) == 2
+    assert "seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["energy-check", "--regime", "sub", "--xi", "0", "0", "0", "--d", "inf"],
+        ["predict", "--regime", "nodal", "--eps-power-scale", "inf"],
+    ],
+)
+def test_non_finite_scale_exits_2(tmp_path, argv):
+    assert main([*argv, "--domain", ball3_file(tmp_path), "--out", str(tmp_path), *FAST]) == 2
 
 
 def test_dimension_mismatch_exits_2(tmp_path):

@@ -55,8 +55,6 @@ def test_crit_config_validation():
     with pytest.raises(PreconditionError):
         CritConfig(newton_tol=0.0)
     with pytest.raises(PreconditionError):
-        CritConfig(string_nodes=7)
-    with pytest.raises(PreconditionError):
         CritConfig(morse_tol=1.5)
     with pytest.raises(PreconditionError):
         CritConfig(dedupe_radius=-1.0)

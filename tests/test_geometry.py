@@ -1,5 +1,6 @@
 """Geometry layer: membership semantics, boundary queries, perturbations."""
 
+import functools
 import json
 from unittest import mock
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from bubblescape import bubbles, quadrature
 from bubblescape.errors import ConvergenceError, PreconditionError
@@ -23,11 +25,13 @@ from bubblescape.geometry import (
     Union,
     _leaf_nearest,
     _leaf_span,
+    _probe_fan,
     boundary_nearest,
     contains,
     deep_point,
     diameter_pair,
     domain_from_dict,
+    leaf_anchors,
     perturb,
     positive_leaf_components,
 )
@@ -251,23 +255,63 @@ def test_diameter_pair_ball():
     # pair of the right length, radially inward normals, and determinism.
     center = np.array([0.5, 0.0, 0.0])
     dom = unit_ball(center=center, radius=2.0)
-    bp1, bp2 = diameter_pair(dom, samples=256)
+    bp1, bp2 = diameter_pair(dom)
     assert np.linalg.norm(bp1.point - bp2.point) == pytest.approx(4.0, abs=1e-9)
     assert np.allclose(bp1.point + bp2.point, 2 * center, atol=1e-9)
     assert np.allclose(bp1.inner_normal, (center - bp1.point) / 2.0, atol=1e-9)
     assert np.allclose(bp2.inner_normal, (center - bp2.point) / 2.0, atol=1e-9)
-    again = diameter_pair(dom, samples=256)
+    again = diameter_pair(dom)
     assert np.array_equal(again[0].point, bp1.point)
     assert np.array_equal(again[1].point, bp2.point)
 
 
 def test_diameter_pair_dumbbell():
     dom = dumbbell(gap=1.5, radius=1.0)
-    bp1, bp2 = diameter_pair(dom, samples=512)
+    bp1, bp2 = diameter_pair(dom)
     assert np.allclose(bp1.point, [2.5, 0.0, 0.0], atol=1e-9)
     assert np.allclose(bp2.point, [-2.5, 0.0, 0.0], atol=1e-9)
     d = np.linalg.norm(bp1.point - bp2.point)
     assert d == pytest.approx(5.0, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "dom, end",
+    [
+        (unit_ball(3), [1.0, 0.0, 0.0]),
+        (unit_ball(4), [1.0, 0.0, 0.0, 0.0]),
+        (dumbbell(gap=1.75), [2.75, 0.0, 0.0]),
+        (Domain(3, Union(Ball([-0.9, 0, 0], 1.0), Ball([0.9, 0, 0], 1.0))), [1.9, 0.0, 0.0]),
+        (Domain(3, Union(Ball([-2.5, 0, 0], 1.0), Ball([2.5, 0, 0], 1.0))), [3.5, 0.0, 0.0]),
+    ],
+)
+def test_diameter_pair_is_the_analytic_pair(dom, end):
+    bp1, bp2 = diameter_pair(dom)
+    np.testing.assert_allclose(bp1.point, end, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(bp2.point, -np.array(end), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(bp1.inner_normal, -np.eye(dom.dimension)[0], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(bp2.inner_normal, np.eye(dom.dimension)[0], rtol=0, atol=1e-12)
+
+
+def test_diameter_pair_offset_ball_is_exact():
+    bp1, bp2 = diameter_pair(unit_ball(center=[0.5, 0.0, 0.0], radius=2.0))
+    assert np.array_equal(bp1.point, [2.5, 0.0, 0.0])
+    assert np.array_equal(bp2.point, [-1.5, 0.0, 0.0])
+
+
+def test_diameter_pair_avoids_a_carved_cap():
+    cap = Ball([1.0, 0, 0], 0.3)
+    bp1, bp2 = diameter_pair(Domain(3, Difference(Ball(np.zeros(3), 1.0), cap)))
+    assert np.linalg.norm(bp1.point - bp2.point) == pytest.approx(2.0, abs=1e-12)
+    for bp in (bp1, bp2):
+        assert np.linalg.norm(bp.point - cap.center) > cap.radius
+
+
+def test_diameter_pair_refuses_carved_endpoints():
+    # both end caps of the capsule are cut off, so the diameter sits on a crease
+    capsule = Capsule([-1.0, 0, 0], [1.0, 0, 0], 0.5)
+    carved = Difference(Difference(capsule, Ball([-1.5, 0, 0], 0.6)), Ball([1.5, 0, 0], 0.6))
+    with pytest.raises(ConvergenceError, match="carved away"):
+        diameter_pair(Domain(3, carved))
 
 
 def test_deep_point_prefers_fattest_chamber():
@@ -574,6 +618,34 @@ def test_span_engine_matches_midpoint_reference(root, seed):
         whole = quadrature.sphere_area(3) * R**5 / 5.0  # f over the whole enclosing ball
         assert _agree(got.value, want.value, whole)
         assert _agree(got.std_error, want.std_error, whole)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_leaf, min_size=1, max_size=4).map(lambda leaves: functools.reduce(Union, leaves)))
+def test_diameter_pair_of_a_union_is_the_farthest_boundary_pair(root):
+    dom = Domain(3, root)
+    bp1, bp2 = diameter_pair(dom)
+    # reference: every boundary flip of the probe fan from every positive-leaf anchor
+    D = _probe_fan(3)
+    flips = []
+    for leaf, _ in dom.leaves():
+        for o in leaf_anchors(leaf):
+            t, _ = dom.surface_crossing_candidates(o, D, 2.0 * dom.bounding_radius(o))
+            ray, col = np.nonzero(np.isfinite(t))
+            flips.append(o + t[ray, col][:, None] * D[ray])
+    X = np.concatenate(flips)
+    farthest = max(cdist(X[i : i + 512], X).max() for i in range(0, X.shape[0], 512))
+    assert np.linalg.norm(bp1.point - bp2.point) >= farthest * (1.0 - 1e-12)
+    # both ends on the boundary to round-off, with inward normals
+    scale = 1e-12 * dom.bounding_radius(np.zeros(3))
+    for bp in (bp1, bp2):
+        assert abs(dom.depth_bound_many(bp.point[None, :])[0]) <= scale
+        assert contains(dom, bp.point + 1e-6 * bp.inner_normal)
+        assert not contains(dom, bp.point - 1e-6 * bp.inner_normal)
+    P = np.stack([bp1.point, bp2.point])
+    N = np.stack([bp1.inner_normal, bp2.inner_normal])
+    assert np.all(dom.contains_many(P + scale * N, closed=True))
+    assert not np.any(dom.contains_many(P - scale * N))
 
 
 def test_tangent_balls_start_inside_from_their_contact_point():
