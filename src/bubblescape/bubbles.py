@@ -411,6 +411,14 @@ def _check_decreasing(values, name: str):
     return values
 
 
+def _check_eps(eps_list) -> list:
+    """The subcritical eps grid: strictly decreasing, every value in (0, 0.2)."""
+    eps_list = _check_decreasing(eps_list, "eps")
+    if eps_list[0] >= 0.2 or eps_list[-1] <= 0.0:
+        raise PreconditionError("eps values must lie in (0, 0.2)")
+    return eps_list
+
+
 def expansion_residual_sub(domain, xi, eps_list, consts: Constants, config: QuadratureConfig, d: float | None = None) -> ResidualTable:
     """Residuals of ``J = a + eps (b + Psi) + c eps ln eps`` on a shrinking grid.
 
@@ -420,9 +428,7 @@ def expansion_residual_sub(domain, xi, eps_list, consts: Constants, config: Quad
     sqrt(eps) certify the expansion.
     """
     _check_d(d)
-    eps_list = _check_decreasing(eps_list, "eps")
-    if eps_list[0] >= 0.2 or eps_list[-1] <= 0.0:
-        raise PreconditionError("eps values must lie in (0, 0.2)")
+    eps_list = _check_eps(eps_list)
     n = consts.n
     xi = np.asarray(xi, dtype=float).reshape(-1)
     ev = psi_integrals(domain, xi, config)

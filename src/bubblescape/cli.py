@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bubbles import _check_d, expansion_residual_hole, expansion_residual_sub
+from .bubbles import _check_d, _check_eps, expansion_residual_hole, expansion_residual_sub
 from .critpoints import CritConfig, census, find_minima, morse_audit
 from .errors import ConvergenceError, PreconditionError
 from .geometry import deep_point, load_domain
@@ -400,7 +400,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--target-rel-err", type=float, default=1e-3, help="relative error target")
     common.add_argument("--multistart", type=int, default=12, help="extra Newton starts")
     common.add_argument("--newton-tol", type=float, default=1e-3, help="accepted gradient norm")
-    common.add_argument("--dedupe-radius", type=float, default=0.05, help="merge radius for points")
+    common.add_argument(
+        "--dedupe-radius", type=float, default=0.05, help="radius each point claims; points closer than twice it merge"
+    )
     common.add_argument("--morse-tol", type=float, default=1e-6, help="relative degeneracy floor")
 
     top = argparse.ArgumentParser(
@@ -571,7 +573,10 @@ def _resolve_energy_options(args, dimension: int, regime: str) -> dict:
     options: dict = {"values": values}
     _point_option(options, "xi", args.xi, regime, "sub", dimension)
     _point_option(options, "hole_center", args.hole_center, regime, "hole", dimension)
-    _check_d(args.d)  # before the default xi's minimum search
+    # before the default xi's minimum search
+    _check_d(args.d)
+    if regime == "sub":
+        _check_eps(values)
     if args.d is not None:
         options["d"] = float(args.d)
     return options

@@ -1,10 +1,16 @@
 """Critical points of the concentration landscape.
 
-Locates minima by damped Newton descent from a deterministic multistart,
-connects minima through a string (elastic-band) method whose highest node is
-polished into a saddle by a full Newton iteration, assembles both into a
-census, and audits the census for stability under random C^2-small domain
-perturbations.
+Locates minima in two stages.  Every start of a deterministic multistart
+(each positive-leaf anchor inside the domain, plus scrambled Sobol points)
+runs a damped Newton descent at a light quadrature budget; each light
+endpoint is then polished once by a full-budget Newton iteration, unless it
+lies within the merge radius of a minimum already polished, so every basin
+pays the full budget once (sample-size continuation, Byrd, Chin, Nocedal and
+Wu 2012, with the basin test of multi-level single linkage, Rinnooy Kan and
+Timmer 1987).  Minima are connected through a string (elastic-band) method
+whose highest node is polished into a saddle by a full Newton iteration;
+both are assembled into a census, and the census is audited for stability
+under random C^2-small domain perturbations.
 
 All derivative information comes from :func:`bubblescape.quadrature.
 psi_integrals`, whose direction-orbit construction cancels odd noise at
@@ -12,7 +18,8 @@ mirror-symmetric points; Newton therefore converges essentially to machine
 precision at symmetric critical points, and elsewhere down to the measured
 noise floor.  ``newton_tol`` is the acceptance bound on the final gradient
 norm (inflated by three standard errors of the measured gradient noise), not
-an early-stopping threshold.
+an early-stopping threshold.  Only full-budget points are reported, and
+each passes that bound.
 """
 
 from __future__ import annotations
@@ -55,9 +62,11 @@ _STRING_ROUNDS = 30  # string relaxation rounds
 class CritConfig:
     """Knobs for critical-point search.
 
-    ``newton_tol`` bounds the accepted final gradient norm; ``dedupe_radius``
-    merges converged points; ``morse_tol`` is the relative eigenvalue floor
-    below which a Hessian counts as degenerate.
+    ``newton_tol`` bounds the accepted final gradient norm;
+    ``dedupe_radius`` is the radius of the ball each converged point claims,
+    so points closer than ``merge_radius`` (twice it) are one point;
+    ``morse_tol`` is the relative eigenvalue floor below which a Hessian
+    counts as degenerate.
     """
 
     multistart: int = 12
@@ -74,6 +83,11 @@ class CritConfig:
             raise PreconditionError("dedupe_radius must be positive")
         if not 0.0 < self.morse_tol < 1.0:
             raise PreconditionError("morse_tol must lie in (0, 1)")
+
+    @property
+    def merge_radius(self) -> float:
+        """Distance within which two points are one: for merging, basin skips and saddle endpoints."""
+        return 2.0 * self.dedupe_radius
 
 
 @dataclass
@@ -170,13 +184,13 @@ def _inside(domain, x: np.ndarray) -> bool:
     return bool(domain.contains_many(x[None, :])[0])
 
 
-def _newton(domain, x0, quad_cfg: QuadratureConfig, cfg: CritConfig, pd_floor: bool, scale: float):
-    """Newton iteration on ``grad psi = 0``.
+def _newton(domain, x0, quad_cfg: QuadratureConfig, pd_floor: bool, scale: float):
+    """Newton iteration on ``grad psi = 0``, down to the measured noise floor.
 
     ``pd_floor=True`` floors Hessian eigenvalues from below (descent toward
     minima); ``pd_floor=False`` floors their magnitudes preserving signs, so
     the iteration converges to the nearest critical point of any index.
-    Iterates until the measured gradient noise floor, then verifies the
+    Returns where it stopped; :func:`_check_converged` verifies the
     ``newton_tol`` contract.
     """
     x = np.asarray(x0, dtype=float).copy()
@@ -218,13 +232,17 @@ def _newton(domain, x0, quad_cfg: QuadratureConfig, cfg: CritConfig, pd_floor: b
             lam *= 0.5
         if not accepted:
             break
+    return x, ev
+
+
+def _check_converged(ev, cfg: CritConfig) -> None:
+    """Raise unless the gradient norm is within ``newton_tol`` plus three standard errors."""
     gn = float(np.linalg.norm(ev.gradient))
     sig = float(np.linalg.norm(ev.gradient_std))
     if gn > cfg.newton_tol + 3.0 * sig:
         raise ConvergenceError(
             f"Newton stalled at gradient norm {gn:.3e} (noise {sig:.3e}, tol {cfg.newton_tol:.3e})"
         )
-    return x, ev
 
 
 def _classify(x, ev, cfg: CritConfig) -> CriticalPoint:
@@ -252,24 +270,25 @@ def _dedupe(points: list, radius: float) -> list:
     return kept
 
 
-def _component_seeds(domain) -> tuple[list, list]:
-    """One interior anchor per positive-leaf component, plus the components."""
-    comps = positive_leaf_components(domain)
-    seeds = []
-    for comp in comps:
-        cands = [c for leaf in comp for c in leaf_anchors(leaf) if _inside(domain, c)]
-        if cands:
-            depths = domain.depth_bound_many(np.array(cands))
-            seeds.append(cands[int(np.argmax(depths))])
-    return seeds, comps
-
-
 def find_minima(domain, quad_cfg: QuadratureConfig, crit_cfg: CritConfig | None = None, seed: int = 0) -> list:
-    """Local landscape minima from deterministic multistart Newton descent."""
+    """Local landscape minima: light descent from every start, one full polish per basin.
+
+    The starts are every positive-leaf anchor inside the domain (each
+    distinct point once, in lexicographic order) and up to ``multistart``
+    scrambled Sobol points inside the domain from the cube anchor +-
+    bounding radius.  Each start descends at :func:`_light_config`; its
+    endpoint is polished at ``quad_cfg`` unless it lies within
+    ``merge_radius`` of a minimum polished earlier.  A polished point is
+    kept when it passes :func:`_check_converged` and has Morse index 0.
+    """
     cfg = crit_cfg or CritConfig()
     anchor = deep_point(domain)[0]
     scale = float(domain.bounding_radius(anchor))
-    starts, _ = _component_seeds(domain)
+    anchors = [c for comp in positive_leaf_components(domain) for leaf in comp for c in leaf_anchors(leaf)]
+    starts = []
+    if anchors:
+        A = np.unique(np.array(anchors), axis=0)
+        starts = list(A[domain.contains_many(A)])
     if not starts:
         starts = [anchor]
 
@@ -284,10 +303,15 @@ def find_minima(domain, quad_cfg: QuadratureConfig, crit_cfg: CritConfig | None 
     inside = domain.contains_many(pts)
     extra = [pts[i] for i in np.nonzero(inside)[0][: cfg.multistart]]
 
+    light = _light_config(quad_cfg)
     found = []
-    for x0 in list(starts) + extra:
+    for x0 in starts + extra:
+        x, _ = _newton(domain, x0, light, pd_floor=True, scale=scale)
+        if any(np.linalg.norm(x - p.location) <= cfg.merge_radius for p in found):
+            continue
+        x, ev = _newton(domain, x, quad_cfg, pd_floor=True, scale=scale)
         try:
-            x, ev = _newton(domain, x0, quad_cfg, cfg, pd_floor=True, scale=scale)
+            _check_converged(ev, cfg)
         except ConvergenceError:
             continue
         p = _classify(x, ev, cfg)
@@ -295,7 +319,7 @@ def find_minima(domain, quad_cfg: QuadratureConfig, crit_cfg: CritConfig | None 
             found.append(p)
     if not found:
         raise ConvergenceError("no landscape minimum could be located")
-    return _dedupe(found, cfg.dedupe_radius)
+    return _dedupe(found, cfg.merge_radius)
 
 
 def _light_config(quad_cfg: QuadratureConfig) -> QuadratureConfig:
@@ -319,7 +343,7 @@ def mountain_pass(domain, x1, x2, quad_cfg: QuadratureConfig, crit_cfg: CritConf
     x2 = np.asarray(x2, dtype=float).reshape(-1)
     if not (_inside(domain, x1) and _inside(domain, x2)):
         raise PreconditionError("both endpoints must lie inside the region")
-    if float(np.linalg.norm(x1 - x2)) <= 2.0 * cfg.dedupe_radius:
+    if float(np.linalg.norm(x1 - x2)) <= cfg.merge_radius:
         raise PreconditionError("endpoints are too close to separate")
     anchor = deep_point(domain)[0]
     scale = float(domain.bounding_radius(anchor))
@@ -360,8 +384,9 @@ def mountain_pass(domain, x1, x2, quad_cfg: QuadratureConfig, crit_cfg: CritConf
 
     interior = range(1, K - 1)
     peak = max(interior, key=lambda i: values[i])
-    x, ev = _newton(domain, nodes[peak], quad_cfg, cfg, pd_floor=False, scale=scale)
-    if min(float(np.linalg.norm(x - x1)), float(np.linalg.norm(x - x2))) <= cfg.dedupe_radius:
+    x, ev = _newton(domain, nodes[peak], quad_cfg, pd_floor=False, scale=scale)
+    _check_converged(ev, cfg)
+    if min(float(np.linalg.norm(x - x1)), float(np.linalg.norm(x - x2))) <= cfg.merge_radius:
         raise ConvergenceError("the string collapsed onto an endpoint")
     p = _classify(x, ev, cfg)
     if p.morse_index == 0:
@@ -379,18 +404,19 @@ def census(domain, quad_cfg: QuadratureConfig, crit_cfg: CritConfig | None = Non
     cfg = crit_cfg or CritConfig()
     anchor = deep_point(domain)[0]
     scale = float(domain.bounding_radius(anchor))
+    comps = positive_leaf_components(domain)
 
     if warm_starts is not None:
         pts = []
         for w in warm_starts:
             loc = w.location if isinstance(w, CriticalPoint) else np.asarray(w, dtype=float)
-            x, ev = _newton(domain, loc, quad_cfg, cfg, pd_floor=False, scale=scale)
+            x, ev = _newton(domain, loc, quad_cfg, pd_floor=False, scale=scale)
+            _check_converged(ev, cfg)
             pts.append(_classify(x, ev, cfg))
-        minima = _dedupe([p for p in pts if p.morse_index == 0], cfg.dedupe_radius)
-        saddles = _dedupe([p for p in pts if p.morse_index > 0], cfg.dedupe_radius)
+        minima = _dedupe([p for p in pts if p.morse_index == 0], cfg.merge_radius)
+        saddles = _dedupe([p for p in pts if p.morse_index > 0], cfg.merge_radius)
     else:
         minima = find_minima(domain, quad_cfg, cfg, seed=seed)
-        _, comps = _component_seeds(domain)
 
         def comp_of(x: np.ndarray) -> int:
             for ci, comp in enumerate(comps):
@@ -405,9 +431,9 @@ def census(domain, quad_cfg: QuadratureConfig, crit_cfg: CritConfig | None = Non
                 if ci != cj or ci < 0:
                     continue
                 saddles.append(mountain_pass(domain, minima[i].location, minima[j].location, quad_cfg, cfg))
-        saddles = _dedupe(saddles, cfg.dedupe_radius)
+        saddles = _dedupe(saddles, cfg.merge_radius)
 
-    cat = len(positive_leaf_components(domain))
+    cat = len(comps)
     points = sorted(minima, key=lambda p: (p.psi_value, _lex_key(p.location))) + sorted(
         saddles, key=lambda p: (p.psi_value, _lex_key(p.location))
     )

@@ -803,7 +803,10 @@ def diameter_pair(domain):
     whose ends both lie on the boundary is returned: exact for unions.  When
     carving removed a strictly longer candidate the diameter may sit on a
     crease, and ``ConvergenceError`` is raised instead of a shorter pair.
+    A ``PerturbedDomain`` has no leaves to rank and raises ``PreconditionError``.
     """
+    if isinstance(domain, PerturbedDomain):
+        raise PreconditionError("diameter_pair needs a CSG Domain; perturbed domains are not supported")
     n = domain.dimension
     ends = [
         (c, leaf.radius)

@@ -369,6 +369,20 @@ def test_energy_check_increasing_values_exit_2(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("values", [["0.025", "0.1"], ["0.3", "0.1"], ["0.1", "0.0"], ["0.1"]])
+def test_energy_check_bad_values_exit_2_before_the_minimum_search(tmp_path, monkeypatch, values):
+    def no_search(*a, **k):
+        raise AssertionError("the default xi was searched for before --values was checked")
+
+    monkeypatch.setattr("bubblescape.cli.find_minima", no_search)
+    rc = main(
+        ["energy-check", "--regime", "sub", "--domain", ball4_file(tmp_path), "--out", str(tmp_path / "e")]
+        + FAST
+        + ["--values", *values]
+    )
+    assert rc == 2
+
+
 def test_energy_check_fail_verdict_exits_1(tmp_path, monkeypatch):
     rows = [
         ResidualRow(small_parameter=0.1, j_value=1.0, j_std=0.0, residual=-1.0, residual_std=0.0),

@@ -2,10 +2,14 @@
 
 Oracles: exact symmetry (ball center, dumbbell mirror plane), the exact
 central Hessian ``2 omega I`` of a ball, isolated-ball landscape values for
-well-separated components, and exact equivariance under similarity maps.
+well-separated components, exact equivariance under similarity maps, and the
+closed-form landscape of a ball with a ball hole.
 """
 
+import dataclasses
+import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -20,8 +24,9 @@ from bubblescape.critpoints import (
     morse_audit,
     mountain_pass,
 )
+from bubblescape.cli import main
 from bubblescape.errors import ConvergenceError, PreconditionError
-from bubblescape.geometry import Ball, Capsule, Domain, Scale, Translate, Union
+from bubblescape.geometry import Ball, Capsule, Difference, Domain, Scale, Translate, Union
 from bubblescape.quadrature import QuadratureConfig, sphere_area
 
 CFG = QuadratureConfig(seed=0, near_budget=2**15, far_shells=24, replicates=4, target_rel_err=1e-3)
@@ -42,6 +47,25 @@ def dumbbell_root():
 
 def dumbbell() -> Domain:
     return Domain(3, dumbbell_root())
+
+
+HOLE_CENTER, HOLE_RADIUS = np.array([0.4, 0.0, 0.0]), 0.25
+
+
+def holed_ball() -> Domain:
+    return Domain(3, Difference(Ball(np.zeros(3), 1.0), Ball(HOLE_CENTER, HOLE_RADIUS)))
+
+
+def holed_ball_psi(x) -> float:
+    """Exact psi of the holed ball: the volume of the inverted complement,
+    ``(4 pi / 3) [1 / (1 - |x|^2)^3 + h^3 / (|x - c_h|^2 - h^2)^3]``."""
+    x = np.asarray(x, dtype=float)
+    hole = HOLE_RADIUS**3 / (float((x - HOLE_CENTER) @ (x - HOLE_CENTER)) - HOLE_RADIUS**2) ** 3
+    return 4.0 * math.pi / 3.0 * (1.0 / (1.0 - float(x @ x)) ** 3 + hole)
+
+
+# The minimiser of holed_ball_psi, on the axis away from the hole.
+HOLED_MINIMUM = np.array([-0.2837604, 0.0, 0.0])
 
 
 @pytest.fixture(scope="module")
@@ -207,3 +231,60 @@ def test_morse_audit_preconditions():
         morse_audit(ball3(), rho=0.7, trials=1, quad_cfg=CFG, crit_cfg=CRIT)
     with pytest.raises(PreconditionError):
         morse_audit(ball3(), rho=0.05, trials=0, quad_cfg=CFG, crit_cfg=CRIT)
+
+
+def test_holed_ball_reference_minimum():
+    # the axis is a symmetry axis, so the minimiser is a critical point of psi along it
+    h = 1e-5
+    e = np.array([h, 0.0, 0.0])
+    slope = (holed_ball_psi(HOLED_MINIMUM + e) - holed_ball_psi(HOLED_MINIMUM - e)) / (2.0 * h)
+    assert abs(slope) < 1e-4
+    assert holed_ball_psi(HOLED_MINIMUM) == pytest.approx(6.3734603, abs=1e-7)
+    rng = np.random.default_rng(0)
+    for d in rng.normal(size=(8, 3)):
+        assert holed_ball_psi(HOLED_MINIMUM + 0.01 * d / np.linalg.norm(d)) > holed_ball_psi(HOLED_MINIMUM)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_crit_holed_ball_polishes_one_minimum_once(tmp_path, monkeypatch, seed):
+    full = []
+    psi = critpoints.psi_integrals
+
+    def counting(domain, x, cfg):
+        full.append(cfg.near_budget == 2**15)
+        return psi(domain, x, cfg)
+
+    monkeypatch.setattr(critpoints, "psi_integrals", counting)
+    path = tmp_path / "holed.json"
+    path.write_text(json.dumps({"dimension": 3, "root": {
+        "type": "difference",
+        "left": {"type": "ball", "center": [0.0, 0.0, 0.0], "radius": 1.0},
+        "right": {"type": "ball", "center": HOLE_CENTER.tolist(), "radius": HOLE_RADIUS},
+    }}))
+    out = str(tmp_path / "k")
+    argv = ["crit", "--domain", str(path), "--out", out, "--seed", str(seed)]
+    assert main(argv + ["--near-budget", "32768", "--replicates", "4", "--far-shells", "24"]) == 0
+    points = json.loads(open(os.path.join(out, "census.json")).read())["points"]
+    assert [p["morse_index"] for p in points] == [0]
+    assert np.linalg.norm(np.array(points[0]["location"]) - HOLED_MINIMUM) <= 0.01
+    assert points[0]["psi_value"] == pytest.approx(holed_ball_psi(HOLED_MINIMUM), rel=0.01)
+    # every start descends at the light budget; the one basin is polished at the full budget
+    assert 1 <= sum(full) <= 12
+
+
+def test_census_merges_noisy_minima_at_the_mountain_pass_radius():
+    # noisy polishes of one minimum used to survive the merge between one and
+    # two dedupe radii apart, and the saddle search then refused the pair
+    cfg = QuadratureConfig(seed=0, near_budget=2**13, far_shells=24, replicates=2)
+    rep = census(holed_ball(), cfg, CritConfig(), seed=3)
+    assert [p.morse_index for p in rep.points] == [0]
+    assert np.linalg.norm(rep.points[0].location - HOLED_MINIMUM) <= 0.02
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_find_minima_starts_in_every_dumbbell_lobe(seed):
+    pts = find_minima(dumbbell(), dataclasses.replace(CFG, seed=seed), CRIT, seed=seed)
+    locs = sorted((p.location for p in pts), key=lambda x: x[0])
+    assert len(locs) == 2
+    for loc, side in zip(locs, (-1.0, 1.0)):
+        assert np.linalg.norm(loc - side * np.array([1.733, 0.0, 0.0])) <= 0.01

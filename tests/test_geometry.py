@@ -314,6 +314,11 @@ def test_diameter_pair_refuses_carved_endpoints():
         diameter_pair(Domain(3, carved))
 
 
+def test_diameter_pair_refuses_a_perturbed_domain():
+    with pytest.raises(PreconditionError, match="perturbed"):
+        diameter_pair(perturb(unit_ball(), small_field(norm=0.1)))
+
+
 def test_deep_point_prefers_fattest_chamber():
     x, d = deep_point(unit_ball())
     assert np.allclose(x, 0.0) and d == pytest.approx(1.0)
