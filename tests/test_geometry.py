@@ -23,6 +23,7 @@ from bubblescape.geometry import (
     Scale,
     Translate,
     Union,
+    _axis_offset,
     _leaf_nearest,
     _leaf_span,
     _probe_fan,
@@ -528,10 +529,89 @@ def test_band_shortcut_keeps_scan_crossings():
     D /= np.linalg.norm(D, axis=1, keepdims=True)
     origin = np.array([0.3, 0.1, 0.0])
     t_hi = base.bounding_radius(origin) + theta.amplitude_bound()
-    fast, _ = perturb(base, theta).surface_crossing_candidates(origin, D, t_hi)
-    full, _ = FullPullBack(base, theta).surface_crossing_candidates(origin, D, t_hi)
+    fast, _ = perturb(base, theta)._scan_crossings(origin, D, t_hi)
+    full, _ = FullPullBack(base, theta)._scan_crossings(origin, D, t_hi)
     assert np.isfinite(fast).sum() >= 512
     assert np.array_equal(fast, full, equal_nan=True)
+
+
+def test_theta_expanded_distance_matches_the_difference_form():
+    theta = small_field(norm=0.3)
+    X = np.random.default_rng(15).uniform(-3, 3, size=(2000, 3))
+    diff = X[:, None, :] - theta.centers[None, :, :]
+    g = np.exp(-np.einsum("mkj,mkj->mk", diff, diff) / theta.widths[None, :] ** 2)
+    want = g @ theta.displacements
+    assert np.max(np.abs(theta(X) - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("rho", [0.01, 0.05])
+@pytest.mark.parametrize(
+    "base, origin",
+    [
+        (Domain(3, Union(Ball([-2.0, 0, 0], 1.0), Ball([2.0, 0, 0], 1.0))), [-2.1, 0.2, 0.1]),
+        (dumbbell(), [1.4, 0.1, 0.0]),
+        (holed_ball(), [-0.5, 0.1, 0.2]),
+    ],
+    ids=["two_balls", "dumbbell", "holed_ball"],
+)
+def test_certified_crossings_match_the_scan(base, origin, rho):
+    origin = np.array(origin)
+    for seed in range(3):
+        theta = PerturbationField.random(3, 3, seed, support_radius=1.2 * base.bounding_radius(np.zeros(3)))
+        dom = perturb(base, theta.with_c2_norm(rho))
+        D = _unit_rows(np.random.default_rng(seed), 1024)
+        t_hi = dom.bounding_radius(origin)
+        got, inside0 = dom.surface_crossing_candidates(origin, D, t_hi)
+        want, want0 = dom._scan_crossings(origin, D, t_hi)
+        assert dom.fallback_rays < 0.15 * D.shape[0]
+        assert np.array_equal(inside0, want0)
+        assert np.array_equal(np.isfinite(got).sum(axis=1), np.isfinite(want).sum(axis=1))
+        K = want.shape[1]
+        assert np.all(np.isnan(got[:, K:]))
+        assert np.nanmax(np.abs(got[:, :K] - want)) <= 1e-9 * t_hi
+
+
+@settings(max_examples=30, deadline=None)
+@given(_tree, st.floats(min_value=0.01, max_value=0.45), st.integers(min_value=0, max_value=10**6))
+def test_perturbed_crossings_lie_on_leaf_surfaces(root, c2, seed):
+    base = Domain(3, root)
+    theta = PerturbationField.random(3, bumps=3, seed=seed, support_radius=1.5).with_c2_norm(c2)
+    dom = perturb(base, theta)
+    rng = np.random.default_rng(seed)
+    D = _unit_rows(rng, 128)
+    leaves = [leaf for leaf, _ in base.leaves()]
+    for origin in _origins(base, rng):
+        t_hi = dom.bounding_radius(origin)
+        flips, _ = dom.surface_crossing_candidates(origin, D, t_hi)
+        ray, col = np.nonzero(np.isfinite(flips))
+        X = dom.pull_back(origin + flips[ray, col][:, None] * D[ray])
+        s = np.stack([np.abs(np.linalg.norm(_axis_offset(leaf, X), axis=1) - leaf.radius) for leaf in leaves])
+        assert np.all(s.min(axis=0) <= 1e-9)
+        a, b, outside, _ = _outside_segments(dom, origin, D, t_hi)
+        ray, seg = np.nonzero(b - a > 1e-6 * t_hi)
+        t = a[ray, seg] + rng.uniform(0.01, 0.99, ray.size) * (b[ray, seg] - a[ray, seg])
+        assert np.array_equal(dom.contains_many(origin + t[:, None] * D[ray]), ~outside[ray, seg])
+
+
+def test_tangent_and_crease_rays_take_the_scan():
+    theta = small_field(norm=0.05)
+    dom = perturb(unit_ball(), theta)
+    # tangent to the unit ball, so it misses the band-narrowed ball; then just
+    # inside the band-narrowed ball, where |q| < kappa at the window ends
+    for height in (1.0, (1.0 - dom._band) * (1.0 - 1e-6)):
+        origin, D = np.array([-3.0, height, 0.0]), np.array([[1.0, 0.0, 0.0]])
+        dom.fallback_rays = 0
+        flips, _ = dom.surface_crossing_candidates(origin, D, dom.bounding_radius(origin))
+        assert dom.fallback_rays == 1
+        assert np.array_equal(flips, dom._scan_crossings(origin, D, dom.bounding_radius(origin))[0], equal_nan=True)
+    # through the dumbbell's crease circle, where the bridge meets a ball
+    dom = perturb(dumbbell(), theta)
+    crease = np.array([-1.5 + np.sqrt(1.0 - 0.35**2), 0.35, 0.0])
+    origin = np.array([0.0, 0.0, 0.0])
+    D = (crease - origin)[None, :] / np.linalg.norm(crease - origin)
+    flips, _ = dom.surface_crossing_candidates(origin, D, dom.bounding_radius(origin))
+    assert dom.fallback_rays == 1
+    assert np.array_equal(flips, dom._scan_crossings(origin, D, dom.bounding_radius(origin))[0], equal_nan=True)
 
 
 def _origins(dom, rng):
