@@ -528,8 +528,8 @@ def _resolve_grid_options(args, domain) -> dict:
         hi = [float(v) for v in args.hi]
     if not (lo[0] < hi[0] and lo[1] < hi[1]):
         raise PreconditionError("--lo must be strictly below --hi on both axes")
-    if args.min_depth < 0.0:
-        raise PreconditionError("--min-depth must be nonnegative")
+    if not 0.0 <= args.min_depth < np.inf:
+        raise PreconditionError("--min-depth must be finite and nonnegative")
     return {
         "axes": list(axes),
         "lo": lo,

@@ -35,6 +35,7 @@ from .errors import ConvergenceError, PreconditionError
 from .geometry import (
     PerturbationField,
     _member,
+    contains,
     deep_point,
     leaf_anchors,
     perturb,
@@ -180,10 +181,6 @@ def _lex_key(x: np.ndarray):
     return tuple(float(v) for v in x)
 
 
-def _inside(domain, x: np.ndarray) -> bool:
-    return bool(domain.contains_many(x[None, :])[0])
-
-
 def _newton(domain, x0, quad_cfg: QuadratureConfig, pd_floor: bool, scale: float):
     """Newton iteration on ``grad psi = 0``, down to the measured noise floor.
 
@@ -194,7 +191,7 @@ def _newton(domain, x0, quad_cfg: QuadratureConfig, pd_floor: bool, scale: float
     ``newton_tol`` contract.
     """
     x = np.asarray(x0, dtype=float).copy()
-    if not _inside(domain, x):
+    if not contains(domain, x):
         raise PreconditionError("Newton start must lie inside the region")
     ev = psi_integrals(domain, x, quad_cfg)
     for _ in range(_NEWTON_ITERS):
@@ -221,7 +218,7 @@ def _newton(domain, x0, quad_cfg: QuadratureConfig, pd_floor: bool, scale: float
         accepted = False
         for _ in range(12):
             xn = x + lam * step
-            if _inside(domain, xn):
+            if contains(domain, xn):
                 evn = psi_integrals(domain, xn, quad_cfg)
                 gnn = float(np.linalg.norm(evn.gradient))
                 sn = float(np.linalg.norm(evn.gradient_std))
@@ -341,7 +338,7 @@ def mountain_pass(domain, x1, x2, quad_cfg: QuadratureConfig, crit_cfg: CritConf
     cfg = crit_cfg or CritConfig()
     x1 = np.asarray(x1, dtype=float).reshape(-1)
     x2 = np.asarray(x2, dtype=float).reshape(-1)
-    if not (_inside(domain, x1) and _inside(domain, x2)):
+    if not (contains(domain, x1) and contains(domain, x2)):
         raise PreconditionError("both endpoints must lie inside the region")
     if float(np.linalg.norm(x1 - x2)) <= cfg.merge_radius:
         raise PreconditionError("endpoints are too close to separate")
@@ -371,7 +368,7 @@ def mountain_pass(domain, x1, x2, quad_cfg: QuadratureConfig, crit_cfg: CritConf
         for i in range(1, K - 1):
             prop = nodes[i] - eta * grads[i]
             for _ in range(8):
-                if _inside(domain, prop):
+                if contains(domain, prop):
                     nodes[i] = prop
                     break
                 prop = 0.5 * (prop + nodes[i])

@@ -13,8 +13,9 @@ parameters.  Membership along the ray is a comparison of the ray parameter
 with those spans, combined down the CSG tree like point membership; the
 parameters where it flips are the ray's boundary crossings.  On a perturbed
 domain each leaf's surface can only be crossed inside band windows of the
-same spans, where a certificate admits one root, solved on the pulled-back
-leaf; rays the certificate does not cover take a membership scan.
+same spans, where a certificate admits one root; rays the certificate does
+not cover take a membership scan.  One bracketed root solve on the perturbed
+depth refines both the certified windows and the scan's flips.
 
 All queries are deterministic.  Batched variants operate on ``(m, n)`` arrays
 of row points and are the workhorses of the quadrature layer; scalar wrappers
@@ -448,13 +449,19 @@ def _node_from_dict(data: dict):
             return Scale(data["factor"], _node_from_dict(data["inner"]))
     except KeyError as exc:
         raise PreconditionError(f"missing field {exc} in '{kind}' node") from exc
+    except (TypeError, ValueError) as exc:
+        raise PreconditionError(f"malformed number in '{kind}' node: {exc}") from exc
     raise PreconditionError(f"unknown CSG node type {kind!r}")
 
 
 def domain_from_dict(data: dict) -> Domain:
     if not isinstance(data, dict) or "dimension" not in data or "root" not in data:
         raise PreconditionError("domain description needs 'dimension' and 'root' fields")
-    return Domain(int(data["dimension"]), _node_from_dict(data["root"]))
+    try:
+        dimension = int(data["dimension"])
+    except (TypeError, ValueError) as exc:
+        raise PreconditionError(f"malformed domain dimension: {exc}") from exc
+    return Domain(dimension, _node_from_dict(data["root"]))
 
 
 def load_domain(path: str) -> Domain:
@@ -593,17 +600,20 @@ class PerturbedDomain:
             )
         if theta.dimension != base.dimension:
             raise PreconditionError("perturbation dimension does not match the domain")
+        if not isinstance(base, Domain):
+            raise PreconditionError("a perturbed domain's base must be a CSG Domain")
         self.base = base
         self.theta = theta
         self._scale = base.bounding_radius(np.zeros(base.dimension))
         self._band = theta.amplitude_bound() + 1e-9 * max(self._scale, 1.0)
+        a, L = theta.amplitude_bound(), theta.lipschitz_bound()
+        self._margin = 1.0 - min(L, 0.999)  # depth_bound_many's factor on the base depth
         self.fallback_rays = 0  # rays whose crossings came from the membership scan
         # Each base leaf with its band-widened copy, its band-narrowed copy
         # (None when r <= band + a, which no window certificate covers) and
         # kappa, the bound on |g' - q| of surface_crossing_candidates.
-        a, L = theta.amplitude_bound(), theta.lipschitz_bound()
         self._leaf_bands = []
-        for leaf, _ in base.leaves() if isinstance(base, Domain) else []:
+        for leaf, _ in base.leaves():
             r = leaf.radius
             certifiable = r > self._band + a
             self._leaf_bands.append((
@@ -650,8 +660,7 @@ class PerturbedDomain:
 
     def depth_bound_many(self, Y: np.ndarray) -> np.ndarray:
         Y = np.atleast_2d(np.asarray(Y, dtype=float))
-        margin = 1.0 - min(self.theta.lipschitz_bound(), 0.999)
-        return margin * self.base.depth_bound_many(self.pull_back(Y))
+        return self._margin * self.base.depth_bound_many(self.pull_back(Y))
 
     def bounding_radius(self, center) -> float:
         return self.base.bounding_radius(center) + self.theta.amplitude_bound()
@@ -676,23 +685,22 @@ class PerturbedDomain:
         ``|q| > kappa`` at both ends therefore holds exactly one root of
         ``g``; ``g`` has opposite signs at its ends, where ``|s| = band``.
         The domain flips at that root exactly when base membership differs
-        at the window's ends, and only then is the root solved, by Illinois
-        regula falsi (Dowell and Jarratt, BIT 11, 1971) to the pull-back
-        tolerance.
+        at the window's ends, and only then is it solved.  Every other
+        leaf's membership is constant in a window that overlaps no other,
+        so the root is the only zero of the perturbed depth there, which
+        :meth:`_roots` finds.
 
         Fallback: a ray with an uncertified window (grazing rays, leaves with
         ``r <= band + a``, an origin inside a window) or with two leaves'
         windows overlapping (CSG creases) takes the membership scan of
         :meth:`_scan_crossings` and is counted in ``fallback_rays``.  Only
         these rays can miss features thinner than the scan's probe spacing.
+        A ray that meets no window keeps its base membership, without flips.
         Every ray's first-segment flag is the membership of ``origin``.
         """
         o = _as_point(origin, self.dimension)
         D = np.asarray(D, dtype=float)
         m = D.shape[0]
-        if not any(inner is not None for _, _, inner, _ in self._leaf_bands):
-            self.fallback_rays += m
-            return self._scan_crossings(o, D, t_hi)
         W0, W1, certified = [], [], []
         for leaf, outer, inner, kappa in self._leaf_bands:
             lo_out, hi_out = _leaf_span(outer, o, D)
@@ -713,7 +721,7 @@ class PerturbedDomain:
         spans = [_leaf_span(leaf, o, D) for leaf, *_ in self._leaf_bands]
         at_ends = _on_ray(self.base._norm, np.concatenate([W0, W1], axis=1), iter(spans))
         ray, col = np.nonzero(live & ~fallback[:, None] & (at_ends[:, : W0.shape[1]] != at_ends[:, W0.shape[1] :]))
-        t = self._leaf_roots(o, D[ray], col // 2, W0[ray, col], W1[ray, col])
+        t = self._roots(o, D[ray], W0[ray, col], W1[ray, col])
         fallback[ray[np.isnan(t)]] = True  # end signs that contradict the certificate
         keep = ~fallback[ray] & (t < t_hi)
         rows, values = ray[keep], t[keep]
@@ -727,27 +735,24 @@ class PerturbedDomain:
         order = np.lexsort((values, rows))
         return _pack(m, rows[order], values[order]), np.full(m, self.contains_many(o[None, :])[0])
 
-    def _leaf_roots(self, o: np.ndarray, D: np.ndarray, leaf: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """The root of ``s(pull_back(o + t D[i]))`` for leaf ``leaf[i]`` in each bracket ``[a[i], b[i]]``.
+    def _roots(self, o: np.ndarray, D: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """The zero of the perturbed depth ``g(t) = depth_bound_many(o + t D[i])`` in each bracket ``[a[i], b[i]]``.
 
-        Illinois regula falsi: after the same end moves twice in a row, the
+        ``g`` is continuous, positive exactly where open membership holds,
+        and zero on the perturbed boundary.  Illinois regula falsi (Dowell and
+        Jarratt, BIT 11, 1971): after the same end moves twice in a row, the
         other end's value is halved.  Stops at a value or bracket within the
-        pull-back tolerance.  NaN where the ends do not have opposite signs.
+        pull-back tolerance.  An end where ``g`` is exactly zero is the root;
+        NaN where the ends have one sign.
         """
 
         def g(t, rows):
-            X = self.pull_back(o + t[:, None] * D[rows])
-            s = np.empty(rows.size)
-            for k in np.unique(leaf[rows]):
-                sel = leaf[rows] == k
-                base_leaf = self._leaf_bands[k][0]
-                s[sel] = np.linalg.norm(_axis_offset(base_leaf, X[sel]), axis=1) - base_leaf.radius
-            return s
+            return self.depth_bound_many(o + t[:, None] * D[rows])
 
         n = a.size
         a, b = a.copy(), b.copy()
         fa, fb = np.split(g(np.concatenate([a, b]), np.tile(np.arange(n), 2)), 2)
-        root = np.full(n, np.nan)
+        root = np.where(fa == 0.0, a, np.where(fb == 0.0, b, np.nan))
         moved = np.zeros(n)  # -1: a moved last, +1: b moved last
         act = np.nonzero(fa * fb < 0.0)[0]
         tol = 1e-12 * max(self._scale, 1.0)
@@ -774,13 +779,16 @@ class PerturbedDomain:
         """Membership-scan flips along each ray, with ``Domain``'s ``(flips, inside0)`` contract.
 
         A geometric probe grid (16 probes per octave over 14 octaves below
-        ``t_hi``) locates membership flips, which are then refined by 46
-        bisection steps.  Features thinner than the local probe spacing can
+        ``t_hi``) locates membership flips, and :meth:`_roots` refines each
+        flip's bracket.  Features thinner than the local probe spacing can
         be missed; the grid is sized for the smooth, C^2-small perturbations
         this class produces.  Every probe goes through ``contains_many``, so
         probes outside the depth band of the class docstring are answered by
         the base domain alone, with the same booleans the pull-back gives.
-        Every ray's first-segment flag is the membership of ``origin``.
+        A bracket whose end depths share a sign keeps its midpoint: the
+        depth and the probe's membership come from separate pull-backs, which
+        agree only to the pull-back tolerance.  Every ray's first-segment
+        flag is the membership of ``origin``.
         """
         o = _as_point(origin, self.dimension)
         D = np.asarray(D, dtype=float)
@@ -794,23 +802,15 @@ class PerturbedDomain:
         inside = np.concatenate([np.full((m, 1), at0), inside], axis=1)
         grid = np.concatenate([[0.0], ts])
         flips = inside[:, 1:] != inside[:, :-1]
-        ray_idx, col = np.nonzero(flips)
-        lo = grid[col].copy()
-        hi = grid[col + 1].copy()
-        for _ in range(46):
-            mid = 0.5 * (lo + hi)
-            pts = o[None, :] + mid[:, None] * D[ray_idx]
-            mid_in = self.contains_many(pts)
-            upper = mid_in != inside[ray_idx, col + 1]
-            lo = np.where(upper, mid, lo)
-            hi = np.where(upper, hi, mid)
-        return _pack(m, ray_idx, 0.5 * (lo + hi)), np.full(m, at0)
+        ray, col = np.nonzero(flips)
+        lo, hi = grid[col], grid[col + 1]
+        t = self._roots(o, D[ray], lo, hi)
+        return _pack(m, ray, np.where(np.isnan(t), 0.5 * (lo + hi), t)), np.full(m, at0)
 
     def deep_point_hint(self):
         x, d = deep_point(self.base)
         y = self.push_forward(x[None, :])[0]
-        margin = 1.0 - min(self.theta.lipschitz_bound(), 0.999)
-        return y, margin * d
+        return y, self._margin * d
 
 
 # ---------------------------------------------------------------------------

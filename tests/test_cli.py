@@ -191,6 +191,14 @@ def test_psi_grid_slice_outside_exits_2(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("depth", ["nan", "inf", "-0.1"])
+def test_psi_grid_min_depth_must_be_finite_and_nonnegative(tmp_path, depth):
+    out = tmp_path / "g"
+    rc = main(["psi-grid", "--domain", ball3_file(tmp_path), "--out", str(out), *FAST, "--min-depth", depth])
+    assert rc == 2
+    assert not (out / "manifest.json").exists()
+
+
 def test_grid_output_validates_shape():
     with pytest.raises(PreconditionError):
         GridOutput(
@@ -454,6 +462,26 @@ def test_non_finite_domain_exits_2(tmp_path, capsys, root):
     path = write_domain(tmp_path, "bad.json", {"dimension": 3, "root": root})
     assert main(["crit", "--domain", path, "--out", str(tmp_path), *FAST]) == 2
     assert "finite" in capsys.readouterr().err
+
+
+_BALL = {"type": "ball", "center": [0.0, 0.0, 0.0], "radius": 1.0}
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"dimension": "abc", "root": _BALL},
+        {"dimension": [3], "root": _BALL},
+        {"dimension": 3, "root": {**_BALL, "radius": "x"}},
+        {"dimension": 3, "root": {**_BALL, "center": ["x", 0.0, 0.0]}},
+        {"dimension": 3, "root": {"type": "scale", "factor": None, "inner": _BALL}},
+    ],
+    ids=["dimension-text", "dimension-list", "radius-text", "center-text", "factor-null"],
+)
+def test_malformed_domain_numbers_exit_2(tmp_path, capsys, payload):
+    path = write_domain(tmp_path, "bad.json", payload)
+    assert main(["crit", "--domain", path, "--out", str(tmp_path), *FAST]) == 2
+    assert "malformed" in capsys.readouterr().err
 
 
 def test_empty_domain_exits_2(tmp_path, capsys):

@@ -614,6 +614,39 @@ def test_tangent_and_crease_rays_take_the_scan():
     assert np.array_equal(flips, dom._scan_crossings(origin, D, dom.bounding_radius(origin))[0], equal_nan=True)
 
 
+def test_roots_return_a_bracket_end_on_the_surface():
+    zero = PerturbationField([[0.0, 0.0, 0.0]], [1.0], [[0.0, 0.0, 0.0]])
+    dom = perturb(unit_ball(), zero)
+    o = np.array([0.0, 0.0, 0.0])
+    D = np.array([[1.0, 0.0, 0.0], [0.0, -1.0, 0.0]])
+    t = dom._roots(o, D, np.array([0.5, 1.0]), np.array([1.0, 1.5]))
+    assert np.array_equal(t, [1.0, 1.0])
+    assert np.array_equal(np.linalg.norm(o + t[:, None] * D, axis=1), [1.0, 1.0])
+
+
+def test_uncertifiable_leaves_scan_only_the_rays_that_meet_a_window():
+    theta = small_field(norm=0.2)
+    a = theta.amplitude_bound()
+    base = Domain(3, Union(Ball([-0.2, 0.0, 0.0], 1.5 * a), Ball([0.2, 0.0, 0.0], 1.5 * a)))
+    dom = perturb(base, theta)
+    assert all(inner is None for _, _, inner, _ in dom._leaf_bands)  # r <= band + a for every leaf
+    origin = np.array([0.0, 0.05, 0.0])
+    D = _unit_rows(np.random.default_rng(16), 1024)
+    t_hi = dom.bounding_radius(origin)
+    flips, inside0 = dom.surface_crossing_candidates(origin, D, t_hi)
+    meets = np.zeros(D.shape[0], dtype=bool)
+    for _, outer, _, _ in dom._leaf_bands:
+        lo, hi = _leaf_span(outer, origin, D)
+        meets |= (hi > 0.0) & (lo < t_hi)
+    assert 0 < meets.sum() < D.shape[0]
+    assert dom.fallback_rays == meets.sum()
+    assert np.all(np.isnan(flips[~meets]))
+    want, want0 = dom._scan_crossings(origin, D[meets], t_hi)
+    assert np.array_equal(inside0[meets], want0)
+    assert np.array_equal(flips[meets][:, : want.shape[1]], want, equal_nan=True)
+    assert np.all(np.isnan(flips[meets][:, want.shape[1] :]))
+
+
 def _origins(dom, rng):
     """A point outside the domain, one on a leaf surface and, unless the domain is empty, a deepest point."""
     leaf = dom.leaves()[0][0]
