@@ -31,7 +31,6 @@ from .quadrature import QuadratureConfig, psi_integrals
 
 __all__ = [
     "RunManifest",
-    "GridOutput",
     "cmd_psi_grid",
     "cmd_crit",
     "cmd_predict",
@@ -75,21 +74,6 @@ class RunManifest:
             "critical": dataclasses.asdict(self.critical),
             "options": self.options,
         }
-
-
-@dataclass
-class GridOutput:
-    """A 2D slice of the landscape: two sampled axes and a value matrix."""
-
-    axis_indices: tuple
-    first_axis: np.ndarray
-    second_axis: np.ndarray
-    fixed_values: np.ndarray
-    values: np.ndarray  # (len(first_axis), len(second_axis)); -1.0 sentinel
-
-    def __post_init__(self):
-        if self.values.shape != (self.first_axis.size, self.second_axis.size):
-            raise PreconditionError("grid matrix shape must match the axis step counts")
 
 
 # ---------------------------------------------------------------------------
@@ -156,21 +140,15 @@ def cmd_psi_grid(manifest: RunManifest, domain) -> int:
 
     values = np.full(points.shape[0], -1.0)
     idx = np.flatnonzero(keep)
-    with ThreadPoolExecutor(max_workers=min(8, os.cpu_count() or 1)) as pool:
+    with ThreadPoolExecutor(max_workers=min(8, _usable_cpus())) as pool:
         evals = list(pool.map(lambda k: psi_integrals(domain, points[k], manifest.quadrature), idx))
     values[idx] = [ev.value for ev in evals]
     unconverged = sum(not ev.converged for ev in evals)
     if np.any(values[idx] <= 0.0):
         raise ConvergenceError("quadrature produced a non-positive landscape value")
 
-    grid = GridOutput(
-        axis_indices=(a0, a1),
-        first_axis=xs,
-        second_axis=ys,
-        fixed_values=fixed,
-        values=values.reshape(xs.size, ys.size),
-    )
-    summary = _grid_summary(grid)
+    values = values.reshape(xs.size, ys.size)
+    summary = _grid_summary(values, xs, ys)
     lines = [
         "# concentration landscape over a 2D slice; sentinel -1.0 marks cells outside"
         " the region or below the depth guard (interior values are strictly positive)",
@@ -181,7 +159,7 @@ def cmd_psi_grid(manifest: RunManifest, domain) -> int:
     for i in range(xs.size):
         for j in range(ys.size):
             lines.append(
-                f"{i},{j},{_fmt(xs[i])},{_fmt(ys[j])},{_fmt(grid.values[i, j])}"
+                f"{i},{j},{_fmt(xs[i])},{_fmt(ys[j])},{_fmt(values[i, j])}"
             )
     _write_text(os.path.join(manifest.output_dir, "psi_grid.csv"), lines)
     _write_manifest(manifest)
@@ -192,19 +170,20 @@ def cmd_psi_grid(manifest: RunManifest, domain) -> int:
     return 0
 
 
-def _grid_summary(grid: GridOutput) -> str:
-    inner = grid.values >= 0.0
-    vals = np.where(inner, grid.values, np.inf)
-    imin, jmin = np.unravel_index(int(np.argmin(vals)), vals.shape)
-    vals = np.where(inner, grid.values, -np.inf)
-    imax, jmax = np.unravel_index(int(np.argmax(vals)), vals.shape)
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _grid_summary(values: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> str:
+    inner = values >= 0.0
+    imin, jmin = np.unravel_index(int(np.argmin(np.where(inner, values, np.inf))), values.shape)
+    imax, jmax = np.unravel_index(int(np.argmax(np.where(inner, values, -np.inf))), values.shape)
     return "# summary: min={} at ({},{}); max={} at ({},{})".format(
-        _fmt(grid.values[imin, jmin]),
-        _fmt(grid.first_axis[imin]),
-        _fmt(grid.second_axis[jmin]),
-        _fmt(grid.values[imax, jmax]),
-        _fmt(grid.first_axis[imax]),
-        _fmt(grid.second_axis[jmax]),
+        _fmt(values[imin, jmin]), _fmt(xs[imin]), _fmt(ys[jmin]),
+        _fmt(values[imax, jmax]), _fmt(xs[imax]), _fmt(ys[jmax]),
     )
 
 
@@ -354,7 +333,7 @@ _PROVENANCE = {
     "c1": "radial quadrature (landscape coupling)",
     "c2": "radial quadrature (log-derivative coupling)",
     "c1_nodal": "radial quadrature (pair interaction)",
-    "c2_nodal": "injected default: identified with c2, overridable per call",
+    "c2_nodal": "injected default: identified with c2",
     "c3_nodal": "radial quadrature (pair interaction)",
     "c4_nodal": "one-dimensional quadrature (half-space wall kernel)",
     "b2_hole": "radial quadrature (hole coupling)",

@@ -187,13 +187,20 @@ def _newton(domain, x0, quad_cfg: QuadratureConfig, pd_floor: bool, scale: float
     ``pd_floor=True`` floors Hessian eigenvalues from below (descent toward
     minima); ``pd_floor=False`` floors their magnitudes preserving signs, so
     the iteration converges to the nearest critical point of any index.
-    Returns where it stopped; :func:`_check_converged` verifies the
-    ``newton_tol`` contract.
+    With ``pd_floor=False`` each accepted step ``s`` also corrects the
+    measured Hessian ``H`` by the symmetric rank-one secant update
+    ``H + r r^T / (r.s)``, ``r = y - H s``, ``y`` the gradient change over
+    ``s`` (Nocedal and Wright, Numerical Optimization, 2nd ed., 6.2).  Every
+    point shares the direction fans, so ``y`` is a common-random-number
+    difference, far less noisy than ``H`` near a saddle on a thin neck; SR1
+    keeps the indefinite curvature a saddle needs.  Returns where it
+    stopped; :func:`_check_converged` verifies the ``newton_tol`` contract.
     """
     x = np.asarray(x0, dtype=float).copy()
     if not contains(domain, x):
         raise PreconditionError("Newton start must lie inside the region")
     ev = psi_integrals(domain, x, quad_cfg)
+    H = ev.hessian
     for _ in range(_NEWTON_ITERS):
         g = ev.gradient
         gn = float(np.linalg.norm(g))
@@ -201,7 +208,7 @@ def _newton(domain, x0, quad_cfg: QuadratureConfig, pd_floor: bool, scale: float
         floor = 1e-13 * max(1.0, abs(ev.value))
         if gn <= max(floor, 3.0 * sig):
             break
-        w, V = np.linalg.eigh(ev.hessian)
+        w, V = np.linalg.eigh(H)
         amax = max(float(np.max(np.abs(w))), 1e-300)
         if pd_floor:
             w2 = np.maximum(w, 1e-4 * amax)
@@ -223,6 +230,12 @@ def _newton(domain, x0, quad_cfg: QuadratureConfig, pd_floor: bool, scale: float
                 gnn = float(np.linalg.norm(evn.gradient))
                 sn = float(np.linalg.norm(evn.gradient_std))
                 if gnn <= (1.0 - 0.25 * lam) * gn + 3.0 * (sig + sn):
+                    s, H = xn - x, evn.hessian
+                    if not pd_floor:
+                        r = evn.gradient - g - H @ s
+                        rs = float(r @ s)
+                        if abs(rs) > 1e-8 * float(np.linalg.norm(r)) * float(np.linalg.norm(s)):
+                            H = H + np.outer(r, r) / rs
                     x, ev = xn, evn
                     accepted = True
                     break

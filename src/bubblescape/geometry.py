@@ -457,8 +457,11 @@ def _node_from_dict(data: dict):
 def domain_from_dict(data: dict) -> Domain:
     if not isinstance(data, dict) or "dimension" not in data or "root" not in data:
         raise PreconditionError("domain description needs 'dimension' and 'root' fields")
+    raw = data["dimension"]
+    if isinstance(raw, bool) or (isinstance(raw, float) and not raw.is_integer()):
+        raise PreconditionError(f"malformed domain dimension: {raw!r} is not an integer")
     try:
-        dimension = int(data["dimension"])
+        dimension = int(raw)
     except (TypeError, ValueError) as exc:
         raise PreconditionError(f"malformed domain dimension: {exc}") from exc
     return Domain(dimension, _node_from_dict(data["root"]))

@@ -9,8 +9,10 @@ Three concentration regimes share one bookkeeping scheme:
   leading part Xi (bubble-bubble interaction plus logarithmic self-energy)
   and a next-order part Upsilon (separation drift plus wall repulsion) in the
   variables ``d1, d2, t1, t2`` anchored at a diameter-realizing boundary
-  pair; scales follow ``delta_j = d_j eps^(1/(n-2))`` and wall distances
-  ``tau_j = t_j eps^(2/((n-2)(n+1)))``;
+  pair; Xi fixes the scale product ``d1 d2 = sbar^2`` and Upsilon separates,
+  so its minimizer over the split ``r = sqrt(d1/d2)`` and ``t1, t2`` is
+  closed-form; scales follow ``delta_j = d_j eps^(1/(n-2))`` and wall
+  distances ``tau_j = t_j eps^(2/((n-2)(n+1)))``;
 * critical problem with a shrinking hole of radius rho: the reduced energy
   ``Phi(d, zeta) = b1 d^n + b2 d^(-n) (1 + |zeta|^2)^(-n)`` has a saddle at
   ``d0 = (b2/b1)^(1/(2n))``, ``zeta = 0``; the scale follows
@@ -60,7 +62,7 @@ class Constants:
     * ``b``      linear-in-eps level shift,
     * ``c``      coefficient of the ``eps ln eps`` level term,
     * ``c1``     weight of ``psi(xi) d^n`` in the subcritical reduced energy,
-    * ``c2``     weight of ``ln d`` (also the default ``c2_nodal``),
+    * ``c2``     weight of ``ln d`` (also ``c2_nodal``),
     * ``c1_nodal .. c4_nodal``  the two-bubble interaction coefficients,
     * ``b2_hole``  the hole-repulsion weight ``c1 * |B_1|``.
     """
@@ -245,7 +247,6 @@ def reduced_energy_nodal(
     t2: float,
     eta1: BoundaryPoint,
     eta2: BoundaryPoint,
-    c2_nodal: float | None = None,
 ) -> float:
     """Two-bubble reduced energy ``Xi + Upsilon``.
 
@@ -255,7 +256,6 @@ def reduced_energy_nodal(
     value is bitwise invariant under swapping the two bubbles.
     """
     n = consts.n
-    c2n = consts.c2_nodal if c2_nodal is None else float(c2_nodal)
     if min(d1, d2, t1, t2) <= 0.0:
         raise PreconditionError("scales and wall distances must be positive")
     d1, d2, t1, t2, eta1, eta2 = _canonical_nodal_order(d1, d2, t1, t2, eta1, eta2)
@@ -264,74 +264,13 @@ def reduced_energy_nodal(
     if sep <= 0.0:
         raise PreconditionError("boundary anchors must be distinct")
     prod = d1 * d2
-    xi_term = consts.c1_nodal * prod ** ((n - 2.0) / 2.0) / sep ** (n - 2.0) - c2n * math.log(prod)
+    xi_term = consts.c1_nodal * prod ** ((n - 2.0) / 2.0) / sep ** (n - 2.0) - consts.c2_nodal * math.log(prod)
     drift = float(diff @ (t1 * np.asarray(eta1.inner_normal) - t2 * np.asarray(eta2.inner_normal)))
     upsilon = (
         -consts.c3_nodal * prod ** ((n - 2.0) / 2.0) * drift / sep**n
         + consts.c4_nodal * ((d1 / t1) ** n + (d2 / t2) ** n)
     )
     return xi_term + upsilon
-
-
-def _nodal_objective(consts: Constants, sbar: float, sep: float, a1: float, a2: float):
-    """g(z) on z = (ln r, ln t1, ln t2) with d1 = r sbar, d2 = sbar / r.
-
-    Every term is an exponential of an affine function of z, so g is smooth
-    and strictly convex; returns (value, gradient, hessian) callables.
-    """
-    n = consts.n
-    kappa = consts.c3_nodal * sbar ** (n - 2.0) / sep ** (n - 1.0)
-    # drift term: -c3 sbar^{n-2} sep^{1-n} (t1 a1 - t2 a2); a1 ~ -1, a2 ~ +1
-    w1 = -kappa * a1  # weight of t1 (positive when normals look at each other)
-    w2 = kappa * a2
-    c4 = consts.c4_nodal
-
-    def fgh(z):
-        r = math.exp(z[0])
-        t1 = math.exp(z[1])
-        t2 = math.exp(z[2])
-        e1 = w1 * t1
-        e2 = w2 * t2
-        q1 = c4 * (r * sbar / t1) ** n
-        q2 = c4 * (sbar / (r * t2)) ** n
-        val = e1 + e2 + q1 + q2
-        grad = np.array(
-            [n * q1 - n * q2, e1 - n * q1, e2 - n * q2]
-        )
-        hess = np.array(
-            [
-                [n * n * (q1 + q2), -n * n * q1, n * n * q2],
-                [-n * n * q1, e1 + n * n * q1, 0.0],
-                [n * n * q2, 0.0, e2 + n * n * q2],
-            ]
-        )
-        return val, grad, hess
-
-    return fgh
-
-
-def _log_newton(fgh, z0: np.ndarray, tol: float = 1e-12, max_iters: int = 200) -> np.ndarray:
-    """Damped Newton descent for smooth convex objectives in log coordinates."""
-    z = np.asarray(z0, dtype=float).copy()
-    val, grad, hess = fgh(z)
-    for _ in range(max_iters):
-        if np.linalg.norm(grad) < tol * max(1.0, abs(val)):
-            return z
-        # eigenvalue floor keeps the step well-defined even at the start
-        w, V = np.linalg.eigh(hess)
-        w = np.maximum(w, 1e-10 * max(float(w.max()), 1.0))
-        step = -V @ ((V.T @ grad) / w)
-        lam = 1.0
-        for _ in range(60):
-            trial = z + lam * step
-            tval, tgrad, thess = fgh(trial)
-            if tval <= val + 1e-4 * lam * float(grad @ step):
-                z, val, grad, hess = trial, tval, tgrad, thess
-                break
-            lam *= 0.5
-        else:
-            raise ConvergenceError("damped Newton stalled on the nodal reduced energy")
-    raise ConvergenceError("nodal reduced-energy minimization did not converge")
 
 
 def predict_nodal(
@@ -343,10 +282,15 @@ def predict_nodal(
 ) -> RatePrediction:
     """Blow-up rates for an opposite-sign boundary pair at the diameter.
 
-    Anchors the two bubbles at a diameter-realizing boundary pair, fixes the
-    scale product from the leading reduced energy, then minimizes the
-    next-order part over the scale split and the two wall distances by
-    damped Newton in log coordinates started at ``(1, 1, 1)``.
+    Anchors the two bubbles at a diameter-realizing boundary pair and fixes
+    the scale product ``d1 d2 = sbar^2`` from the leading reduced energy.
+    With ``d1 = r sbar``, ``d2 = sbar / r`` the next-order part is
+    ``w1 t1 + w2 t2 + c4 (r sbar / t1)^n + c4 (sbar / (r t2))^n``, whose
+    drift weights are ``w1 = -kappa a1``, ``w2 = kappa a2`` with
+    ``kappa = c3 sbar^(n-2) / sep^(n-1)`` and ``a_j`` the normals' components
+    along the separation axis.  Its exact minimizer is
+    ``t1 = u1 r^(n/(n+1))``, ``t2 = u2 r^(-n/(n+1))`` with
+    ``u_j = (n c4 sbar^n / w_j)^(1/(n+1))`` and ``r = sqrt(w2 / w1)``.
     """
     _check_eps(eps)
     n = consts.n
@@ -365,10 +309,13 @@ def predict_nodal(
             "the two-bubble ansatz needs facing boundary caps"
         )
     sbar = sep * (2.0 * consts.c2_nodal / ((n - 2.0) * consts.c1_nodal)) ** (1.0 / (n - 2.0))
-    z = _log_newton(_nodal_objective(consts, sbar, sep, a1, a2), np.zeros(3))
-    r = math.exp(z[0])
-    t1 = math.exp(z[1])
-    t2 = math.exp(z[2])
+    # drift weights of t1 and t2, both positive because the normals face each other
+    kappa = consts.c3_nodal * sbar ** (n - 2.0) / sep ** (n - 1.0)
+    w1 = -kappa * a1
+    w2 = kappa * a2
+    r = math.sqrt(w2 / w1)
+    t1 = (n * consts.c4_nodal * sbar**n / w1) ** (1.0 / (n + 1.0)) * r ** (n / (n + 1.0))
+    t2 = (n * consts.c4_nodal * sbar**n / w2) ** (1.0 / (n + 1.0)) * r ** (-n / (n + 1.0))
     d1 = r * sbar
     d2 = sbar / r
     value = reduced_energy_nodal(consts, d1, d2, t1, t2, bp1, bp2)

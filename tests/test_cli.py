@@ -9,8 +9,7 @@ import numpy as np
 import pytest
 
 from bubblescape.bubbles import ResidualRow, ResidualTable
-from bubblescape.cli import GridOutput, main
-from bubblescape.errors import PreconditionError
+from bubblescape.cli import main
 from bubblescape.landscape import constants as model_constants
 
 FAST = ["--near-budget", "4096", "--far-shells", "16", "--replicates", "2"]
@@ -128,6 +127,27 @@ def test_psi_grid_reports_unconverged_cells(tmp_path, capsys):
     assert 0 < int(match.group(2)) < int(match.group(1))
 
 
+def test_psi_grid_pool_sized_by_usable_cpus(tmp_path, monkeypatch):
+    import bubblescape.cli as cli
+
+    workers = []
+    real_pool = cli.ThreadPoolExecutor
+
+    def spy(max_workers):
+        workers.append(max_workers)
+        return real_pool(max_workers=max_workers)
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", spy)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    argv = ["psi-grid", "--domain", ball3_file(tmp_path), "--out", str(tmp_path / "g"), *FAST, "--steps", "3", "3"]
+    assert main(argv) == 0
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert main(argv) == 0
+    assert workers == [1, 3]
+
+
 def test_psi_grid_csv_is_plain_lf_decimal_dot(tmp_path):
     out = str(tmp_path / "g")
     main(
@@ -197,17 +217,6 @@ def test_psi_grid_min_depth_must_be_finite_and_nonnegative(tmp_path, depth):
     rc = main(["psi-grid", "--domain", ball3_file(tmp_path), "--out", str(out), *FAST, "--min-depth", depth])
     assert rc == 2
     assert not (out / "manifest.json").exists()
-
-
-def test_grid_output_validates_shape():
-    with pytest.raises(PreconditionError):
-        GridOutput(
-            axis_indices=(0, 1),
-            first_axis=np.linspace(0, 1, 4),
-            second_axis=np.linspace(0, 1, 5),
-            fixed_values=np.zeros(1),
-            values=np.zeros((4, 4)),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -472,11 +481,21 @@ _BALL = {"type": "ball", "center": [0.0, 0.0, 0.0], "radius": 1.0}
     [
         {"dimension": "abc", "root": _BALL},
         {"dimension": [3], "root": _BALL},
+        {"dimension": 3.7, "root": _BALL},
+        {"dimension": True, "root": _BALL},
         {"dimension": 3, "root": {**_BALL, "radius": "x"}},
         {"dimension": 3, "root": {**_BALL, "center": ["x", 0.0, 0.0]}},
         {"dimension": 3, "root": {"type": "scale", "factor": None, "inner": _BALL}},
     ],
-    ids=["dimension-text", "dimension-list", "radius-text", "center-text", "factor-null"],
+    ids=[
+        "dimension-text",
+        "dimension-list",
+        "dimension-fraction",
+        "dimension-bool",
+        "radius-text",
+        "center-text",
+        "factor-null",
+    ],
 )
 def test_malformed_domain_numbers_exit_2(tmp_path, capsys, payload):
     path = write_domain(tmp_path, "bad.json", payload)

@@ -288,3 +288,12 @@ def test_find_minima_starts_in_every_dumbbell_lobe(seed):
     assert len(locs) == 2
     for loc, side in zip(locs, (-1.0, 1.0)):
         assert np.linalg.norm(loc - side * np.array([1.733, 0.0, 0.0])) <= 0.01
+
+
+def test_dumbbell_census_seed_5_finds_the_neck_saddle():
+    # at this seed the measured Hessian near the neck saddle reads H_xx of
+    # about -0.6 +- 5.7 against a true -11; without the secant correction the
+    # saddle Newton overshoots onto the mirror point and stalls there
+    rep = census(dumbbell(), dataclasses.replace(CFG, seed=5), CRIT, seed=5)
+    assert [p.morse_index for p in rep.points] == [0, 0, 1]
+    assert np.linalg.norm(rep.saddles[0].location) <= 1e-3

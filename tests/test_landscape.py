@@ -11,6 +11,7 @@ Independent routes used as oracles:
 * finite differences for the hole-saddle signature.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -277,7 +278,7 @@ def test_nodal_energy_c2_injection_and_preconditions():
     cn = constants(3)
     bp1, bp2 = _antipodal_pair(3)
     base = reduced_energy_nodal(cn, 0.2, 0.2, 0.3, 0.3, bp1, bp2)
-    shifted = reduced_energy_nodal(cn, 0.2, 0.2, 0.3, 0.3, bp1, bp2, c2_nodal=cn.c2 + 1.0)
+    shifted = reduced_energy_nodal(dataclasses.replace(cn, c2_nodal=cn.c2 + 1.0), 0.2, 0.2, 0.3, 0.3, bp1, bp2)
     assert shifted == pytest.approx(base - math.log(0.04) * 1.0, rel=1e-12)
     with pytest.raises(PreconditionError):
         reduced_energy_nodal(cn, -0.1, 0.2, 0.3, 0.3, bp1, bp2)
