@@ -12,6 +12,13 @@ concentration for near-critical elliptic problems with indefinite weight:
 * :mod:`bubblescape.cli` - reproducible command-line workflows.
 """
 
+import os
+
+# The numeric libraries' thread pools gain no wall time here and only burn
+# CPU (README, "Numerical notes"); a value already set is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
 from .errors import ConvergenceError, PreconditionError
 
 __version__ = "0.1.0"

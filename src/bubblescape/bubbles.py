@@ -36,6 +36,7 @@ from .quadrature import (
     ball_lp_mass,
     bubble_alpha,
     bubble_moment,
+    exterior_bubble_mass,
     exterior_lp_mass,
     psi_integrals,
     radial_integral,
@@ -287,11 +288,12 @@ def energy(domain: Domain, bubbles, eps: float, consts: Constants, config: Quadr
     ``m = p + 1 - eps`` (``eps = 0`` is the critical case) and
     ``W = int_whole |u|^m - 2 int_exterior |u|^m`` realizes a weight +1 on
     the region and -1 outside.  The gradient part is assembled exactly from
-    single-bubble masses plus pairwise interaction integrals; whole-space
-    masses of a single bubble reduce to 1D radial quadrature, two-bubble
-    masses use a two-ball/exterior decomposition.  Centers may lie outside
-    the open region (hole-regime ansatz functions peak inside the carved
-    hole) but must stay within its bounding ball.
+    single-bubble masses plus pairwise interaction integrals.  One bubble's
+    whole-space mass is a Beta integral and its exterior mass is exact along
+    each ray (``exterior_bubble_mass``); two-bubble masses use a
+    two-ball/exterior decomposition.  Centers may lie outside the open
+    region (hole-regime ansatz functions peak inside the carved hole) but
+    must stay within its bounding ball.
     """
     n = consts.n
     if domain.dimension != n:
@@ -313,65 +315,46 @@ def energy(domain: Domain, bubbles, eps: float, consts: Constants, config: Quadr
     p = consts.p
     m = p + 1.0 - eps
 
-    stds: dict[str, float] = {}
-    n_evals = 0
-    decay_all = True
-
     # gradient part: int |grad u|^2 = sum_i int U_i^(p+1) + 2 sum_{i<j} s_i s_j int U_i^p U_j
-    M = bubble_moment(n, p + 1.0)
-    grad2 = len(bubbles) * M
-    if len(bubbles) == 2:
-        b1, b2 = bubbles
-        if np.allclose(b1.center, b2.center):
-            raise PreconditionError("bubble centers must be distinct")
-        cross = interaction(n, b1, b2, config)
-        n_evals += cross.n_evals
-        decay_all &= cross.decay_ok
-        grad2 += 2.0 * b1.sign * b2.sign * cross.value
-        stds["gradient"] = 2.0 * cross.std_error
-    else:
-        stds["gradient"] = 0.0
-    gradient_part = 0.5 * grad2
+    grad2 = len(bubbles) * bubble_moment(n, p + 1.0)
 
     def u_abs(X):
         return np.abs(ansatz_value(n, bubbles, X))
 
     if len(bubbles) == 1:
         b = bubbles[0]
-        whole_val = b.delta ** (eps * (n - 2.0) / 2.0) * bubble_moment(n, m)
-        whole_std = 0.0
+        # exact pieces: no standard error and no integrand evaluations
+        cross = QuadratureResult(0.0, 0.0, 0, True, True)
+        whole = QuadratureResult(b.delta ** (eps * (n - 2.0) / 2.0) * bubble_moment(n, m), 0.0, 0, True, True)
+        ext = exterior_bubble_mass(domain, b.delta, b.center, m, config)
     else:
-        whole = _two_peak_whole_mass(n, lambda X: u_abs(X) ** m, bubbles[0].center, bubbles[1].center, config)
-        whole_val, whole_std = whole.value, whole.std_error
-        n_evals += whole.n_evals
-        decay_all &= whole.decay_ok
-    stds["whole_mass"] = whole_std
+        b1, b2 = bubbles
+        if np.allclose(b1.center, b2.center):
+            raise PreconditionError("bubble centers must be distinct")
+        cross = interaction(n, b1, b2, config)
+        grad2 += 2.0 * b1.sign * b2.sign * cross.value
+        whole = _two_peak_whole_mass(n, lambda X: u_abs(X) ** m, b1.center, b2.center, config)
+        ext = exterior_lp_mass(domain, u_abs, m, config)
+    gradient_part = 0.5 * grad2
+    stds = {"gradient": 2.0 * cross.std_error, "whole_mass": whole.std_error, "exterior_mass": ext.std_error}
 
-    fan_center = bubbles[0].center if len(bubbles) == 1 else None
-    ext = exterior_lp_mass(domain, u_abs, m, config, center=fan_center)
-    n_evals += ext.n_evals
-    decay_all &= ext.decay_ok
-    stds["exterior_mass"] = ext.std_error
-
-    W = whole_val - 2.0 * ext.value
-    weighted_part = W / m
+    weighted_part = (whole.value - 2.0 * ext.value) / m
     j = gradient_part - weighted_part
-    j_std = math.sqrt(
-        (0.5 * stds["gradient"]) ** 2 + (whole_std / m) ** 2 + (2.0 * ext.std_error / m) ** 2
-    )
+    j_std = math.sqrt(cross.std_error**2 + (whole.std_error / m) ** 2 + (2.0 * ext.std_error / m) ** 2)
     # convergence is judged on the assembled energy: pieces that are a tiny
     # fraction of J may individually carry larger relative noise
-    converged = decay_all and config.accepts(j, j_std)
+    parts = (cross, whole, ext)
+    converged = all(q.decay_ok for q in parts) and config.accepts(j, j_std)
     return EnergyReport(
         j_eps=j,
         j_std=j_std,
         gradient_part=gradient_part,
         weighted_part=weighted_part,
-        whole_mass=whole_val,
+        whole_mass=whole.value,
         exterior_mass=ext.value,
         exponent=m,
         stds=stds,
-        n_evals=n_evals,
+        n_evals=sum(q.n_evals for q in parts),
         converged=bool(converged),
     )
 

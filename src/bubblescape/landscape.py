@@ -30,10 +30,11 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from scipy import special
 
 from .errors import ConvergenceError, PreconditionError
 from .geometry import BoundaryPoint, diameter_pair
-from .quadrature import QuadratureConfig, bubble_alpha, bubble_moment, psi_integrals, radial_integral, sphere_area
+from .quadrature import QuadratureConfig, bubble_alpha, bubble_moment, psi_integrals, sphere_area
 
 __all__ = [
     "Constants",
@@ -87,11 +88,10 @@ def _half_space_kernel(n: int) -> float:
     """Integral of |y - e_n|^(-2n) over the half-space y_n < 0.
 
     Radial reduction: the (n-1)-dimensional slice at depth s integrates to
-    ``omega_(n-2) * kappa * (1+s)^(-(n+1))`` with kappa evaluated by 1D
-    quadrature, and the depth integral is exact.
+    ``omega_(n-2) * kappa * (1+s)^(-(n+1))`` with the Beta integral
+    ``kappa = B((n-1)/2, (n+1)/2) / 2``, and the depth integral is exact.
     """
-    kappa = radial_integral(lambda t: t ** (n - 2.0) * (1.0 + t * t) ** (-n))
-    return sphere_area(n - 1) * kappa / n
+    return sphere_area(n - 1) * 0.5 * float(special.beta((n - 1) / 2.0, (n + 1) / 2.0)) / n
 
 
 @lru_cache(maxsize=None)

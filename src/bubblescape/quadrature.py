@@ -13,7 +13,10 @@ and outside, and integrates radially along the outside segments:
   derivatives) get closed-form radial antiderivatives per segment, so the
   only stochastic error is the directional average;
 * general integrands get per-segment geometric subdivision with fixed
-  Gauss-Legendre rules, which resolves integrands peaked at any scale.
+  Gauss-Legendre rules, which resolves integrands peaked at any scale;
+* powers of a single bubble, seen from its centre, get the incomplete-Beta
+  radial primitive per segment and an exact tail beyond the enclosing
+  radius, so no octave is summed and no decay is guessed.
 
 Directions are scrambled Sobol points pushed to the sphere, expanded over
 the full 2^n sign-flip orbit.  The orbit makes every odd direction moment
@@ -34,7 +37,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, special
 from scipy.stats import qmc
 
 from .errors import PreconditionError
@@ -46,6 +49,7 @@ __all__ = [
     "QuadratureResult",
     "psi_integrals",
     "exterior_lp_mass",
+    "exterior_bubble_mass",
     "ball_lp_mass",
     "bubble_moment",
     "radial_integral",
@@ -368,6 +372,40 @@ def exterior_lp_mass(domain, f, p: float, config: QuadratureConfig, center=None)
     return _result(near + far, n_evals, config, decay_ok)
 
 
+def exterior_bubble_mass(domain, delta: float, center, m: float, config: QuadratureConfig) -> QuadratureResult:
+    """Integral of ``U[delta, center]^m`` over the complement of the domain, exact along each ray.
+
+    With ``k = m (n-2)/2`` the share of the whole-space mass between radii
+    a < b is ``I(u(b)) - I(u(a))``, the regularized incomplete Beta function
+    ``I_u(n/2, k - n/2)`` at ``u(r) = r^2/(delta^2 + r^2)``, taken from the
+    nearer end of the law so that a thin core or a far tail keeps full
+    relative accuracy.  The rays and segments are those of
+    ``exterior_lp_mass``; one exact tail replaces the far octaves, so
+    ``decay_ok`` holds and ``n_evals`` counts segments.  Requires ``m (n-2) > n``.
+    """
+    n = domain.dimension
+    center = np.asarray(center, dtype=float).reshape(-1)
+    if center.shape != (n,) or not delta > 0.0:
+        raise PreconditionError(f"expected a center of dimension {n} and a positive scale")
+    whole = bubble_moment(n, m) * delta ** (n - m * (n - 2.0) / 2.0)
+    s, t, d2 = n / 2.0, m * (n - 2.0) / 2.0 - n / 2.0, float(delta) ** 2
+    R = float(domain.bounding_radius(center))
+
+    def beyond(r):
+        return special.betainc(t, s, d2 / (d2 + r * r))
+
+    def share(a, b):
+        within = special.betainc(s, t, b * b / (d2 + b * b)) - special.betainc(s, t, a * a / (d2 + a * a))
+        return np.where(b * b <= d2, within, beyond(a) - beyond(b))
+
+    samples, n_evals = [], 0
+    for D in _fans(n, config, _TAG_LP, nodes_per_ray=24):
+        a, b, mask, n_seg = _outside_segments(domain, center, D, R)
+        samples.append(whole * (float(np.where(mask, share(a, b), 0.0).sum(axis=1).mean()) + beyond(R)))
+        n_evals += n_seg
+    return _result(samples, n_evals, config)
+
+
 def ball_lp_mass(f, p: float, center, radius: float, dimension: int, config: QuadratureConfig) -> QuadratureResult:
     """Integral of ``|f|^p`` over an open ball, by the same ray-fan engine."""
     n = int(dimension)
@@ -384,7 +422,7 @@ def ball_lp_mass(f, p: float, center, radius: float, dimension: int, config: Qua
 
 
 # ---------------------------------------------------------------------------
-# Standard-bubble moments (1D radial quadrature)
+# Standard-bubble moments
 # ---------------------------------------------------------------------------
 
 
@@ -394,12 +432,14 @@ def bubble_alpha(n: int) -> float:
 
 
 def bubble_moment(n: int, power: float, log_weight: bool = False) -> float:
-    """Whole-space moment of the standard bubble by radial quadrature.
+    """Whole-space moment of the standard bubble.
 
     Computes ``integral of U^power`` (times ``ln U`` when ``log_weight``)
     over R^n for the unit-scale centered bubble
-    ``U(x) = alpha_n (1 + |x|^2)^(-(n-2)/2)``, to relative accuracy 1e-10.
-    Requires ``power * (n - 2) > n`` for integrability.
+    ``U(x) = alpha_n (1 + |x|^2)^(-(n-2)/2)``: the Beta integral
+    ``omega_n alpha^power B(n/2, power (n-2)/2 - n/2) / 2``, or with the log
+    weight a radial quadrature to relative accuracy 1e-10.  Requires
+    ``power * (n - 2) > n`` for integrability.
     """
     n = int(n)
     if n < 3:
@@ -411,13 +451,12 @@ def bubble_moment(n: int, power: float, log_weight: bool = False) -> float:
     alpha = bubble_alpha(n)
     omega = sphere_area(n)
     beta = power * (n - 2.0) / 2.0
+    if not log_weight:
+        return omega * alpha**power * 0.5 * float(special.beta(n / 2.0, beta - n / 2.0))
 
     # Radial integrand with the constant alpha^power factored out.
     def g(r):
-        base = (1.0 + r * r) ** (-beta) * r ** (n - 1.0)
-        if log_weight:
-            base = base * (math.log(alpha) - (n - 2.0) / 2.0 * math.log1p(r * r))
-        return base
+        return (1.0 + r * r) ** (-beta) * r ** (n - 1.0) * (math.log(alpha) - (n - 2.0) / 2.0 * math.log1p(r * r))
 
     return omega * alpha**power * radial_integral(g)
 

@@ -224,6 +224,30 @@ def test_energy_translation_invariance():
     assert r0.exterior_mass == pytest.approx(r1.exterior_mass, rel=1e-10)
 
 
+def test_single_bubble_energy_takes_the_closed_form_exterior_mass(monkeypatch):
+    from bubblescape import bubbles as bubbles_module
+
+    calls = []
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a single-bubble energy called exterior_lp_mass")
+
+    def record(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    original = bubbles_module.exterior_lp_mass
+    cfg = QuadratureConfig(seed=0, near_budget=2**12, far_shells=16, replicates=2)
+    cn = constants(3)
+    monkeypatch.setattr(bubbles_module, "exterior_lp_mass", refuse)
+    rep = energy(ball(3), [Bubble(1, 0.1, np.array([0.2, 0.0, 0.0]))], 0.05, cn, cfg)
+    assert np.isfinite(rep.j_eps) and rep.exterior_mass > 0.0
+    monkeypatch.setattr(bubbles_module, "exterior_lp_mass", record)
+    pair = [Bubble(1, 0.2, np.array([0.0, 0.0, 0.5])), Bubble(-1, 0.2, np.array([0.0, 0.0, -0.5]))]
+    energy(ball(3), pair, 0.05, cn, cfg)
+    assert calls
+
+
 def test_energy_preconditions():
     cn = constants(4)
     dom = ball(4)

@@ -4,10 +4,13 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import bubblescape
 from bubblescape.bubbles import ResidualRow, ResidualTable
 from bubblescape.cli import main
 from bubblescape.landscape import constants as model_constants
@@ -549,3 +552,20 @@ def test_xi_on_wrong_regime_exits_2(tmp_path):
         + ["--xi", "0", "0", "0"]
     )
     assert rc == 2
+
+
+# ---------------------------------------------------------------------------
+# numeric-library thread default
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("preset", [None, "2"])
+def test_import_sets_the_thread_default_unless_the_user_did(preset):
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(bubblescape.__file__))
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = env["OMP_NUM_THREADS"] = preset
+    code = "import os, bubblescape; print(os.environ['OPENBLAS_NUM_THREADS'], os.environ['OMP_NUM_THREADS'])"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    want = preset or "1"
+    assert out.split() == [want, want]

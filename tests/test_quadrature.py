@@ -8,6 +8,7 @@ standard-bubble moments.
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate
@@ -17,10 +18,14 @@ from scipy.special import digamma
 from bubblescape.errors import PreconditionError
 from bubblescape.geometry import Ball, Capsule, Difference, Domain, Scale, Translate, Union
 from bubblescape.quadrature import (
+    _TAG_LP,
     QuadratureConfig,
+    _fans,
+    _outside_segments,
     ball_lp_mass,
     bubble_alpha,
     bubble_moment,
+    exterior_bubble_mass,
     exterior_lp_mass,
     psi_integrals,
     sphere_area,
@@ -366,6 +371,54 @@ def test_exterior_mass_translation_equivariance():
     b = exterior_lp_mass(moved, f1, 4.0, CFG, center=x0 + v)
     tol = 3.0 * math.sqrt(a.std_error**2 + b.std_error**2) + 5e-13 * abs(a.value)
     assert abs(a.value - b.value) <= tol
+
+
+def bubble_mass_mpmath(n: int, delta: float, m: float, pieces) -> float:
+    """Mass of U[delta, 0]^m over the radial shells ``pieces``, by mpmath at 30 digits."""
+    with mp.workdps(30):
+        k = m * (n - 2.0) / 2.0
+        radial = sum(mp.quad(lambda r: r ** (n - 1) * (delta**2 + r * r) ** -k, [a, b]) for a, b in pieces)
+        return float(sphere_area(n) * bubble_alpha(n) ** m * mp.mpf(delta) ** k * radial)
+
+
+def test_exterior_bubble_mass_matches_mpmath():
+    cases = [
+        (Domain(3, Difference(Ball(np.zeros(3), 1.0), Ball(np.zeros(3), rho))), math.sqrt(rho), 6.0, [(0, rho), (1, np.inf)])
+        for rho in (0.01, 0.0025)
+    ]
+    eps = 0.025
+    cases.append((unit_ball(4), (1.0 / 24.0) ** 0.25 * eps**0.25, 4.0 - eps, [(1, np.inf)]))
+    for dom, delta, m, pieces in cases:
+        n = dom.dimension
+        res = exterior_bubble_mass(dom, delta, np.zeros(n), m, CFG)
+        assert res.value == pytest.approx(bubble_mass_mpmath(n, delta, m, pieces), rel=1e-12)
+        assert res.decay_ok and res.converged
+        # one count per ray segment: no Gauss-Legendre node and no far octave
+        R = dom.bounding_radius(np.zeros(n))
+        fans = _fans(n, CFG, _TAG_LP, nodes_per_ray=24)
+        assert res.n_evals == sum(_outside_segments(dom, np.zeros(n), D, R)[3] for D in fans)
+
+
+def test_exterior_bubble_mass_agrees_with_gauss_legendre_on_the_same_fans():
+    hole = np.array([0.3, 0.1, 0.0])
+    cases = [
+        (Domain(3, Difference(Ball(np.zeros(3), 1.0), Ball(hole, 0.01))), 0.1, hole, 6.0),
+        (dumbbell(3), 0.05, np.array([1.5, 0.0, 0.0]), 5.9),
+    ]
+    for dom, delta, center, m in cases:
+        exact = exterior_bubble_mass(dom, delta, center, m, CFG)
+        gl = exterior_lp_mass(dom, bubble(3, delta, center), m, CFG, center=center)
+        assert exact.value == pytest.approx(gl.value, rel=1e-7)
+        assert exact.std_error == pytest.approx(gl.std_error, rel=1e-6)
+
+
+def test_exterior_bubble_mass_preconditions():
+    with pytest.raises(PreconditionError):
+        exterior_bubble_mass(unit_ball(3), 0.1, np.zeros(3), 3.0, CFG)  # 3*(3-2) = 3: not integrable
+    with pytest.raises(PreconditionError):
+        exterior_bubble_mass(unit_ball(3), 0.0, np.zeros(3), 6.0, CFG)
+    with pytest.raises(PreconditionError):
+        exterior_bubble_mass(unit_ball(3), 0.1, np.zeros(2), 6.0, CFG)
 
 
 # ---------------------------------------------------------------------------
