@@ -267,19 +267,45 @@ def _two_peak_whole_mass(n, g, c1, c2, config) -> QuadratureResult:
 
 
 def interaction(n: int, b1: Bubble, b2: Bubble, config: QuadratureConfig) -> QuadratureResult:
-    """Whole-space interaction integral ``int U_1^p U_2``.
+    """Whole-space interaction integral ``int U_1^p U_2``, exact up to 1-D quadrature round-off.
 
-    Decays like ``(separation)^-(n-2)`` with the leading coefficient
-    ``c1_nodal (delta_1 delta_2)^((n-2)/2)``.
+    With ``q = (n-2)/2``, ``d = |xi_1 - xi_2|``, ``A = delta_2^2 + r^2 + d^2``
+    and ``z = 2 r d / A``, the mean of ``U_2`` over the sphere
+    ``|x - xi_1| = r`` is ``alpha delta_2^q A^(-q) 2F1(q/2, (q+1)/2; n/2; z^2)``
+    (the Funk-Hecke identity for ``(1 - z cos theta)^(-q)``).  As
+    ``n/2 = q/2 + (q+1)/2 + 1/2``, the quadratic transformation
+    ``2F1(a, b; a+b+1/2; 4x(1-x)) = 2F1(2a, 2b; a+b+1/2; x)`` makes it the
+    elementary ``alpha delta_2^q (2 / (A + P))^q`` with
+    ``P = sqrt(A^2 - 4 r^2 d^2) = |(delta_2, r - d)| |(delta_2, r + d)|``,
+    so ``A + P`` adds positive terms and loses no digits near ``r = d``.
+    The interaction is the radial integral of ``|S^(n-1)| U_1^p r^(n-1)``
+    against that mean, with breakpoints spaced geometrically from ``r = 0``
+    and ``r = d``.  The result carries no standard error and no integrand
+    evaluations; ``config`` is accepted so that every piece of ``energy`` is
+    called alike.  Decays like ``(separation)^-(n-2)`` with the leading
+    coefficient ``c1_nodal (delta_1 delta_2)^((n-2)/2)``.
     """
     if np.allclose(b1.center, b2.center):
         raise PreconditionError("interaction needs distinct concentration points")
     p = (n + 2.0) / (n - 2.0)
+    q = 0.5 * (n - 2.0)
+    alpha = bubble_alpha(n)
+    d1, d2 = float(b1.delta), float(b2.delta)
+    d = float(np.linalg.norm(b1.center - b2.center))
+    scale = sphere_area(n) * alpha ** (p + 1.0) * d1 ** (q * p) * d2**q
 
-    def g(X):
-        return bubble_value(n, b1.delta, b1.center, X) ** p * bubble_value(n, b2.delta, b2.center, X)
+    def g(r):
+        mean = (2.0 / (d2 * d2 + r * r + d * d + math.hypot(d2, r - d) * math.hypot(d2, r + d))) ** q
+        return (d1 * d1 + r * r) ** (-q * p) * mean * r ** (n - 1.0)
 
-    return _two_peak_whole_mass(n, g, b1.center, b2.center, config)
+    # U_1^p falls off from r = 0 over delta_1 and the mean bends at r = d over
+    # delta_2: breakpoints in geometric steps away from both features keep
+    # the adaptive rule from stepping over either scale
+    cut = 2.0 * (d + d1 + d2)
+    steps = 4.0 ** np.arange(64)
+    points = np.unique(np.concatenate([d1 * steps, d - d2 * steps, [d], d + d2 * steps]))
+    value = scale * radial_integral(g, cut, points[(points > 0.0) & (points < cut)])
+    return QuadratureResult(value, 0.0, 0, True, True)
 
 
 def energy(domain: Domain, bubbles, eps: float, consts: Constants, config: QuadratureConfig) -> EnergyReport:

@@ -16,7 +16,11 @@ and outside, and integrates radially along the outside segments:
   Gauss-Legendre rules, which resolves integrands peaked at any scale;
 * powers of a single bubble, seen from its centre, get the incomplete-Beta
   radial primitive per segment and an exact tail beyond the enclosing
-  radius, so no octave is summed and no decay is guessed.
+  radius, so no octave is summed and no decay is guessed;
+* the whole-space pair interaction ``int U_1^p U_2`` casts no rays at all:
+  the spherical mean of ``U_2`` about the first centre is a closed form,
+  which leaves one smooth 1-D radial integral for ``radial_integral``
+  (``bubbles.interaction``).
 
 Directions are scrambled Sobol points pushed to the sphere, expanded over
 the full 2^n sign-flip orbit.  The orbit makes every odd direction moment
@@ -208,20 +212,20 @@ def _outside_segments(domain, origin: np.ndarray, D: np.ndarray, t_hi: float):
 def _psi_replicate(domain, xi: np.ndarray, D: np.ndarray, R: float, n: int):
     """One replicate's ray-averaged near-field value/gradient/hessian."""
     a, b, mask, n_seg = _outside_segments(domain, xi, D, R)
-    a_safe = np.where(mask, a, 1.0)
-    b_safe = np.where(mask, b, 1.0)
-    with np.errstate(divide="ignore", over="ignore"):
-        iv = np.where(mask, (a_safe**-n - b_safe**-n) / n, 0.0)
-        ig = np.where(mask, (a_safe ** -(n + 1) - b_safe ** -(n + 1)) / (n + 1), 0.0)
-        ih = np.where(mask, (a_safe ** -(n + 2) - b_safe ** -(n + 2)) / (n + 2), 0.0)
-    sv = iv.sum(axis=1)
-    sg = ig.sum(axis=1)
-    sh = ih.sum(axis=1)
+    # only the outside segments enter: index them once and work on those alone
+    ri, ci = np.nonzero(mask)
     m = D.shape[0]
+    with np.errstate(divide="ignore", over="ignore"):
+        ra, rb = 1.0 / a[ri, ci], 1.0 / b[ri, ci]
+        pa, pb = ra**n, rb**n
+        sv = np.bincount(ri, (pa - pb) / n, minlength=m)
+        pa, pb = pa * ra, pb * rb
+        sg = np.bincount(ri, (pa - pb) / (n + 1), minlength=m)
+        sh = np.bincount(ri, (pa * ra - pb * rb) / (n + 2), minlength=m)
     omega = sphere_area(n)
     value = omega * float(sv.mean())
-    grad = omega * 2.0 * n * (D * sg[:, None]).mean(axis=0)
-    dd = np.einsum("mi,mj,m->ij", D, D, sh) / m
+    grad = omega * 2.0 * n * (sg @ D) / m
+    dd = (D.T * sh) @ D / m
     hess = omega * 2.0 * n * ((2.0 * n + 2.0) * dd - np.eye(n) * float(sh.mean()))
     return value, grad, hess, n_seg
 
@@ -401,7 +405,9 @@ def exterior_bubble_mass(domain, delta: float, center, m: float, config: Quadrat
     samples, n_evals = [], 0
     for D in _fans(n, config, _TAG_LP, nodes_per_ray=24):
         a, b, mask, n_seg = _outside_segments(domain, center, D, R)
-        samples.append(whole * (float(np.where(mask, share(a, b), 0.0).sum(axis=1).mean()) + beyond(R)))
+        ri, ci = np.nonzero(mask)
+        per_ray = np.bincount(ri, share(a[ri, ci], b[ri, ci]), minlength=D.shape[0])
+        samples.append(whole * (float(per_ray.mean()) + beyond(R)))
         n_evals += n_seg
     return _result(samples, n_evals, config)
 

@@ -13,12 +13,15 @@ Independent routes used as oracles:
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate, special
 
+from bubblescape import bubbles as bubbles_module
 from bubblescape.bubbles import (
     Bubble,
+    _two_peak_whole_mass,
     ansatz_value,
     bubble_value,
     energy,
@@ -225,8 +228,6 @@ def test_energy_translation_invariance():
 
 
 def test_single_bubble_energy_takes_the_closed_form_exterior_mass(monkeypatch):
-    from bubblescape import bubbles as bubbles_module
-
     calls = []
 
     def refuse(*args, **kwargs):
@@ -320,7 +321,7 @@ def test_interaction_against_axisymmetric_quadrature_and_decay():
     b_near = (Bubble(1, 0.25, np.array([0.0, 0.0, 0.5])), Bubble(1, 0.2, np.array([0.0, 0.0, -0.5])))
     got = interaction(3, *b_near, CFG)
     _, _, cross = _axisym_oracle()
-    assert got.value == pytest.approx(cross, abs=5 * got.std_error + 1e-4 * cross)
+    assert got.value == pytest.approx(cross, abs=5 * got.std_error + 1e-9 * cross)
 
     # far-field law: value ~ c1_nodal (d1 d2)^((n-2)/2) / R^(n-2)
     delta = 0.15
@@ -334,15 +335,68 @@ def test_interaction_against_axisymmetric_quadrature_and_decay():
     assert vals[4.0] == pytest.approx(model, rel=0.05)
 
 
-def test_interaction_converged_judged_on_assembled_value():
+def test_two_peak_mass_converged_judged_on_assembled_value():
     # the exterior piece alone misses the relative target, the assembled value meets it
     cfg = QuadratureConfig(seed=0, near_budget=2**14, replicates=4)
-    b1 = Bubble(1, 1e-2, np.array([0.0, 0.0, 1.0]))
-    b2 = Bubble(1, 1e-2, np.array([0.0, 0.0, -1.0]))
-    got = interaction(3, b1, b2, cfg)
+    c1, c2 = np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -1.0])
+
+    def g(X):
+        return bubble_value(3, 1e-2, c1, X) ** 5 * bubble_value(3, 1e-2, c2, X)
+
+    got = _two_peak_whole_mass(3, g, c1, c2, cfg)
     assert got.decay_ok
     assert got.std_error <= cfg.target_rel_err * got.value
     assert got.converged
+
+
+def interaction_mpmath(n: int, d1: float, d2: float, sep: float) -> float:
+    """``int U_1^p U_2`` as an mpmath 2-D integral over ``r = |x - xi_1|`` and ``t = cos theta``."""
+    with mp.workdps(15):
+        q, p = mp.mpf(n - 2) / 2, mp.mpf(n + 2) / (n - 2)
+        alpha = (mp.mpf(n) * (n - 2)) ** (mp.mpf(n - 2) / 4)
+        d1, d2, sep = mp.mpf(d1), mp.mpf(d2), mp.mpf(sep)
+        # measure of the (n-2)-sphere of directions at a fixed angle to the axis
+        rim = 2 * mp.pi ** (mp.mpf(n - 1) / 2) / mp.gamma(mp.mpf(n - 1) / 2)
+
+        def f(r, t):
+            u1 = alpha * d1**q / (d1**2 + r**2) ** q
+            u2 = alpha * d2**q / (d2**2 + r**2 + sep**2 - 2 * r * sep * t) ** q
+            return u1**p * u2 * r ** (n - 1) * (1 - t * t) ** (mp.mpf(n - 3) / 2)
+
+        return float(rim * mp.quad(f, [0, d1, sep, mp.inf], [-1, 1]))
+
+
+@pytest.mark.parametrize(
+    "n, d1, d2, sep",
+    [(3, 0.01, 0.01, 1.0), (3, 0.01, 0.01, 2.0), (3, 0.01, 0.01, 4.0), (4, 0.01, 0.01, 2.0),
+     (5, 0.01, 0.01, 4.0), (5, 0.25, 0.2, 1.0), (3, 0.1, 0.05, 1.0)],
+)
+def test_interaction_matches_mpmath(n, d1, d2, sep):
+    axis = np.eye(n)[-1]
+    got = interaction(n, Bubble(1, d1, 0.3 * axis), Bubble(1, d2, (0.3 - sep) * axis), CFG)
+    assert got.value == pytest.approx(interaction_mpmath(n, d1, d2, sep), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_interaction_swap_identity(n):
+    # int U_1^p U_2 = int U_1 U_2^p: both equal the pairing <grad U_1, grad U_2>
+    # the last pair sits 30 to 140 apart, up to seven decades above the smaller scale
+    rng = np.random.default_rng(n)
+    for d1, d2, spread in ((1e-4, 3e-4, 1.0), (0.01, 0.007, 1.0), (0.3, 0.5, 1.0), (1e-5, 0.05, 30.0)):
+        b1 = Bubble(1, d1, spread * rng.normal(size=n))
+        b2 = Bubble(1, d2, spread * rng.normal(size=n))
+        assert interaction(n, b1, b2, CFG).value == pytest.approx(interaction(n, b2, b1, CFG).value, rel=1e-13)
+
+
+def test_interaction_is_exact_and_casts_no_rays(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("interaction called the two-peak ray quadrature")
+
+    monkeypatch.setattr(bubbles_module, "_two_peak_whole_mass", refuse)
+    got = interaction(3, Bubble(1, 0.01, np.array([0.0, 0.0, 0.5])), Bubble(1, 0.01, np.array([0.0, 0.0, -0.5])), CFG)
+    assert got.value > 0.0
+    assert got.std_error == 0.0 and got.n_evals == 0
+    assert got.converged and got.decay_ok
 
 
 def test_ansatz_value_signs_and_shapes():

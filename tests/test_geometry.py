@@ -767,16 +767,19 @@ def test_diameter_pair_of_a_union_is_the_farthest_boundary_pair(root):
 
 
 def test_tangent_balls_start_inside_from_their_contact_point():
-    # The interaction integral casts rays from the tangency point of two
+    # The two-peak whole mass casts rays from the tangency point of two
     # balls: outside their open union, yet almost every ray starts inside one.
     virtual = Domain(3, Union(Ball([-1.0, 0, 0], 1.0), Ball([1.0, 0, 0], 1.0)))
     _, inside0 = virtual.surface_crossing_candidates(np.zeros(3), _unit_rows(np.random.default_rng(0), 512), 2.0)
     assert not contains(virtual, np.zeros(3)) and inside0.mean() > 0.99
     cfg = QuadratureConfig(seed=0, near_budget=2**13, replicates=2)
-    b1 = bubbles.Bubble(1, 0.05, np.array([-1.0, 0, 0]))
-    b2 = bubbles.Bubble(1, 0.07, np.array([1.0, 0, 0]))
-    got = bubbles.interaction(3, b1, b2, cfg)
-    want = _with_reference(lambda: bubbles.interaction(3, b1, b2, cfg))
+    c1, c2 = np.array([-1.0, 0, 0]), np.array([1.0, 0, 0])
+
+    def g(X):
+        return bubbles.bubble_value(3, 0.05, c1, X) ** 5 * bubbles.bubble_value(3, 0.07, c2, X)
+
+    got = bubbles._two_peak_whole_mass(3, g, c1, c2, cfg)
+    want = _with_reference(lambda: bubbles._two_peak_whole_mass(3, g, c1, c2, cfg))
     assert _agree(got.value, want.value)
     assert _agree(got.std_error, want.std_error, abs(want.value))
 

@@ -19,9 +19,11 @@ from bubblescape.errors import PreconditionError
 from bubblescape.geometry import Ball, Capsule, Difference, Domain, Scale, Translate, Union
 from bubblescape.quadrature import (
     _TAG_LP,
+    _TAG_PSI,
     QuadratureConfig,
     _fans,
     _outside_segments,
+    _psi_replicate,
     ball_lp_mass,
     bubble_alpha,
     bubble_moment,
@@ -176,6 +178,59 @@ def test_scaling_equivariance_within_noise():
         b.hessian
     ).max().item()
     assert np.all(np.abs(lam ** -(n + 2) * a.hessian - b.hessian) <= htol)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_offcenter_ball_against_closed_forms(n):
+    # For the ball B(0, r) and s = r^2 - |xi|^2: psi = |B^n| r^n s^(-n), and its
+    # gradient and Hessian follow by differentiating s^(-n) in xi.
+    r = 1.3
+    xi = np.array([0.3, -0.2, 0.25, 0.1])[:n]
+    ev = psi_integrals(unit_ball(n, radius=r), xi, CFG)
+    vol = sphere_area(n) / n
+    s = r * r - xi @ xi
+    value = vol * r**n * s**-n
+    grad = 2.0 * n * vol * r**n * s ** -(n + 1) * xi
+    hess = vol * r**n * (2.0 * n * s ** -(n + 1) * np.eye(n) + 4.0 * n * (n + 1) * s ** -(n + 2) * np.outer(xi, xi))
+    assert abs(ev.value - value) <= 6.0 * ev.value_std + 1e-9 * value
+    assert np.all(np.abs(ev.gradient - grad) <= 6.0 * ev.gradient_std + 1e-9 * np.max(np.abs(grad)))
+    assert np.all(np.abs(ev.hessian - hess) <= 6.0 * ev.hessian_std + 1e-9 * np.max(np.abs(hess)))
+
+
+def _psi_replicate_per_cell(domain, xi, D, R, n):
+    """Reference kernel: the three negative powers on every (ray, segment) cell, masked by np.where."""
+    a, b, mask, n_seg = _outside_segments(domain, xi, D, R)
+    a_safe = np.where(mask, a, 1.0)
+    b_safe = np.where(mask, b, 1.0)
+    iv = np.where(mask, (a_safe**-n - b_safe**-n) / n, 0.0)
+    ig = np.where(mask, (a_safe ** -(n + 1) - b_safe ** -(n + 1)) / (n + 1), 0.0)
+    ih = np.where(mask, (a_safe ** -(n + 2) - b_safe ** -(n + 2)) / (n + 2), 0.0)
+    sv, sg, sh = iv.sum(axis=1), ig.sum(axis=1), ih.sum(axis=1)
+    omega = sphere_area(n)
+    value = omega * float(sv.mean())
+    grad = omega * 2.0 * n * (D * sg[:, None]).mean(axis=0)
+    dd = np.einsum("mi,mj,m->ij", D, D, sh) / D.shape[0]
+    hess = omega * 2.0 * n * ((2.0 * n + 2.0) * dd - np.eye(n) * float(sh.mean()))
+    return value, grad, hess, n_seg
+
+
+@pytest.mark.parametrize(
+    "domain, xi",
+    [
+        (Domain(3, Difference(Ball(np.zeros(3), 1.0), Ball(np.array([0.3, 0.1, 0.0]), 0.2))), (-0.2, 0.1, 0.05)),
+        (dumbbell(), (1.2, 0.1, 0.0)),
+    ],
+)
+def test_psi_kernel_matches_per_cell_reference(domain, xi):
+    xi = np.array(xi)
+    R = float(domain.bounding_radius(xi))
+    cfg = QuadratureConfig(seed=3, near_budget=2**15, replicates=2)
+    for D in _fans(3, cfg, _TAG_PSI):
+        got = _psi_replicate(domain, xi, D, R, 3)
+        want = _psi_replicate_per_cell(domain, xi, D, R, 3)
+        for g, w in zip(got[:3], want[:3]):
+            assert np.max(np.abs(np.subtract(g, w))) <= 1e-13 * np.max(np.abs(w))
+        assert got[3] == want[3]
 
 
 def test_nested_domains_are_monotone():
