@@ -1,7 +1,9 @@
 """Constructive solid geometry in n dimensions.
 
 Domains are finite unions and differences of open balls and capsules,
-optionally translated and rescaled.  The module provides exact membership
+optionally translated and rescaled.  Normalization makes every leaf one
+shape, the points within ``radius`` of a segment ``[a, b]``: a ball is the
+capsule with ``a == b``.  The module provides exact membership
 tests, exact ray classification, conservative interior-depth bounds,
 enclosing radii, boundary projections with inner normals, diameter pairs
 (exact for unions of leaves, refused when carving removes a longer pair),
@@ -169,11 +171,11 @@ class Scale:
 def _normalize(node, offset: np.ndarray, factor: float):
     """Push accumulated translation/scaling into the leaves.
 
-    Returns an equivalent tree containing only Ball/Capsule/Union/Difference.
-    The map applied to a leaf point p is ``factor * p + offset``.
+    Returns an equivalent Capsule/Union/Difference tree (a ball is the
+    zero-length capsule); a leaf point p maps to ``factor * p + offset``.
     """
     if isinstance(node, Ball):
-        return Ball(factor * node.center + offset, factor * node.radius)
+        return _normalize(Capsule(node.center, node.center, node.radius), offset, factor)
     if isinstance(node, Capsule):
         return Capsule(factor * node.a + offset, factor * node.b + offset, factor * node.radius)
     if isinstance(node, Union):
@@ -189,7 +191,7 @@ def _normalize(node, offset: np.ndarray, factor: float):
 
 def _leaves(node, sign: int = 1) -> list[tuple[object, int]]:
     """All leaves of a normalized tree with their inclusion parity."""
-    if isinstance(node, (Ball, Capsule)):
+    if isinstance(node, Capsule):
         return [(node, sign)]
     if isinstance(node, Union):
         return _leaves(node.left, sign) + _leaves(node.right, sign)
@@ -199,9 +201,7 @@ def _leaves(node, sign: int = 1) -> list[tuple[object, int]]:
 
 
 def _axis_offset(leaf, X: np.ndarray) -> np.ndarray:
-    """Each row of X minus its nearest point on the leaf's center or axis segment."""
-    if isinstance(leaf, Ball):
-        return X - leaf.center
+    """Each row of X minus its nearest point on the leaf's axis segment."""
     u = leaf.b - leaf.a
     uu = float(u @ u)
     if uu == 0.0:
@@ -211,7 +211,7 @@ def _axis_offset(leaf, X: np.ndarray) -> np.ndarray:
 
 
 def _member(node, X: np.ndarray, closed: bool) -> np.ndarray:
-    if isinstance(node, (Ball, Capsule)):
+    if isinstance(node, Capsule):
         d = _axis_offset(node, X)
         d2 = np.einsum("ij,ij->i", d, d)
         r2 = node.radius * node.radius
@@ -225,7 +225,7 @@ def _member(node, X: np.ndarray, closed: bool) -> np.ndarray:
 
 def _depth(node, X: np.ndarray) -> np.ndarray:
     """Conservative signed interior depth (positive inside) for each row."""
-    if isinstance(node, (Ball, Capsule)):
+    if isinstance(node, Capsule):
         d = _axis_offset(node, X)
         return node.radius - np.sqrt(np.einsum("ij,ij->i", d, d))
     if isinstance(node, Union):
@@ -236,8 +236,6 @@ def _depth(node, X: np.ndarray) -> np.ndarray:
 
 
 def _enclosing_radius(node, center: np.ndarray) -> float:
-    if isinstance(node, Ball):
-        return float(np.linalg.norm(node.center - center)) + node.radius
     if isinstance(node, Capsule):
         return (
             max(
@@ -269,9 +267,9 @@ def _leaf_span(leaf, o: np.ndarray, D: np.ndarray):
     """Entry and exit parameters of the rays ``o + t D`` (unit rows D) through a leaf.
 
     A leaf is convex, so each ray meets it in one open interval; both ends
-    are NaN when the ray misses.  A capsule's interval is the hull of its end
-    balls' intervals and of the wall roots whose foot on the axis lies on the
-    segment.
+    are NaN when the ray misses.  The interval is the hull of the end balls'
+    intervals and of the wall roots whose foot on the axis lies on the
+    segment; a zero-length axis has one end ball and no wall.
     """
     r2 = leaf.radius * leaf.radius
 
@@ -279,14 +277,12 @@ def _leaf_span(leaf, o: np.ndarray, D: np.ndarray):
         w = o - c
         return _quadratic_roots(1.0, 2.0 * (D @ w), float(w @ w) - r2)
 
-    if isinstance(leaf, Ball):
-        return ball(leaf.center)
     lo, hi = ball(leaf.a)
-    lo_b, hi_b = ball(leaf.b)
-    lo, hi = np.fmin(lo, lo_b), np.fmax(hi, hi_b)
     u = leaf.b - leaf.a
     L = float(np.sqrt(u @ u))
     if L > 0.0:
+        lo_b, hi_b = ball(leaf.b)
+        lo, hi = np.fmin(lo, lo_b), np.fmax(hi, hi_b)
         uhat = u / L
         w = o - leaf.a
         Du = D @ uhat
@@ -300,7 +296,7 @@ def _leaf_span(leaf, o: np.ndarray, D: np.ndarray):
 
 
 def _leaf_slope(leaf, Y: np.ndarray, D: np.ndarray) -> np.ndarray:
-    """``grad s . D`` at each row of Y, s the distance to the leaf's center or axis segment."""
+    """``grad s . D`` at each row of Y, s the distance to the leaf's axis segment."""
     d = _axis_offset(leaf, Y)
     return np.einsum("ij,ij->i", d, D) / np.sqrt(np.einsum("ij,ij->i", d, d))
 
@@ -311,7 +307,7 @@ def _on_ray(node, T: np.ndarray, spans) -> np.ndarray:
     ``spans`` yields each leaf's ``(lo, hi)`` from ``_leaf_span``, in
     ``_leaves`` order.
     """
-    if isinstance(node, (Ball, Capsule)):
+    if isinstance(node, Capsule):
         lo, hi = next(spans)
         return (lo[:, None] < T) & (T < hi[:, None])
     if isinstance(node, Union):
@@ -353,10 +349,9 @@ class Domain:
             raise PreconditionError("dimension must be >= 1")
         self._norm = _normalize(self.root, np.zeros(self.dimension), 1.0)
         for leaf, _ in _leaves(self._norm):
-            pt = leaf.center if isinstance(leaf, Ball) else leaf.a
-            if pt.shape != (self.dimension,):
+            if leaf.a.shape != (self.dimension,):
                 raise PreconditionError(
-                    f"leaf of dimension {pt.shape[0]} in a domain of dimension {self.dimension}"
+                    f"leaf of dimension {leaf.a.shape[0]} in a domain of dimension {self.dimension}"
                 )
 
     # -- queries ------------------------------------------------------------
@@ -671,8 +666,8 @@ class PerturbedDomain:
     def surface_crossing_candidates(self, origin, D: np.ndarray, t_hi: float):
         """Membership flips along the rays ``origin + t D``, t in (0, t_hi), with ``Domain``'s ``(flips, inside0)`` contract.
 
-        Band windows: let ``s`` be the distance to a leaf's center or axis
-        segment minus its radius ``r``, ``a`` and ``L`` the field's amplitude
+        Band windows: let ``s`` be the distance to a leaf's axis segment
+        minus its radius ``r``, ``a`` and ``L`` the field's amplitude
         and Lipschitz bounds, and ``g(t) = s(pull_back(o + t D))``.  Since
         ``|g(t) - s(o + t D)| <= a < band``, the leaf's perturbed surface
         meets a ray only where ``|s| < band``: inside the leaf's span at
@@ -863,15 +858,6 @@ def _inner_normals(domain, P: np.ndarray, N: np.ndarray, scale: float) -> np.nda
 
 def _leaf_nearest(leaf, x: np.ndarray):
     """Nearest point on the leaf surface and the outward leaf normal there."""
-    if isinstance(leaf, Ball):
-        v = x - leaf.center
-        nv = np.linalg.norm(v)
-        if nv < 1e-300:
-            v = np.zeros_like(x)
-            v[0] = 1.0
-            nv = 1.0
-        nhat = v / nv
-        return leaf.center + leaf.radius * nhat, nhat
     u = leaf.b - leaf.a
     uu = float(u @ u)
     t = 0.0 if uu == 0.0 else float(np.clip((x - leaf.a) @ u / uu, 0.0, 1.0))
@@ -931,9 +917,9 @@ def diameter_pair(domain):
     """Diameter-realizing boundary pair, with inner normals, larger point first.
 
     The farthest points of two balls lie on the line through their centers,
-    ``|c_i - c_j| + r_i + r_j`` apart, and a capsule's farthest points lie on
-    its end balls.  So the candidates are the pairs of positive-leaf ends
-    (ball centers, capsule endpoints), ranked by that analytic length; a
+    ``|c_i - c_j| + r_i + r_j`` apart, and a leaf's farthest points lie on
+    its end balls.  So the candidates are the pairs of positive-leaf axis
+    ends (each distinct end once), ranked by that analytic length; a
     repeated end is tried along the coordinate axes, then along the probe
     fan.  Length ties go to the lexicographically largest point.  Both ends
     of every candidate are probed in one membership call, and the first pair
@@ -949,7 +935,7 @@ def diameter_pair(domain):
         (c, leaf.radius)
         for leaf, sign in domain.leaves()
         if sign > 0
-        for c in ([leaf.center] if isinstance(leaf, Ball) else [leaf.a, leaf.b])
+        for c in ([leaf.a] if np.array_equal(leaf.a, leaf.b) else [leaf.a, leaf.b])
     ]
     C, R = (np.array(values) for values in zip(*ends))
     i, j = np.triu_indices(len(ends), k=1)
@@ -981,16 +967,16 @@ def diameter_pair(domain):
 
 
 def leaf_anchors(leaf) -> list:
-    """Anchor points inside a leaf, middle first: a ball's center; a capsule's midpoint and ends."""
-    if isinstance(leaf, Ball):
-        return [leaf.center]
+    """Anchor points inside a leaf, middle first: its axis midpoint and ends, or the one point of a zero-length axis."""
+    if np.array_equal(leaf.a, leaf.b):
+        return [leaf.a]
     return [0.5 * (leaf.a + leaf.b), leaf.a, leaf.b]
 
 
 def deep_point(domain, seed: int = 0):
     """An interior point of (approximately) maximal conservative depth.
 
-    Checks exact leaf candidates first (ball centers, capsule axis points);
+    Checks exact leaf candidates first (the :func:`leaf_anchors` of each positive leaf);
     falls back to a seeded uniform scan of the enclosing ball.  Ties go to
     the lexicographically largest point.  Raises ``PreconditionError`` when
     the scan finds no interior point (an empty or very thin domain).
@@ -1018,13 +1004,7 @@ def deep_point(domain, seed: int = 0):
 
 
 def _leaf_overlap(a, b) -> bool:
-    ra = a.radius
-    rb = b.radius
-    if isinstance(a, Ball) and isinstance(b, Ball):
-        return float(np.linalg.norm(a.center - b.center)) < ra + rb
-    sa = (a.center, a.center) if isinstance(a, Ball) else (a.a, a.b)
-    sb = (b.center, b.center) if isinstance(b, Ball) else (b.a, b.b)
-    return _segment_segment_distance(sa[0], sa[1], sb[0], sb[1]) < ra + rb
+    return _segment_segment_distance(a.a, a.b, b.a, b.b) < a.radius + b.radius
 
 
 def _segment_segment_distance(p1, p2, q1, q2) -> float:

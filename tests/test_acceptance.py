@@ -71,7 +71,7 @@ def dumbbell() -> Domain:
 def interior_points(domain: Domain, count: int, rng, min_depth: float) -> np.ndarray:
     """Rejection-sample interior points with a certified depth."""
     anchor_leafs = [leaf for leaf, sign in domain.leaves() if sign > 0]
-    centers = [l.center if isinstance(l, Ball) else 0.5 * (l.a + l.b) for l in anchor_leafs]
+    centers = [0.5 * (l.a + l.b) for l in anchor_leafs]
     out = []
     while len(out) < count:
         c = centers[rng.integers(len(centers))]

@@ -650,7 +650,7 @@ def test_uncertifiable_leaves_scan_only_the_rays_that_meet_a_window():
 def _origins(dom, rng):
     """A point outside the domain, one on a leaf surface and, unless the domain is empty, a deepest point."""
     leaf = dom.leaves()[0][0]
-    c = leaf.center if isinstance(leaf, Ball) else leaf.a
+    c = leaf.a
     v = rng.normal(size=3)
     v /= np.linalg.norm(v)
     out = [c + (dom.bounding_radius(c) + 0.5) * v, _leaf_nearest(leaf, c + v)[0]]
