@@ -216,9 +216,7 @@ def _predict(manifest: RunManifest, domain):
     if manifest.regime == "sub":
         return predict_subcritical(domain, rep_small, _sub_xi(manifest, domain), consts, manifest.quadrature)
     if manifest.regime == "nodal":
-        return predict_nodal(
-            domain, rep_small, consts, manifest.quadrature, eps_power_scale=opt.get("eps_power_scale")
-        )
+        return predict_nodal(domain, rep_small, consts, manifest.quadrature)
     return predict_hole(domain, rep_small, consts, manifest.quadrature)
 
 
@@ -325,18 +323,18 @@ def cmd_morse_audit(manifest: RunManifest, domain) -> int:
 _PROVENANCE = {
     "n": "input dimension",
     "p": "closed form",
-    "critical_mass": "radial quadrature of the bubble profile",
-    "log_mass": "radial quadrature of the bubble profile",
-    "a": "radial quadrature (leading energy level)",
-    "b": "radial quadrature (first-order coefficient)",
-    "c": "radial quadrature (log-term coefficient)",
-    "c1": "radial quadrature (landscape coupling)",
-    "c2": "radial quadrature (log-derivative coupling)",
-    "c1_nodal": "radial quadrature (pair interaction)",
+    "critical_mass": "Beta integral of the bubble profile",
+    "log_mass": "radial quadrature of the log-weighted bubble moment",
+    "a": "Beta integral (leading energy level)",
+    "b": "radial quadrature of the log-weighted moment (first-order coefficient)",
+    "c": "Beta integral (log-term coefficient)",
+    "c1": "closed form (landscape coupling)",
+    "c2": "Beta integral (log-derivative coupling)",
+    "c1_nodal": "closed form (pair interaction)",
     "c2_nodal": "injected default: identified with c2",
-    "c3_nodal": "radial quadrature (pair interaction)",
-    "c4_nodal": "one-dimensional quadrature (half-space wall kernel)",
-    "b2_hole": "radial quadrature (hole coupling)",
+    "c3_nodal": "closed form (pair interaction)",
+    "c4_nodal": "Beta integral (half-space wall kernel)",
+    "b2_hole": "closed form (hole coupling)",
 }
 
 
@@ -406,7 +404,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pred.add_argument("--sweep-max", type=float, default=1e-1)
     pred.add_argument("--sweep-count", type=int, default=13)
     pred.add_argument("--xi", type=float, nargs="+", help="concentration point (sub; default: argmin)")
-    pred.add_argument("--eps-power-scale", type=float, help="override the rate power scale (nodal)")
 
     en = sub.add_parser("energy-check", parents=[common], help="expansion residual verdict")
     en.add_argument("--regime", choices=("sub", "hole"), required=True)
@@ -539,10 +536,6 @@ def _resolve_predict_options(args, dimension: int) -> dict:
     sweep = [float(v) for v in np.geomspace(args.sweep_min, args.sweep_max, args.sweep_count)]
     options = {"sweep": sweep}
     _point_option(options, "xi", args.xi, args.regime, "sub", dimension)
-    if args.eps_power_scale is not None:
-        if args.regime != "nodal":
-            raise PreconditionError("--eps-power-scale applies only to the nodal regime")
-        options["eps_power_scale"] = float(args.eps_power_scale)
     return options
 
 

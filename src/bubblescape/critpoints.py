@@ -93,7 +93,11 @@ class CritConfig:
 
 @dataclass
 class CriticalPoint:
-    """A located critical point with its local classification."""
+    """A located critical point with its local classification.
+
+    ``psi_std`` is the standard error of ``psi_value``; it orders the census
+    and is not written by :meth:`to_dict`.
+    """
 
     location: np.ndarray
     psi_value: float
@@ -102,6 +106,7 @@ class CriticalPoint:
     hess_eigs: np.ndarray  # ascending
     morse_index: int
     nondegenerate: bool
+    psi_std: float = 0.0
 
     def margin(self) -> float:
         """Scale-free nondegeneracy margin ``|det H| / ||H||_op^n``."""
@@ -267,17 +272,30 @@ def _classify(x, ev, cfg: CritConfig) -> CriticalPoint:
         hess_eigs=eigs,
         morse_index=int(np.sum(eigs < 0.0)),
         nondegenerate=nondeg,
+        psi_std=float(ev.value_std),
     )
 
 
 def _dedupe(points: list, radius: float) -> list:
-    """Merge points within ``radius``; keep the lowest landscape value."""
-    points = sorted(points, key=lambda p: (p.psi_value, _lex_key(p.location)))
+    """Merge points within ``radius``, keeping the lowest landscape value, in census order.
+
+    Census order is by psi value, but values within their combined standard
+    error ``sqrt(std_i^2 + std_j^2)`` are a tie: each run of consecutive
+    points within that bound of the run's first point is ordered by
+    location, so mirror-image points whose values differ by round-off keep
+    one order.
+    """
     kept: list = []
-    for p in points:
+    for p in sorted(points, key=lambda p: (p.psi_value, _lex_key(p.location))):
         if all(np.linalg.norm(p.location - q.location) > radius for q in kept):
             kept.append(p)
-    return kept
+    runs: list = []
+    for p in kept:
+        if runs and p.psi_value - runs[-1][0].psi_value <= math.hypot(p.psi_std, runs[-1][0].psi_std):
+            runs[-1].append(p)
+        else:
+            runs.append([p])
+    return [p for run in runs for p in sorted(run, key=lambda p: _lex_key(p.location))]
 
 
 def find_minima(domain, quad_cfg: QuadratureConfig, crit_cfg: CritConfig | None = None, seed: int = 0) -> list:
@@ -444,10 +462,8 @@ def census(domain, quad_cfg: QuadratureConfig, crit_cfg: CritConfig | None = Non
         saddles = _dedupe(saddles, cfg.merge_radius)
 
     cat = len(comps)
-    points = sorted(minima, key=lambda p: (p.psi_value, _lex_key(p.location))) + sorted(
-        saddles, key=lambda p: (p.psi_value, _lex_key(p.location))
-    )
-    return CensusReport(points=points, cat_lower_bound=cat, satisfied=len(minima) >= cat)
+    # both lists come from _dedupe, already in census order
+    return CensusReport(points=minima + saddles, cat_lower_bound=cat, satisfied=len(minima) >= cat)
 
 
 def morse_audit(

@@ -18,9 +18,11 @@ Three concentration regimes share one bookkeeping scheme:
   ``d0 = (b2/b1)^(1/(2n))``, ``zeta = 0``; the scale follows
   ``delta = d0 sqrt(rho)``.
 
-All dimension-dependent constants are produced by :func:`constants` through
-the radial quadrature route; closed Beta/digamma forms live in the test
-suite as an independent oracle.
+All dimension-dependent constants are produced by :func:`constants`: Beta
+integrals for the bubble's whole-space mass and the half-space wall kernel,
+closed forms for the couplings, and a radial quadrature for the log-weighted
+moment alone; the digamma form of that moment lives in the test suite as an
+independent oracle.
 """
 
 from __future__ import annotations
@@ -278,7 +280,6 @@ def predict_nodal(
     eps: float,
     consts: Constants,
     config: QuadratureConfig,
-    eps_power_scale: float | None = None,
 ) -> RatePrediction:
     """Blow-up rates for an opposite-sign boundary pair at the diameter.
 
@@ -294,9 +295,6 @@ def predict_nodal(
     """
     _check_eps(eps)
     n = consts.n
-    scale = float(eps_power_scale) if eps_power_scale is not None else float(n - 2)
-    if not 0.0 < scale < math.inf:
-        raise PreconditionError("eps_power_scale must be positive and finite")
     bp1, bp2 = diameter_pair(domain)
     diff = bp1.point - bp2.point
     sep = float(np.linalg.norm(diff))
@@ -335,9 +333,9 @@ def predict_nodal(
         normals=np.stack([bp1.inner_normal, bp2.inner_normal]),
         signs=(1, -1),
         delta_coeff=np.array([d1, d2]),
-        delta_exponent=1.0 / scale,
+        delta_exponent=1.0 / (n - 2.0),
         tau_coeff=np.array([t1, t2]),
-        tau_exponent=2.0 / (scale * (n + 1.0)),
+        tau_exponent=2.0 / ((n - 2.0) * (n + 1.0)),
     )
 
 

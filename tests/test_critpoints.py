@@ -169,6 +169,18 @@ def test_two_disjoint_balls_census_and_ordering():
     assert second.psi_value >= 0.9 * iso_small
 
 
+def test_census_order_ties_psi_values_within_their_standard_error():
+    # mirror minima of two separated balls: psi equal up to round-off, the
+    # lower value at +2.5; a third point lies far above both values' noise
+    def point(x, value):
+        return CriticalPoint(np.array([x, 0.0, 0.0]), value, 0.0, 0.0, np.ones(3), 0, True, psi_std=1e-6)
+
+    right, left, high = point(2.5, 4.0), point(-2.5, np.nextafter(4.0, 5.0)), point(-5.0, 4.1)
+    ordered = critpoints._dedupe([high, right, left], CRIT.merge_radius)
+    assert [p.location[0] for p in ordered] == [-2.5, 2.5, -5.0]
+    assert "psi_std" not in ordered[0].to_dict()
+
+
 def test_find_minima_equivariance_under_similarity():
     lam, v = 0.5, np.array([0.3, -0.2, 0.1])
     base = find_minima(dumbbell(), CFG, CRIT, seed=0)

@@ -171,6 +171,55 @@ def test_json_schema_round_trip(tmp_path):
     assert np.array_equal(clone.contains_many(X), dom.contains_many(X))
 
 
+def _same_bits(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda leaf: leaf,
+        lambda leaf: Union(leaf, Capsule([-1.0, 0.0, 0.0], [0.5, 0.5, 0.0], 0.4)),
+        lambda leaf: Difference(Ball(np.zeros(3), 1.2), leaf),
+    ],
+    ids=["leaf", "union", "difference"],
+)
+def test_a_ball_is_a_zero_length_capsule(build):
+    c, r = np.array([0.4, 0.1, -0.05]), 0.35
+    dom_ball, dom_cap = Domain(3, build(Ball(c, r))), Domain(3, build(Capsule(c, c, r)))
+    rng = np.random.default_rng(7)
+    X = rng.uniform(-1.5, 1.5, size=(2000, 3))
+    D = rng.normal(size=(256, 3))
+    D /= np.linalg.norm(D, axis=1, keepdims=True)
+    deep = deep_point(dom_ball)
+    assert all(_same_bits(u, v) for u, v in zip(deep, deep_point(dom_cap)))
+    for closed in (False, True):
+        assert _same_bits(dom_ball.contains_many(X, closed), dom_cap.contains_many(X, closed))
+    assert _same_bits(dom_ball.depth_bound_many(X), dom_cap.depth_bound_many(X))
+    assert _same_bits(dom_ball.bounding_radius([0.2, -0.3, 0.1]), dom_cap.bounding_radius([0.2, -0.3, 0.1]))
+    for origin in (deep[0], c + [r, 0.0, 0.0], [2.0, 0.5, -0.3]):
+        got = (dom.surface_crossing_candidates(origin, D, 4.0) for dom in (dom_ball, dom_cap))
+        assert all(_same_bits(u, v) for u, v in zip(*got))
+    for x in X[:20]:
+        p, q = boundary_nearest(dom_ball, x), boundary_nearest(dom_cap, x)
+        assert _same_bits(p.point, q.point) and _same_bits(p.inner_normal, q.inner_normal)
+    for p, q in zip(diameter_pair(dom_ball), diameter_pair(dom_cap)):
+        assert _same_bits(p.point, q.point) and _same_bits(p.inner_normal, q.inner_normal)
+    cfg = QuadratureConfig(seed=0, near_budget=2**12, far_shells=16, replicates=2)
+    p, q = (psi_integrals(dom, deep[0], cfg) for dom in (dom_ball, dom_cap))
+    assert _same_bits(p.value, q.value) and _same_bits(p.gradient, q.gradient) and _same_bits(p.hessian, q.hessian)
+
+
+def test_ball_leaves_are_capsules_but_serialize_as_balls():
+    c = np.array([0.4, 0.1, -0.05])
+    dom = Domain(3, Ball(c, 0.35))
+    [(leaf, sign)] = dom.leaves()
+    assert isinstance(leaf, Capsule) and sign == 1
+    assert np.array_equal(leaf.a, c) and np.array_equal(leaf.b, c) and leaf.radius == 0.35
+    assert dom.to_dict()["root"] == {"type": "ball", "center": list(c), "radius": 0.35}
+
+
 def test_bad_domain_dicts_rejected():
     with pytest.raises(PreconditionError):
         domain_from_dict({"root": {"type": "ball", "center": [0, 0], "radius": 1}})

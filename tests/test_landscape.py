@@ -3,7 +3,8 @@
 Independent routes used as oracles:
 
 * Beta/digamma closed forms for every dimensional constant (the library
-  computes them by radial quadrature);
+  uses the Beta forms too; only its log-weighted moment, which the digamma
+  form checks, comes from a radial quadrature);
 * golden-section / bounded scalar minimization for the optimal scales (the
   library uses closed forms or Newton);
 * a hand-derived closed form for the symmetric two-bubble optimum on a ball
@@ -343,18 +344,6 @@ def test_predict_nodal_optimum_is_a_true_minimum():
     t_closed = (n * (cn.c4_nodal / cn.c3_nodal) * sbar**2 * 2.0 ** (n - 1.0)) ** (1.0 / (n + 1.0))
     assert t1 == pytest.approx(t_closed, rel=1e-8)
     assert t2 == pytest.approx(t_closed, rel=1e-8)
-
-
-def test_predict_nodal_eps_power_scale_only_moves_exponents():
-    cn = constants(3)
-    base = predict_nodal(ball3(), 0.1, cn, CFG)
-    scaled = predict_nodal(ball3(), 0.1, cn, CFG, eps_power_scale=2.0)
-    assert scaled.parameters["d1"] == pytest.approx(base.parameters["d1"], rel=1e-12)
-    assert scaled.parameters["t1"] == pytest.approx(base.parameters["t1"], rel=1e-12)
-    assert scaled.delta_exponent == pytest.approx(0.5)
-    assert scaled.tau_exponent == pytest.approx(0.25)
-    with pytest.raises(PreconditionError):
-        predict_nodal(ball3(), 0.1, cn, CFG, eps_power_scale=0.0)
 
 
 def test_predict_nodal_rejects_misaligned_diameter_normals():
