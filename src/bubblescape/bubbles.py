@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .geometry import Ball, Difference, Domain, Union, deep_point
-from .landscape import Constants, hole_critical_point, optimal_d, reduced_energy_sub
+from .landscape import Constants, _check_eps, hole_critical_point, optimal_d, reduced_energy_hole, reduced_energy_sub
 from .quadrature import (
     QuadratureConfig,
     QuadratureResult,
@@ -324,8 +324,8 @@ def energy(domain: Domain, bubbles, eps: float, consts: Constants, config: Quadr
     n = consts.n
     if domain.dimension != n:
         raise PreconditionError("domain dimension does not match the constants")
-    if not 0.0 <= eps < 0.2:
-        raise PreconditionError("the subcriticality parameter must lie in [0, 0.2)")
+    if eps != 0.0:  # 0 is the critical case
+        _check_eps(eps)
     bubbles = tuple(bubbles)
     if not 1 <= len(bubbles) <= 2:
         raise PreconditionError("only one- and two-bubble ansatz functions are supported")
@@ -420,11 +420,11 @@ def _check_decreasing(values, name: str):
     return values
 
 
-def _check_eps(eps_list) -> list:
-    """The subcritical eps grid: strictly decreasing, every value in (0, 0.2)."""
+def _check_eps_grid(eps_list) -> list:
+    """The subcritical eps grid: strictly decreasing, every value in the range of ``_check_eps``."""
     eps_list = _check_decreasing(eps_list, "eps")
-    if eps_list[0] >= 0.2 or eps_list[-1] <= 0.0:
-        raise PreconditionError("eps values must lie in (0, 0.2)")
+    for eps in eps_list:
+        _check_eps(eps)
     return eps_list
 
 
@@ -437,7 +437,7 @@ def expansion_residual_sub(domain, xi, eps_list, consts: Constants, config: Quad
     sqrt(eps) certify the expansion.
     """
     _check_d(d)
-    eps_list = _check_eps(eps_list)
+    eps_list = _check_eps_grid(eps_list)
     n = consts.n
     xi = np.asarray(xi, dtype=float).reshape(-1)
     ev = psi_integrals(domain, xi, config)
@@ -481,7 +481,7 @@ def expansion_residual_hole(domain, rho_list, consts: Constants, config: Quadrat
     b1 = consts.c1 * ev.value
     if d is None:
         d = hole_critical_point(consts, b1)[0]
-    phi = b1 * d**n + consts.b2_hole * d**-n
+    phi = reduced_energy_hole(consts, b1, d, np.zeros(n))
     rows = []
     for rho in rho_list:
         holed = Domain(n, Difference(domain.root, Ball(center, rho)))

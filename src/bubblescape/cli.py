@@ -1,7 +1,8 @@
 """Reproducible command-line workflows over the landscape toolkit.
 
-Every subcommand resolves its flags into a :class:`RunManifest`, writes the
-resolved manifest next to its outputs, and emits only deterministic bytes
+Every subcommand resolves its flags into a :class:`RunManifest`, and
+:func:`main` writes the resolved manifest next to the outputs of a
+subcommand that returns.  Every output holds only deterministic bytes
 (floats via ``repr``, JSON with sorted keys, LF newlines, no timestamps), so
 rerunning the same invocation reproduces every output file byte for byte.
 
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bubbles import _check_d, _check_eps, expansion_residual_hole, expansion_residual_sub
+from .bubbles import _check_d, _check_eps_grid, expansion_residual_hole, expansion_residual_sub
 from .critpoints import CritConfig, census, find_minima, morse_audit
 from .errors import ConvergenceError, PreconditionError
 from .geometry import deep_point, load_domain
@@ -101,10 +102,6 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _write_manifest(manifest: RunManifest) -> None:
-    _write_json(os.path.join(manifest.output_dir, "manifest.json"), manifest.to_dict())
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -162,7 +159,6 @@ def cmd_psi_grid(manifest: RunManifest, domain) -> int:
                 f"{i},{j},{_fmt(xs[i])},{_fmt(ys[j])},{_fmt(values[i, j])}"
             )
     _write_text(os.path.join(manifest.output_dir, "psi_grid.csv"), lines)
-    _write_manifest(manifest)
     print(
         f"psi-grid: {idx.size} interior cells of {points.shape[0]}"
         f" ({unconverged} not converged); {summary[2:]}"
@@ -191,7 +187,6 @@ def cmd_crit(manifest: RunManifest, domain) -> int:
     """Run the critical-point census and write it as stable-key JSON."""
     rep = census(domain, manifest.quadrature, manifest.critical, seed=manifest.seed)
     _write_json(os.path.join(manifest.output_dir, "census.json"), rep.to_dict())
-    _write_manifest(manifest)
     verdict = "PASS" if rep.satisfied else "FAIL"
     print(
         f"crit: {len(rep.minima)} minima, {len(rep.saddles)} saddles;"
@@ -251,7 +246,6 @@ def cmd_predict(manifest: RunManifest, domain) -> int:
         lines.append(",".join(row))
     out = os.path.join(manifest.output_dir, f"predict_{manifest.regime}.csv")
     _write_text(out, lines)
-    _write_manifest(manifest)
     print(f"predict: regime={pred.regime}; {len(sweep)} sweep rows; {limits}")
     return 0
 
@@ -294,7 +288,6 @@ def cmd_energy_check(manifest: RunManifest, domain) -> int:
         )
     out = os.path.join(manifest.output_dir, f"energy_check_{manifest.regime}.csv")
     _write_text(out, lines)
-    _write_manifest(manifest)
     print(f"energy-check: regime={table.regime}; residuals {[f'{m:.6g}' for m in mags]}; {verdict}")
     return 0 if passed else 1
 
@@ -311,7 +304,6 @@ def cmd_morse_audit(manifest: RunManifest, domain) -> int:
         seed=manifest.seed,
     )
     _write_json(os.path.join(manifest.output_dir, "morse_audit.json"), audit.to_dict())
-    _write_manifest(manifest)
     verdict = "PASS" if audit.stable else "FAIL"
     print(
         f"morse-audit: {audit.trials} trials at rho={_fmt(audit.rho)};"
@@ -348,7 +340,6 @@ def cmd_constants(manifest: RunManifest, domain=None) -> int:
         "provenance": {key: _PROVENANCE[key] for key in values},
     }
     _write_json(os.path.join(manifest.output_dir, "constants.json"), payload)
-    _write_manifest(manifest)
     print(f"constants: n={manifest.dimension}; wrote {len(values)} values")
     return 0
 
@@ -374,13 +365,10 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--near-budget", type=int, default=2**20, help="quadrature ray budget")
     common.add_argument("--far-shells", type=int, default=64, help="dyadic far-field octaves")
     common.add_argument("--replicates", type=int, default=8, help="independent scramblings")
-    common.add_argument("--target-rel-err", type=float, default=1e-3, help="relative error target")
     common.add_argument("--multistart", type=int, default=12, help="extra Newton starts")
-    common.add_argument("--newton-tol", type=float, default=1e-3, help="accepted gradient norm")
     common.add_argument(
         "--dedupe-radius", type=float, default=0.05, help="radius each point claims; points closer than twice it merge"
     )
-    common.add_argument("--morse-tol", type=float, default=1e-6, help="relative degeneracy floor")
 
     top = argparse.ArgumentParser(
         prog="bubblescape",
@@ -427,14 +415,8 @@ def _resolve(args) -> tuple:
         near_budget=args.near_budget,
         far_shells=args.far_shells,
         replicates=args.replicates,
-        target_rel_err=args.target_rel_err,
     )
-    crit = CritConfig(
-        multistart=args.multistart,
-        newton_tol=args.newton_tol,
-        dedupe_radius=args.dedupe_radius,
-        morse_tol=args.morse_tol,
-    )
+    crit = CritConfig(multistart=args.multistart, dedupe_radius=args.dedupe_radius)
 
     domain = None
     if args.command == "constants":
@@ -548,7 +530,7 @@ def _resolve_energy_options(args, dimension: int, regime: str) -> dict:
     # before the default xi's minimum search
     _check_d(args.d)
     if regime == "sub":
-        _check_eps(values)
+        _check_eps_grid(values)
     if args.d is not None:
         options["d"] = float(args.d)
     return options
@@ -568,7 +550,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         manifest, domain = _resolve(args)
-        return _DISPATCH[manifest.command](manifest, domain)
+        rc = _DISPATCH[manifest.command](manifest, domain)
+        _write_json(os.path.join(manifest.output_dir, "manifest.json"), manifest.to_dict())
+        return rc
     except PreconditionError as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return 2

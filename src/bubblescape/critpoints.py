@@ -16,10 +16,11 @@ All derivative information comes from :func:`bubblescape.quadrature.
 psi_integrals`, whose direction-orbit construction cancels odd noise at
 mirror-symmetric points; Newton therefore converges essentially to machine
 precision at symmetric critical points, and elsewhere down to the measured
-noise floor.  ``newton_tol`` is the acceptance bound on the final gradient
+noise floor.  ``_NEWTON_TOL`` is the acceptance bound on the final gradient
 norm (inflated by three standard errors of the measured gradient noise), not
 an early-stopping threshold.  Only full-budget points are reported, and
-each passes that bound.
+each passes that bound; ``_MORSE_TOL`` is the relative eigenvalue floor
+below which a Hessian counts as degenerate.
 """
 
 from __future__ import annotations
@@ -57,33 +58,27 @@ __all__ = [
 _NEWTON_ITERS = 80  # Newton steps before the acceptance check
 _STRING_NODES = 11  # mountain-pass string nodes, both endpoints included
 _STRING_ROUNDS = 30  # string relaxation rounds
+_NEWTON_TOL = 1e-3  # accepted final gradient norm, before three standard errors of noise
+_MORSE_TOL = 1e-6  # relative eigenvalue floor of a nondegenerate Hessian
 
 
 @dataclass(frozen=True)
 class CritConfig:
     """Knobs for critical-point search.
 
-    ``newton_tol`` bounds the accepted final gradient norm;
+    ``multistart`` caps the Sobol starts of :func:`find_minima`;
     ``dedupe_radius`` is the radius of the ball each converged point claims,
-    so points closer than ``merge_radius`` (twice it) are one point;
-    ``morse_tol`` is the relative eigenvalue floor below which a Hessian
-    counts as degenerate.
+    so points closer than ``merge_radius`` (twice it) are one point.
     """
 
     multistart: int = 12
-    newton_tol: float = 1e-3
     dedupe_radius: float = 0.05
-    morse_tol: float = 1e-6
 
     def __post_init__(self):
         if self.multistart < 1:
             raise PreconditionError("multistart must be at least 1")
-        if not self.newton_tol > 0.0:
-            raise PreconditionError("newton_tol must be positive")
         if not self.dedupe_radius > 0.0:
             raise PreconditionError("dedupe_radius must be positive")
-        if not 0.0 < self.morse_tol < 1.0:
-            raise PreconditionError("morse_tol must lie in (0, 1)")
 
     @property
     def merge_radius(self) -> float:
@@ -199,7 +194,7 @@ def _newton(domain, x0, quad_cfg: QuadratureConfig, pd_floor: bool, scale: float
     point shares the direction fans, so ``y`` is a common-random-number
     difference, far less noisy than ``H`` near a saddle on a thin neck; SR1
     keeps the indefinite curvature a saddle needs.  Returns where it
-    stopped; :func:`_check_converged` verifies the ``newton_tol`` contract.
+    stopped; :func:`_polish` verifies the ``_NEWTON_TOL`` contract.
     """
     x = np.asarray(x0, dtype=float).copy()
     if not contains(domain, x):
@@ -250,28 +245,27 @@ def _newton(domain, x0, quad_cfg: QuadratureConfig, pd_floor: bool, scale: float
     return x, ev
 
 
-def _check_converged(ev, cfg: CritConfig) -> None:
-    """Raise unless the gradient norm is within ``newton_tol`` plus three standard errors."""
+def _polish(domain, x0, quad_cfg: QuadratureConfig, scale: float, pd_floor: bool) -> CriticalPoint:
+    """Newton from ``x0`` at ``quad_cfg``, classified by its Hessian.
+
+    Raises ``ConvergenceError`` unless the final gradient norm is within
+    ``_NEWTON_TOL`` plus three standard errors of the measured noise.
+    """
+    x, ev = _newton(domain, x0, quad_cfg, pd_floor=pd_floor, scale=scale)
     gn = float(np.linalg.norm(ev.gradient))
     sig = float(np.linalg.norm(ev.gradient_std))
-    if gn > cfg.newton_tol + 3.0 * sig:
-        raise ConvergenceError(
-            f"Newton stalled at gradient norm {gn:.3e} (noise {sig:.3e}, tol {cfg.newton_tol:.3e})"
-        )
-
-
-def _classify(x, ev, cfg: CritConfig) -> CriticalPoint:
+    if gn > _NEWTON_TOL + 3.0 * sig:
+        raise ConvergenceError(f"Newton stalled at gradient norm {gn:.3e} (noise {sig:.3e}, tol {_NEWTON_TOL:.3e})")
     eigs = np.sort(np.linalg.eigvalsh(ev.hessian))
     amax = max(float(np.max(np.abs(eigs))), 1e-300)
-    nondeg = bool(np.min(np.abs(eigs)) > cfg.morse_tol * amax)
     return CriticalPoint(
         location=x,
         psi_value=float(ev.value),
-        grad_norm=float(np.linalg.norm(ev.gradient)),
-        grad_std=float(np.linalg.norm(ev.gradient_std)),
+        grad_norm=gn,
+        grad_std=sig,
         hess_eigs=eigs,
         morse_index=int(np.sum(eigs < 0.0)),
-        nondegenerate=nondeg,
+        nondegenerate=bool(np.min(np.abs(eigs)) > _MORSE_TOL * amax),
         psi_std=float(ev.value_std),
     )
 
@@ -307,7 +301,7 @@ def find_minima(domain, quad_cfg: QuadratureConfig, crit_cfg: CritConfig | None 
     bounding radius.  Each start descends at :func:`_light_config`; its
     endpoint is polished at ``quad_cfg`` unless it lies within
     ``merge_radius`` of a minimum polished earlier.  A polished point is
-    kept when it passes :func:`_check_converged` and has Morse index 0.
+    kept when :func:`_polish` accepts it and it has Morse index 0.
     """
     cfg = crit_cfg or CritConfig()
     anchor = deep_point(domain)[0]
@@ -337,12 +331,10 @@ def find_minima(domain, quad_cfg: QuadratureConfig, crit_cfg: CritConfig | None 
         x, _ = _newton(domain, x0, light, pd_floor=True, scale=scale)
         if any(np.linalg.norm(x - p.location) <= cfg.merge_radius for p in found):
             continue
-        x, ev = _newton(domain, x, quad_cfg, pd_floor=True, scale=scale)
         try:
-            _check_converged(ev, cfg)
+            p = _polish(domain, x, quad_cfg, scale, pd_floor=True)
         except ConvergenceError:
             continue
-        p = _classify(x, ev, cfg)
         if p.morse_index == 0:
             found.append(p)
     if not found:
@@ -364,11 +356,12 @@ def mountain_pass(domain, x1, x2, quad_cfg: QuadratureConfig, crit_cfg: CritConf
     A piecewise-linear string between the endpoints is relaxed by moving
     interior nodes along the transverse gradient component and
     re-equidistributing; the highest node then seeds a full Newton polish.
-    Raises if the polished point is not a genuine barrier (positive index).
+    The endpoints are taken in ascending coordinate order, so swapping them
+    returns the same saddle.  Raises if the polished point is not a genuine
+    barrier (positive index).
     """
     cfg = crit_cfg or CritConfig()
-    x1 = np.asarray(x1, dtype=float).reshape(-1)
-    x2 = np.asarray(x2, dtype=float).reshape(-1)
+    x1, x2 = sorted((np.asarray(x, dtype=float).reshape(-1) for x in (x1, x2)), key=_lex_key)
     if not (contains(domain, x1) and contains(domain, x2)):
         raise PreconditionError("both endpoints must lie inside the region")
     if float(np.linalg.norm(x1 - x2)) <= cfg.merge_radius:
@@ -412,11 +405,9 @@ def mountain_pass(domain, x1, x2, quad_cfg: QuadratureConfig, crit_cfg: CritConf
 
     interior = range(1, K - 1)
     peak = max(interior, key=lambda i: values[i])
-    x, ev = _newton(domain, nodes[peak], quad_cfg, pd_floor=False, scale=scale)
-    _check_converged(ev, cfg)
-    if min(float(np.linalg.norm(x - x1)), float(np.linalg.norm(x - x2))) <= cfg.merge_radius:
+    p = _polish(domain, nodes[peak], quad_cfg, scale, pd_floor=False)
+    if min(float(np.linalg.norm(p.location - x1)), float(np.linalg.norm(p.location - x2))) <= cfg.merge_radius:
         raise ConvergenceError("the string collapsed onto an endpoint")
-    p = _classify(x, ev, cfg)
     if p.morse_index == 0:
         raise ConvergenceError("no barrier separates the endpoints (polish found a minimum)")
     return p
@@ -435,12 +426,10 @@ def census(domain, quad_cfg: QuadratureConfig, crit_cfg: CritConfig | None = Non
     comps = positive_leaf_components(domain)
 
     if warm_starts is not None:
-        pts = []
-        for w in warm_starts:
-            loc = w.location if isinstance(w, CriticalPoint) else np.asarray(w, dtype=float)
-            x, ev = _newton(domain, loc, quad_cfg, pd_floor=False, scale=scale)
-            _check_converged(ev, cfg)
-            pts.append(_classify(x, ev, cfg))
+        pts = [
+            _polish(domain, w.location if isinstance(w, CriticalPoint) else w, quad_cfg, scale, pd_floor=False)
+            for w in warm_starts
+        ]
         minima = _dedupe([p for p in pts if p.morse_index == 0], cfg.merge_radius)
         saddles = _dedupe([p for p in pts if p.morse_index > 0], cfg.merge_radius)
     else:

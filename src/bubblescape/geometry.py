@@ -37,7 +37,7 @@ Conventions
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 from scipy.special import ndtri
@@ -395,33 +395,27 @@ class Domain:
         return {"dimension": self.dimension, "root": _node_to_dict(self.root)}
 
 
+# The JSON schema: a node is {"type": <key below>, <its dataclass fields in
+# order>...}; the fields in _CHILD_FIELDS hold nodes, arrays are float lists.
+_NODE_TYPES = {
+    "ball": Ball, "capsule": Capsule, "union": Union, "difference": Difference, "translate": Translate, "scale": Scale
+}
+_CHILD_FIELDS = ("left", "right", "inner")
+
+
 def _node_to_dict(node) -> dict:
-    if isinstance(node, Ball):
-        return {"type": "ball", "center": list(map(float, node.center)), "radius": node.radius}
-    if isinstance(node, Capsule):
-        return {
-            "type": "capsule",
-            "a": list(map(float, node.a)),
-            "b": list(map(float, node.b)),
-            "radius": node.radius,
-        }
-    if isinstance(node, Union):
-        return {"type": "union", "left": _node_to_dict(node.left), "right": _node_to_dict(node.right)}
-    if isinstance(node, Difference):
-        return {
-            "type": "difference",
-            "left": _node_to_dict(node.left),
-            "right": _node_to_dict(node.right),
-        }
-    if isinstance(node, Translate):
-        return {
-            "type": "translate",
-            "offset": list(map(float, node.offset)),
-            "inner": _node_to_dict(node.inner),
-        }
-    if isinstance(node, Scale):
-        return {"type": "scale", "factor": node.factor, "inner": _node_to_dict(node.inner)}
-    raise PreconditionError(f"unknown CSG node {type(node).__name__}")
+    kind = next((key for key, cls in _NODE_TYPES.items() if type(node) is cls), None)
+    if kind is None:
+        raise PreconditionError(f"unknown CSG node {type(node).__name__}")
+    out = {"type": kind}
+    for f in fields(node):
+        v = getattr(node, f.name)
+        if f.name in _CHILD_FIELDS:
+            v = _node_to_dict(v)
+        elif isinstance(v, np.ndarray):
+            v = list(map(float, v))
+        out[f.name] = v
+    return out
 
 
 def _node_from_dict(data: dict):
@@ -429,24 +423,15 @@ def _node_from_dict(data: dict):
         kind = data["type"]
     except (TypeError, KeyError) as exc:
         raise PreconditionError("CSG node must be an object with a 'type' field") from exc
+    cls = _NODE_TYPES.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise PreconditionError(f"unknown CSG node type {kind!r}")
     try:
-        if kind == "ball":
-            return Ball(data["center"], data["radius"])
-        if kind == "capsule":
-            return Capsule(data["a"], data["b"], data["radius"])
-        if kind == "union":
-            return Union(_node_from_dict(data["left"]), _node_from_dict(data["right"]))
-        if kind == "difference":
-            return Difference(_node_from_dict(data["left"]), _node_from_dict(data["right"]))
-        if kind == "translate":
-            return Translate(data["offset"], _node_from_dict(data["inner"]))
-        if kind == "scale":
-            return Scale(data["factor"], _node_from_dict(data["inner"]))
+        return cls(*(_node_from_dict(data[f.name]) if f.name in _CHILD_FIELDS else data[f.name] for f in fields(cls)))
     except KeyError as exc:
         raise PreconditionError(f"missing field {exc} in '{kind}' node") from exc
     except (TypeError, ValueError) as exc:
         raise PreconditionError(f"malformed number in '{kind}' node: {exc}") from exc
-    raise PreconditionError(f"unknown CSG node type {kind!r}")
 
 
 def domain_from_dict(data: dict) -> Domain:
@@ -973,11 +958,11 @@ def leaf_anchors(leaf) -> list:
     return [0.5 * (leaf.a + leaf.b), leaf.a, leaf.b]
 
 
-def deep_point(domain, seed: int = 0):
+def deep_point(domain):
     """An interior point of (approximately) maximal conservative depth.
 
     Checks exact leaf candidates first (the :func:`leaf_anchors` of each positive leaf);
-    falls back to a seeded uniform scan of the enclosing ball.  Ties go to
+    falls back to a fixed-seed uniform scan of the enclosing ball.  Ties go to
     the lexicographically largest point.  Raises ``PreconditionError`` when
     the scan finds no interior point (an empty or very thin domain).
     """
@@ -994,7 +979,7 @@ def deep_point(domain, seed: int = 0):
             return C[i].copy(), float(depths[i])
     center = np.zeros(n) if not cands else np.mean(np.array(cands), axis=0)
     R = domain.bounding_radius(center)
-    rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0xDEE9)))
+    rng = np.random.default_rng(np.random.SeedSequence((0, 0xDEE9)))
     X = center + R * rng.uniform(-1.0, 1.0, size=(8192, n))
     depths = domain.depth_bound_many(X)
     i = int(np.argmax(depths))

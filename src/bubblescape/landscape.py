@@ -35,7 +35,7 @@ import numpy as np
 from scipy import special
 
 from .errors import ConvergenceError, PreconditionError
-from .geometry import BoundaryPoint, diameter_pair
+from .geometry import BoundaryPoint, _as_point, diameter_pair
 from .quadrature import QuadratureConfig, bubble_alpha, bubble_moment, psi_integrals, sphere_area
 
 __all__ = [
@@ -344,21 +344,17 @@ def predict_nodal(
 # ---------------------------------------------------------------------------
 
 
-def reduced_energy_hole(consts: Constants, domain, d: float, zeta, config: QuadratureConfig) -> float:
+def reduced_energy_hole(consts: Constants, b1: float, d: float, zeta) -> float:
     """Hole-regime reduced energy ``b1 d^n + b2 d^(-n) (1+|zeta|^2)^(-n)``.
 
-    ``b1 = c1 * psi(0)`` is evaluated on the *unholed* domain by exterior
-    quadrature; the hole enters only through the universal repulsion weight
-    ``b2``.  Requires the origin (the hole's center) to be interior.
+    ``b1 = c1 * psi`` takes the landscape of the *unholed* domain at the
+    hole's center; the hole enters only through the universal repulsion
+    weight ``b2``.
     """
     if not d > 0.0:
         raise PreconditionError("bubble scale d must be positive")
     n = consts.n
-    zeta = np.asarray(zeta, dtype=float).reshape(-1)
-    if zeta.shape != (n,):
-        raise PreconditionError(f"expected a hole-frame offset of dimension {n}")
-    ev = psi_integrals(domain, np.zeros(n), config)
-    b1 = consts.c1 * ev.value
+    zeta = _as_point(zeta, n)
     return b1 * d**n + consts.b2_hole * d**-n * (1.0 + float(zeta @ zeta)) ** -n
 
 
@@ -379,7 +375,7 @@ def predict_hole(domain, rho: float, consts: Constants, config: QuadratureConfig
     ev = psi_integrals(domain, np.zeros(n), config)
     b1 = consts.c1 * ev.value
     d0, zeta0 = hole_critical_point(consts, b1)
-    level = b1 * d0**n + consts.b2_hole * d0**-n
+    level = reduced_energy_hole(consts, b1, d0, zeta0)
     return RatePrediction(
         regime="hole",
         dimension=n,

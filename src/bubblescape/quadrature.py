@@ -45,7 +45,7 @@ from scipy import integrate, special
 from scipy.stats import qmc
 
 from .errors import PreconditionError
-from .geometry import deep_point, sphere_points
+from .geometry import _as_point, deep_point, sphere_points
 
 __all__ = [
     "QuadratureConfig",
@@ -66,6 +66,7 @@ _TAG_BALL = 0x5A4
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 _MAX_OCTAVES = 48  # geometric subdivision depth for general integrands
+_TARGET_REL_ERR = 1e-3  # an estimate converges when its standard error is within this share of |value|
 
 
 def sphere_area(n: int) -> float:
@@ -75,19 +76,19 @@ def sphere_area(n: int) -> float:
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Budgets and tolerances for the exterior quadrature engine.
+    """Budgets of the exterior quadrature engine.
 
     ``near_budget`` counts rays (sign-flip orbit copies included) summed over
     all replicates; ``far_shells`` caps the number of dyadic octaves used
     beyond the enclosing radius for general integrands; ``replicates`` is the
-    number of independent scramblings used for the error estimate.
+    number of independent scramblings used for the error estimate.  The
+    convergence target is the module constant ``_TARGET_REL_ERR``.
     """
 
     seed: int = 0
     near_budget: int = 2**20
     far_shells: int = 64
     replicates: int = 8
-    target_rel_err: float = 1e-3
 
     def __post_init__(self):
         if self.seed < 0:
@@ -98,12 +99,10 @@ class QuadratureConfig:
             raise PreconditionError("far_shells must be at least 16")
         if self.replicates < 2:
             raise PreconditionError("replicates must be at least 2")
-        if not self.target_rel_err > 0.0:
-            raise PreconditionError("target_rel_err must be positive")
 
     def accepts(self, value: float, std_error: float) -> bool:
-        """The convergence rule: standard error within ``target_rel_err`` of |value|."""
-        return bool(std_error <= self.target_rel_err * max(abs(value), 1e-300))
+        """The convergence rule: standard error within ``_TARGET_REL_ERR`` of |value|."""
+        return bool(std_error <= _TARGET_REL_ERR * max(abs(value), 1e-300))
 
 
 @dataclass
@@ -239,9 +238,7 @@ def psi_integrals(domain, xi, config: QuadratureConfig) -> PsiEvaluation:
     beyond it.  Raises ``PreconditionError`` if ``xi`` is not interior.
     """
     n = domain.dimension
-    xi = np.asarray(xi, dtype=float).reshape(-1)
-    if xi.shape != (n,):
-        raise PreconditionError(f"expected a point of dimension {n}")
+    xi = _as_point(xi, n)
     if not bool(domain.contains_many(xi[None, :])[0]):
         raise PreconditionError("landscape evaluation requires an interior point")
     R = float(domain.bounding_radius(xi))
@@ -334,9 +331,7 @@ def exterior_lp_mass(domain, f, p: float, config: QuadratureConfig, center=None)
     n = domain.dimension
     if center is None:
         center = deep_point(domain)[0]
-    center = np.asarray(center, dtype=float).reshape(-1)
-    if center.shape != (n,):
-        raise PreconditionError(f"expected a center of dimension {n}")
+    center = _as_point(center, n)
     R = float(domain.bounding_radius(center))
     f_abs_p = _abs_pow(f, p)
 
@@ -362,8 +357,8 @@ def exterior_lp_mass(domain, f, p: float, config: QuadratureConfig, center=None)
         octave_masses.append(float(shell_vals.mean()))
         total = abs(float((near + far).mean()))
         # Geometric decay makes the truncated tail at most a small multiple of
-        # the last octave, so this keeps the bias well below target_rel_err.
-        if shell >= 7 and octave_masses[-1] < max(1e-4 * config.target_rel_err * total, 1e-300):
+        # the last octave, so this keeps the bias well below _TARGET_REL_ERR.
+        if shell >= 7 and octave_masses[-1] < max(1e-4 * _TARGET_REL_ERR * total, 1e-300):
             stopped = True
             break
 
@@ -388,9 +383,9 @@ def exterior_bubble_mass(domain, delta: float, center, m: float, config: Quadrat
     ``decay_ok`` holds and ``n_evals`` counts segments.  Requires ``m (n-2) > n``.
     """
     n = domain.dimension
-    center = np.asarray(center, dtype=float).reshape(-1)
-    if center.shape != (n,) or not delta > 0.0:
-        raise PreconditionError(f"expected a center of dimension {n} and a positive scale")
+    center = _as_point(center, n)
+    if not delta > 0.0:
+        raise PreconditionError("bubble scale must be positive")
     whole = bubble_moment(n, m) * delta ** (n - m * (n - 2.0) / 2.0)
     s, t, d2 = n / 2.0, m * (n - 2.0) / 2.0 - n / 2.0, float(delta) ** 2
     R = float(domain.bounding_radius(center))
@@ -415,9 +410,7 @@ def exterior_bubble_mass(domain, delta: float, center, m: float, config: Quadrat
 def ball_lp_mass(f, p: float, center, radius: float, dimension: int, config: QuadratureConfig) -> QuadratureResult:
     """Integral of ``|f|^p`` over an open ball, by the same ray-fan engine."""
     n = int(dimension)
-    center = np.asarray(center, dtype=float).reshape(-1)
-    if center.shape != (n,):
-        raise PreconditionError(f"expected a center of dimension {n}")
+    center = _as_point(center, n)
     if not radius > 0.0:
         raise PreconditionError("ball radius must be positive")
     f_abs_p = _abs_pow(f, p)

@@ -32,7 +32,7 @@ from bubblescape.bubbles import (
     rescaling_isometry_check,
 )
 from bubblescape.cli import main
-from bubblescape.critpoints import CritConfig, census, morse_audit
+from bubblescape.critpoints import _MORSE_TOL, CritConfig, census, morse_audit
 from bubblescape.geometry import Ball, Capsule, Difference, Domain, Scale, Translate, Union
 from bubblescape.landscape import constants, hole_critical_point, optimal_d, reduced_energy_sub
 from bubblescape.quadrature import (
@@ -47,7 +47,7 @@ from bubblescape.quadrature import (
 CFG_FULL = QuadratureConfig(seed=0, near_budget=2**17, far_shells=32, replicates=8)
 CFG_MED = QuadratureConfig(seed=0, near_budget=2**16, far_shells=24, replicates=4)
 CFG_CENSUS = QuadratureConfig(seed=0, near_budget=2**15, far_shells=24, replicates=4)
-CRIT = CritConfig(multistart=8, newton_tol=1e-3, dedupe_radius=0.05)
+CRIT = CritConfig(multistart=8, dedupe_radius=0.05)
 
 
 def ball(n: int, radius: float = 1.0) -> Domain:
@@ -451,7 +451,7 @@ def test_criterion_12_morse_audit_dumbbell():
     audit = morse_audit(dumbbell(), rho=0.05, trials=5, quad_cfg=CFG_CENSUS, crit_cfg=CRIT, seed=0)
     assert audit.stable
     assert audit.failures == []
-    assert audit.min_margin > CRIT.morse_tol
+    assert audit.min_margin > _MORSE_TOL
     again = morse_audit(dumbbell(), rho=0.05, trials=5, quad_cfg=CFG_CENSUS, crit_cfg=CRIT, seed=0)
     assert json.dumps(audit.to_dict(), sort_keys=True) == json.dumps(again.to_dict(), sort_keys=True)
 

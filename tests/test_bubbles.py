@@ -36,9 +36,9 @@ from bubblescape.bubbles import (
 from bubblescape.errors import PreconditionError
 from bubblescape.geometry import Ball, Domain
 from bubblescape.landscape import constants
-from bubblescape.quadrature import QuadratureConfig, bubble_alpha, bubble_moment, sphere_area
+from bubblescape.quadrature import _TARGET_REL_ERR, QuadratureConfig, bubble_alpha, bubble_moment, sphere_area
 
-CFG = QuadratureConfig(seed=0, near_budget=2**17, far_shells=32, replicates=8, target_rel_err=1e-3)
+CFG = QuadratureConfig(seed=0, near_budget=2**17, far_shells=32, replicates=8)
 
 
 def ball(n: int, radius: float = 1.0) -> Domain:
@@ -345,7 +345,7 @@ def test_two_peak_mass_converged_judged_on_assembled_value():
 
     got = _two_peak_whole_mass(3, g, c1, c2, cfg)
     assert got.decay_ok
-    assert got.std_error <= cfg.target_rel_err * got.value
+    assert got.std_error <= _TARGET_REL_ERR * got.value
     assert got.converged
 
 

@@ -453,9 +453,16 @@ def test_manifest_records_resolved_configuration(tmp_path):
     assert man["command"] == "constants"
     assert man["dimension"] == 5
     assert man["seed"] == 7
-    assert man["quadrature"]["near_budget"] == 2048
-    assert man["quadrature"]["replicates"] == 8
-    assert man["critical"]["newton_tol"] == 1e-3
+    assert man["quadrature"] == {"seed": 7, "near_budget": 2048, "far_shells": 64, "replicates": 8}
+    assert man["critical"] == {"multistart": 12, "dedupe_radius": 0.05}
+
+
+@pytest.mark.parametrize("flag", ["--target-rel-err", "--newton-tol", "--morse-tol"])
+def test_fixed_tolerance_flags_refused(tmp_path, flag):
+    # these tolerances are module constants: argparse refuses the flags with exit code 2
+    with pytest.raises(SystemExit) as exc:
+        main(["crit", "--domain", ball3_file(tmp_path), "--out", str(tmp_path), *FAST, flag, "1e-3"])
+    assert exc.value.code == 2
 
 
 def test_missing_domain_exits_2(tmp_path):

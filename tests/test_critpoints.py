@@ -16,6 +16,7 @@ import pytest
 
 from bubblescape import critpoints
 from bubblescape.critpoints import (
+    _NEWTON_TOL,
     CensusReport,
     CriticalPoint,
     CritConfig,
@@ -29,8 +30,8 @@ from bubblescape.errors import ConvergenceError, PreconditionError
 from bubblescape.geometry import Ball, Capsule, Difference, Domain, Scale, Translate, Union
 from bubblescape.quadrature import QuadratureConfig, sphere_area
 
-CFG = QuadratureConfig(seed=0, near_budget=2**15, far_shells=24, replicates=4, target_rel_err=1e-3)
-CRIT = CritConfig(multistart=8, newton_tol=1e-3, dedupe_radius=0.05)
+CFG = QuadratureConfig(seed=0, near_budget=2**15, far_shells=24, replicates=4)
+CRIT = CritConfig(multistart=8, dedupe_radius=0.05)
 
 
 def ball3() -> Domain:
@@ -76,10 +77,6 @@ def dumbbell_census() -> CensusReport:
 def test_crit_config_validation():
     with pytest.raises(PreconditionError):
         CritConfig(multistart=0)
-    with pytest.raises(PreconditionError):
-        CritConfig(newton_tol=0.0)
-    with pytest.raises(PreconditionError):
-        CritConfig(morse_tol=1.5)
     with pytest.raises(PreconditionError):
         CritConfig(dedupe_radius=-1.0)
 
@@ -132,7 +129,7 @@ def test_dumbbell_census_structure(dumbbell_census):
 
     # census contract: gradient within tolerance + noise, separated points
     for p in rep.points:
-        assert p.grad_norm <= CRIT.newton_tol + 3.0 * p.grad_std
+        assert p.grad_norm <= _NEWTON_TOL + 3.0 * p.grad_std
         amax = float(np.max(np.abs(p.hess_eigs)))
         assert float(np.min(np.abs(p.hess_eigs))) > 1e-8 * amax
     for i, p in enumerate(rep.points):
@@ -185,13 +182,13 @@ def test_find_minima_equivariance_under_similarity():
     lam, v = 0.5, np.array([0.3, -0.2, 0.1])
     base = find_minima(dumbbell(), CFG, CRIT, seed=0)
     mapped_dom = Domain(3, Translate(v, Scale(lam, dumbbell_root())))
-    crit_scaled = CritConfig(multistart=8, newton_tol=1e-3, dedupe_radius=0.05 * lam)
+    crit_scaled = CritConfig(multistart=8, dedupe_radius=0.05 * lam)
     mapped = find_minima(mapped_dom, CFG, crit_scaled, seed=0)
     assert len(base) == len(mapped) == 2
     want = sorted((lam * p.location + v for p in base), key=lambda x: x[0])
     got = sorted((p.location for p in mapped), key=lambda x: x[0])
     for w, g in zip(want, got):
-        assert np.linalg.norm(w - g) <= 10.0 * CRIT.newton_tol
+        assert np.linalg.norm(w - g) <= 10.0 * _NEWTON_TOL
     # landscape scaling: psi(lam x + v; lam Omega + v) = lam^-n psi(x; Omega)
     base_vals = sorted(p.psi_value for p in base)
     mapped_vals = sorted(p.psi_value for p in mapped)
@@ -309,3 +306,9 @@ def test_dumbbell_census_seed_5_finds_the_neck_saddle():
     rep = census(dumbbell(), dataclasses.replace(CFG, seed=5), CRIT, seed=5)
     assert [p.morse_index for p in rep.points] == [0, 0, 1]
     assert np.linalg.norm(rep.saddles[0].location) <= 1e-3
+
+
+def test_mountain_pass_is_symmetric_in_its_endpoints():
+    cfg = QuadratureConfig(seed=0, near_budget=2**14, replicates=4)
+    a, b = np.array([-1.7328, 0.0, 0.0]), np.array([1.7328, 0.0, 0.0])
+    assert mountain_pass(dumbbell(), a, b, cfg).to_dict() == mountain_pass(dumbbell(), b, a, cfg).to_dict()

@@ -156,14 +156,26 @@ def test_json_schema_round_trip(tmp_path):
         ),
     )
     data = dom.to_dict()
-    assert data["dimension"] == 3
-    assert data["root"]["type"] == "difference"
-    assert data["root"]["left"]["type"] == "union"
-    assert data["root"]["left"]["left"] == {"type": "ball", "center": [0.0, 0.0, 0.0], "radius": 1.0}
-    assert data["root"]["left"]["right"]["a"] == [0.0, 0.0, 0.0]
-    assert data["root"]["right"]["type"] == "translate"
-    assert data["root"]["right"]["offset"] == [0.1, 0.0, 0.0]
-    assert data["root"]["right"]["inner"]["factor"] == 0.5
+    ball = {"type": "ball", "center": [0.0, 0.0, 0.0], "radius": 1.0}
+    assert data == {
+        "dimension": 3,
+        "root": {
+            "type": "difference",
+            "left": {
+                "type": "union",
+                "left": ball,
+                "right": {"type": "capsule", "a": [0.0, 0.0, 0.0], "b": [2.0, 0.0, 0.0], "radius": 0.5},
+            },
+            "right": {
+                "type": "translate",
+                "offset": [0.1, 0.0, 0.0],
+                "inner": {"type": "scale", "factor": 0.5, "inner": ball},
+            },
+        },
+    }
+    # key order too: "type" first, then the node's fields in declaration order
+    assert list(data["root"]["left"]["right"]) == ["type", "a", "b", "radius"]
+    assert list(data["root"]["right"]) == ["type", "offset", "inner"]
 
     clone = domain_from_dict(json.loads(json.dumps(data)))
     rng = np.random.default_rng(3)
@@ -229,6 +241,23 @@ def test_bad_domain_dicts_rejected():
         domain_from_dict({"dimension": 2, "root": {"type": "ball", "center": [0, 0], "radius": -1}})
     with pytest.raises(PreconditionError):
         domain_from_dict({"dimension": 2, "root": {"type": "scale", "factor": 0.0, "inner": {"type": "ball", "center": [0, 0], "radius": 1}}})
+    # a nested node's error is wrapped once per enclosing node
+    ball = {"type": "ball", "center": [0, 0], "radius": 1}
+    for root, message in [
+        ({"type": "union", "left": ball}, "missing field 'right' in 'union' node"),
+        (
+            {"type": "union", "left": {"type": "ball", "center": [0, 0]}, "right": ball},
+            "malformed number in 'union' node: missing field 'radius' in 'ball' node",
+        ),
+        (
+            {"type": "translate", "offset": [0, 0], "inner": {**ball, "center": ["x", 0]}},
+            "malformed number in 'translate' node: malformed number in 'ball' node: could not convert string to float: 'x'",
+        ),
+        ({"type": ["x"]}, "unknown CSG node type ['x']"),
+    ]:
+        with pytest.raises(PreconditionError) as exc:
+            domain_from_dict({"dimension": 2, "root": root})
+        assert str(exc.value) == message
 
 
 def test_non_finite_fields_rejected():

@@ -33,9 +33,9 @@ from bubblescape.landscape import (
     reduced_energy_nodal,
     reduced_energy_sub,
 )
-from bubblescape.quadrature import QuadratureConfig, bubble_alpha, sphere_area
+from bubblescape.quadrature import QuadratureConfig, bubble_alpha, psi_integrals, sphere_area
 
-CFG = QuadratureConfig(seed=0, near_budget=2**16, far_shells=32, replicates=8, target_rel_err=1e-3)
+CFG = QuadratureConfig(seed=0, near_budget=2**16, far_shells=32, replicates=8)
 
 
 # ---------------------------------------------------------------------------
@@ -362,10 +362,14 @@ def test_predict_nodal_rejects_misaligned_diameter_normals():
 # ---------------------------------------------------------------------------
 
 
+def _ball_b1(cn):
+    """``b1 = c1 psi(0)`` of the unit 3-ball, from the landscape engine."""
+    return cn.c1 * psi_integrals(ball3(), np.zeros(3), CFG).value
+
+
 def test_hole_energy_ball_frozen_value():
     cn = constants(3)
-    dom = ball3()
-    val = reduced_energy_hole(cn, dom, 1.0, np.zeros(3), CFG)
+    val = reduced_energy_hole(cn, _ball_b1(cn), 1.0, np.zeros(3))
     want = 8.0 * math.sqrt(3.0) * math.pi / 3.0
     assert val == pytest.approx(want, rel=1e-12)
     assert val == pytest.approx(14.510394913873741, rel=1e-12)
@@ -389,22 +393,22 @@ def test_hole_critical_point_matches_bounded_minimization():
 
 def test_hole_energy_coercive_in_d():
     cn = constants(3)
-    dom = ball3()
+    b1 = _ball_b1(cn)
     d0 = 1.0
-    mid = reduced_energy_hole(cn, dom, d0, np.zeros(3), CFG)
-    assert reduced_energy_hole(cn, dom, 1e-6, np.zeros(3), CFG) > 1e6 * mid
-    assert reduced_energy_hole(cn, dom, 1e6, np.zeros(3), CFG) > 1e6 * mid
+    mid = reduced_energy_hole(cn, b1, d0, np.zeros(3))
+    assert reduced_energy_hole(cn, b1, 1e-6, np.zeros(3)) > 1e6 * mid
+    assert reduced_energy_hole(cn, b1, 1e6, np.zeros(3)) > 1e6 * mid
 
 
 def test_hole_saddle_signature():
     """FD Hessian at (d0, 0): one positive direction in d, n negative in zeta."""
     cn = constants(3)
-    dom = ball3()
+    b1_measured = _ball_b1(cn)
     d0 = 1.0
     h = 1e-4
 
     def phi(d, zeta):
-        return reduced_energy_hole(cn, dom, d, zeta, CFG)
+        return reduced_energy_hole(cn, b1_measured, d, zeta)
 
     base = phi(d0, np.zeros(3))
     # d-direction: positive curvature
@@ -437,11 +441,11 @@ def test_predict_hole_ball():
 
 def test_hole_preconditions():
     cn = constants(3)
-    dom = ball3()
+    b1 = _ball_b1(cn)
     with pytest.raises(PreconditionError):
-        reduced_energy_hole(cn, dom, -1.0, np.zeros(3), CFG)
+        reduced_energy_hole(cn, b1, -1.0, np.zeros(3))
     with pytest.raises(PreconditionError):
-        reduced_energy_hole(cn, dom, 1.0, np.zeros(2), CFG)
+        reduced_energy_hole(cn, b1, 1.0, np.zeros(2))
     with pytest.raises(PreconditionError):
         hole_critical_point(cn, 0.0)
     with pytest.raises(PreconditionError):

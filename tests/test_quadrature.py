@@ -33,7 +33,7 @@ from bubblescape.quadrature import (
     sphere_area,
 )
 
-CFG = QuadratureConfig(seed=0, near_budget=2**17, far_shells=32, replicates=8, target_rel_err=1e-3)
+CFG = QuadratureConfig(seed=0, near_budget=2**17, far_shells=32, replicates=8)
 
 
 def unit_ball(n=3, radius=1.0, center=None):
@@ -301,12 +301,11 @@ def test_config_validation():
         QuadratureConfig(far_shells=8)
     with pytest.raises(PreconditionError):
         QuadratureConfig(replicates=1)
-    with pytest.raises(PreconditionError):
-        QuadratureConfig(target_rel_err=0.0)
 
 
 def test_unreachable_tolerance_reports_failure():
-    cfg = QuadratureConfig(seed=1, near_budget=1024, far_shells=16, replicates=4, target_rel_err=1e-14)
+    # the relative standard error here is 6.5e-3 to 8.8e-3 at seeds 1-3, against the 1e-3 target
+    cfg = QuadratureConfig(seed=1, near_budget=1024, far_shells=16, replicates=4)
     ev = psi_integrals(dumbbell(), np.array([1.1, 0.2, 0.1]), cfg)
     assert not ev.converged
 
@@ -338,7 +337,7 @@ def test_exterior_mass_radial_oracle():
 
     oracle = sphere_area(n) * integrate.quad(integrand, 1.0, np.inf, epsrel=1e-13)[0]
     assert res.decay_ok and res.converged
-    # tail truncation bias is documented to stay well below target_rel_err
+    # tail truncation bias is documented to stay well below _TARGET_REL_ERR
     assert abs(res.value - oracle) <= 5.0 * res.std_error + 1e-6 * oracle
 
 
