@@ -25,7 +25,7 @@ from bubblescape.geometry import Ball, Capsule, Domain, Union
 from bubblescape.quadrature import QuadratureConfig, sphere_area
 
 CFG = QuadratureConfig(seed=0, near_budget=2**15, far_shells=24, replicates=4)
-CRIT = CritConfig(multistart=8, dedupe_radius=0.05)
+CRIT = CritConfig(multistart=8)
 
 
 def show(report, title: str) -> None:

@@ -406,11 +406,6 @@ class ResidualTable:
     parameters: dict
 
 
-def _check_d(d: float | None):
-    if d is not None and not 0.0 < d < math.inf:
-        raise PreconditionError("the scale coefficient d must be positive and finite")
-
-
 def _check_decreasing(values, name: str):
     values = [float(v) for v in values]
     if len(values) < 2:
@@ -428,21 +423,20 @@ def _check_eps_grid(eps_list) -> list:
     return eps_list
 
 
-def expansion_residual_sub(domain, xi, eps_list, consts: Constants, config: QuadratureConfig, d: float | None = None) -> ResidualTable:
+def expansion_residual_sub(domain, xi, eps_list, consts: Constants, config: QuadratureConfig) -> ResidualTable:
     """Residuals of ``J = a + eps (b + Psi) + c eps ln eps`` on a shrinking grid.
 
-    For each eps the single-bubble ansatz ``delta = d eps^(1/n)`` at ``xi``
-    is assembled, its energy measured, and the first-order expansion removed;
-    the leftover is divided by eps.  Residuals shrinking roughly like
-    sqrt(eps) certify the expansion.
+    For each eps the single-bubble ansatz ``delta = d eps^(1/n)`` at ``xi``,
+    ``d`` the optimal scale coefficient for ``psi(xi)``, is assembled, its
+    energy measured, and the first-order expansion removed; the leftover is
+    divided by eps.  Residuals shrinking roughly like sqrt(eps) certify the
+    expansion.
     """
-    _check_d(d)
     eps_list = _check_eps_grid(eps_list)
     n = consts.n
     xi = np.asarray(xi, dtype=float).reshape(-1)
     ev = psi_integrals(domain, xi, config)
-    if d is None:
-        d = optimal_d(consts, ev.value)
+    d = optimal_d(consts, ev.value)
     psi_level = reduced_energy_sub(consts, ev.value, d)
     rows = []
     for eps in eps_list:
@@ -460,15 +454,14 @@ def expansion_residual_sub(domain, xi, eps_list, consts: Constants, config: Quad
     )
 
 
-def expansion_residual_hole(domain, rho_list, consts: Constants, config: QuadratureConfig, d: float | None = None, hole_center=None) -> ResidualTable:
+def expansion_residual_hole(domain, rho_list, consts: Constants, config: QuadratureConfig, hole_center=None) -> ResidualTable:
     """Residuals of ``J = a + rho^(n/2) Phi(d, 0)`` for a shrinking hole.
 
     The hole of radius rho is carved out of the region at ``hole_center``
-    (default: origin), the critical single-bubble ansatz
-    ``delta = d sqrt(rho)`` is centered there, and the reduced-energy
-    prediction is removed.
+    (default: origin), the critical single-bubble ansatz ``delta = d sqrt(rho)``,
+    ``d`` the reduced energy's critical point, is centered there, and the
+    reduced-energy prediction is removed.
     """
-    _check_d(d)
     rho_list = _check_decreasing(rho_list, "rho")
     if rho_list[-1] <= 0.0:
         raise PreconditionError("rho values must be positive")
@@ -479,8 +472,7 @@ def expansion_residual_hole(domain, rho_list, consts: Constants, config: Quadrat
         raise PreconditionError("the hole center must be interior with clearance twice the largest rho")
     ev = psi_integrals(domain, center, config)
     b1 = consts.c1 * ev.value
-    if d is None:
-        d = hole_critical_point(consts, b1)[0]
+    d = hole_critical_point(consts, b1)[0]
     phi = reduced_energy_hole(consts, b1, d, np.zeros(n))
     rows = []
     for rho in rho_list:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bubbles import _check_d, _check_eps_grid, expansion_residual_hole, expansion_residual_sub
+from .bubbles import _check_eps_grid, expansion_residual_hole, expansion_residual_sub
 from .critpoints import CritConfig, census, find_minima, morse_audit
 from .errors import ConvergenceError, PreconditionError
 from .geometry import deep_point, load_domain
@@ -110,10 +110,10 @@ def _write_json(path: str, payload: dict) -> None:
 def cmd_psi_grid(manifest: RunManifest, domain) -> int:
     """Sample the landscape over a 2D slice and write a long-format CSV grid.
 
-    Cells outside the region (or with certified depth below ``min_depth``)
-    carry the sentinel value -1.0, which is unambiguous because the landscape
-    is strictly positive at interior points.  The stdout summary counts the
-    cells whose estimate missed the convergence target.
+    Cells outside the region carry the sentinel value -1.0, which is
+    unambiguous because the landscape is strictly positive at interior
+    points.  The stdout summary counts the cells whose estimate missed the
+    convergence target.
     """
     opt = manifest.options
     n = domain.dimension
@@ -121,7 +121,6 @@ def cmd_psi_grid(manifest: RunManifest, domain) -> int:
     xs = np.linspace(opt["lo"][0], opt["hi"][0], opt["steps"][0])
     ys = np.linspace(opt["lo"][1], opt["hi"][1], opt["steps"][1])
     fixed = np.asarray(opt["fixed"], dtype=float)
-    min_depth = float(opt["min_depth"])
 
     points = np.empty((xs.size * ys.size, n))
     points[:, :] = _embed_fixed(n, (a0, a1), fixed)
@@ -130,8 +129,6 @@ def cmd_psi_grid(manifest: RunManifest, domain) -> int:
     points[:, a1] = grid_y.ravel()
 
     keep = domain.contains_many(points)
-    if min_depth > 0.0:
-        keep &= domain.depth_bound_many(points) >= min_depth
     if not bool(keep.any()):
         raise PreconditionError("the requested slice does not meet the region interior")
 
@@ -148,8 +145,8 @@ def cmd_psi_grid(manifest: RunManifest, domain) -> int:
     summary = _grid_summary(values, xs, ys)
     lines = [
         "# concentration landscape over a 2D slice; sentinel -1.0 marks cells outside"
-        " the region or below the depth guard (interior values are strictly positive)",
-        f"# axes=({a0},{a1}); fixed={[float(v) for v in fixed]!r}; min_depth={_fmt(min_depth)}",
+        " the region (interior values are strictly positive)",
+        f"# axes=({a0},{a1}); fixed={[float(v) for v in fixed]!r}",
         summary,
         f"i,j,x{a0},x{a1},psi",
     ]
@@ -256,19 +253,10 @@ def cmd_energy_check(manifest: RunManifest, domain) -> int:
     consts = constants(domain.dimension)
     values = [float(v) for v in opt["values"]]
     if manifest.regime == "sub":
-        table = expansion_residual_sub(
-            domain, _sub_xi(manifest, domain), values, consts, manifest.quadrature, d=opt.get("d")
-        )
+        table = expansion_residual_sub(domain, _sub_xi(manifest, domain), values, consts, manifest.quadrature)
         small_name = "epsilon"
     else:
-        table = expansion_residual_hole(
-            domain,
-            values,
-            consts,
-            manifest.quadrature,
-            d=opt.get("d"),
-            hole_center=opt.get("hole_center"),
-        )
+        table = expansion_residual_hole(domain, values, consts, manifest.quadrature, hole_center=opt.get("hole_center"))
         small_name = "rho"
 
     mags = [abs(row.residual) for row in table.rows]
@@ -366,9 +354,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--far-shells", type=int, default=64, help="dyadic far-field octaves")
     common.add_argument("--replicates", type=int, default=8, help="independent scramblings")
     common.add_argument("--multistart", type=int, default=12, help="extra Newton starts")
-    common.add_argument(
-        "--dedupe-radius", type=float, default=0.05, help="radius each point claims; points closer than twice it merge"
-    )
 
     top = argparse.ArgumentParser(
         prog="bubblescape",
@@ -382,7 +367,6 @@ def _build_parser() -> argparse.ArgumentParser:
     grid.add_argument("--hi", type=float, nargs=2, metavar=("A", "B"), help="upper slice corner")
     grid.add_argument("--steps", type=int, nargs=2, default=(33, 33), metavar=("NI", "NJ"))
     grid.add_argument("--fixed", type=float, nargs="*", help="values of the remaining coordinates")
-    grid.add_argument("--min-depth", type=float, default=0.0, help="interior depth guard")
 
     sub.add_parser("crit", parents=[common], help="critical-point census")
 
@@ -398,7 +382,6 @@ def _build_parser() -> argparse.ArgumentParser:
     en.add_argument("--values", type=float, nargs="+", help="strictly decreasing small parameters")
     en.add_argument("--xi", type=float, nargs="+", help="concentration point (sub; default: argmin)")
     en.add_argument("--hole-center", type=float, nargs="+", help="hole center (hole; default: origin)")
-    en.add_argument("--d", type=float, help="override the concentration scale coefficient")
 
     audit = sub.add_parser("morse-audit", parents=[common], help="census stability audit")
     audit.add_argument("--rho", type=float, default=0.05, help="C^2 size of the perturbations")
@@ -416,7 +399,7 @@ def _resolve(args) -> tuple:
         far_shells=args.far_shells,
         replicates=args.replicates,
     )
-    crit = CritConfig(multistart=args.multistart, dedupe_radius=args.dedupe_radius)
+    crit = CritConfig(multistart=args.multistart)
 
     domain = None
     if args.command == "constants":
@@ -486,15 +469,12 @@ def _resolve_grid_options(args, domain) -> dict:
         hi = [float(v) for v in args.hi]
     if not (lo[0] < hi[0] and lo[1] < hi[1]):
         raise PreconditionError("--lo must be strictly below --hi on both axes")
-    if not 0.0 <= args.min_depth < np.inf:
-        raise PreconditionError("--min-depth must be finite and nonnegative")
     return {
         "axes": list(axes),
         "lo": lo,
         "hi": hi,
         "steps": [int(args.steps[0]), int(args.steps[1])],
         "fixed": fixed,
-        "min_depth": float(args.min_depth),
     }
 
 
@@ -527,12 +507,8 @@ def _resolve_energy_options(args, dimension: int, regime: str) -> dict:
     options: dict = {"values": values}
     _point_option(options, "xi", args.xi, regime, "sub", dimension)
     _point_option(options, "hole_center", args.hole_center, regime, "hole", dimension)
-    # before the default xi's minimum search
-    _check_d(args.d)
     if regime == "sub":
-        _check_eps_grid(values)
-    if args.d is not None:
-        options["d"] = float(args.d)
+        _check_eps_grid(values)  # before the default xi's minimum search
     return options
 
 

@@ -7,10 +7,12 @@ endpoint is then polished once by a full-budget Newton iteration, unless it
 lies within the merge radius of a minimum already polished, so every basin
 pays the full budget once (sample-size continuation, Byrd, Chin, Nocedal and
 Wu 2012, with the basin test of multi-level single linkage, Rinnooy Kan and
-Timmer 1987).  Minima are connected through a string (elastic-band) method
-whose highest node is polished into a saddle by a full Newton iteration;
-both are assembled into a census, and the census is audited for stability
-under random C^2-small domain perturbations.
+Timmer 1987).  As there, the merge radius comes from the domain (a tenth of
+its largest positive leaf radius), so similar domains have similar censuses.
+Minima are connected through a string (elastic-band) method whose highest
+node is polished into a saddle by a full Newton iteration; both are
+assembled into a census, and the census is audited for stability under
+random C^2-small domain perturbations.
 
 All derivative information comes from :func:`bubblescape.quadrature.
 psi_integrals`, whose direction-orbit construction cancels odd noise at
@@ -35,12 +37,14 @@ from scipy.optimize import linear_sum_assignment
 from .errors import ConvergenceError, PreconditionError
 from .geometry import (
     PerturbationField,
+    PerturbedDomain,
     _member,
     contains,
     deep_point,
     leaf_anchors,
     perturb,
     positive_leaf_components,
+    sobol_points,
 )
 from .quadrature import QuadratureConfig, psi_integrals
 
@@ -66,24 +70,21 @@ _MORSE_TOL = 1e-6  # relative eigenvalue floor of a nondegenerate Hessian
 class CritConfig:
     """Knobs for critical-point search.
 
-    ``multistart`` caps the Sobol starts of :func:`find_minima`;
-    ``dedupe_radius`` is the radius of the ball each converged point claims,
-    so points closer than ``merge_radius`` (twice it) are one point.
+    ``multistart`` caps the Sobol starts of :func:`find_minima`.  The merge
+    radius is not a knob: :func:`_merge_radius` derives it from the domain.
     """
 
     multistart: int = 12
-    dedupe_radius: float = 0.05
 
     def __post_init__(self):
         if self.multistart < 1:
             raise PreconditionError("multistart must be at least 1")
-        if not self.dedupe_radius > 0.0:
-            raise PreconditionError("dedupe_radius must be positive")
 
-    @property
-    def merge_radius(self) -> float:
-        """Distance within which two points are one: for merging, basin skips and saddle endpoints."""
-        return 2.0 * self.dedupe_radius
+
+def _merge_radius(domain) -> float:
+    """Distance within which two points are one: a tenth of the largest positive leaf radius of the (base) domain."""
+    base = domain.base if isinstance(domain, PerturbedDomain) else domain
+    return 0.1 * max(leaf.radius for leaf, sign in base.leaves() if sign > 0)
 
 
 @dataclass
@@ -300,10 +301,11 @@ def find_minima(domain, quad_cfg: QuadratureConfig, crit_cfg: CritConfig | None 
     scrambled Sobol points inside the domain from the cube anchor +-
     bounding radius.  Each start descends at :func:`_light_config`; its
     endpoint is polished at ``quad_cfg`` unless it lies within
-    ``merge_radius`` of a minimum polished earlier.  A polished point is
+    :func:`_merge_radius` of a minimum polished earlier.  A polished point is
     kept when :func:`_polish` accepts it and it has Morse index 0.
     """
     cfg = crit_cfg or CritConfig()
+    radius = _merge_radius(domain)
     anchor = deep_point(domain)[0]
     scale = float(domain.bounding_radius(anchor))
     anchors = [c for comp in positive_leaf_components(domain) for leaf in comp for c in leaf_anchors(leaf)]
@@ -314,13 +316,7 @@ def find_minima(domain, quad_cfg: QuadratureConfig, crit_cfg: CritConfig | None 
     if not starts:
         starts = [anchor]
 
-    from scipy.stats import qmc
-
-    eng = qmc.Sobol(d=domain.dimension, scramble=True, seed=np.random.default_rng(np.random.SeedSequence((int(seed), 0xC417))))
-    # Draw a power-of-two block (Sobol balance) and slice; the prefix is the
-    # same point sequence either way.
-    count = 8 * cfg.multistart
-    raw = eng.random_base2(max(0, int(np.ceil(np.log2(count)))))[:count]
+    raw = sobol_points(domain.dimension, 8 * cfg.multistart, (int(seed), 0xC417))
     pts = anchor[None, :] + (2.0 * raw - 1.0) * scale
     inside = domain.contains_many(pts)
     extra = [pts[i] for i in np.nonzero(inside)[0][: cfg.multistart]]
@@ -329,7 +325,7 @@ def find_minima(domain, quad_cfg: QuadratureConfig, crit_cfg: CritConfig | None 
     found = []
     for x0 in starts + extra:
         x, _ = _newton(domain, x0, light, pd_floor=True, scale=scale)
-        if any(np.linalg.norm(x - p.location) <= cfg.merge_radius for p in found):
+        if any(np.linalg.norm(x - p.location) <= radius for p in found):
             continue
         try:
             p = _polish(domain, x, quad_cfg, scale, pd_floor=True)
@@ -339,7 +335,7 @@ def find_minima(domain, quad_cfg: QuadratureConfig, crit_cfg: CritConfig | None 
             found.append(p)
     if not found:
         raise ConvergenceError("no landscape minimum could be located")
-    return _dedupe(found, cfg.merge_radius)
+    return _dedupe(found, radius)
 
 
 def _light_config(quad_cfg: QuadratureConfig) -> QuadratureConfig:
@@ -358,13 +354,14 @@ def mountain_pass(domain, x1, x2, quad_cfg: QuadratureConfig, crit_cfg: CritConf
     re-equidistributing; the highest node then seeds a full Newton polish.
     The endpoints are taken in ascending coordinate order, so swapping them
     returns the same saddle.  Raises if the polished point is not a genuine
-    barrier (positive index).
+    barrier (positive index).  ``crit_cfg`` is unused; it is accepted so
+    that :func:`census` calls its routines alike.
     """
-    cfg = crit_cfg or CritConfig()
+    radius = _merge_radius(domain)
     x1, x2 = sorted((np.asarray(x, dtype=float).reshape(-1) for x in (x1, x2)), key=_lex_key)
     if not (contains(domain, x1) and contains(domain, x2)):
         raise PreconditionError("both endpoints must lie inside the region")
-    if float(np.linalg.norm(x1 - x2)) <= cfg.merge_radius:
+    if float(np.linalg.norm(x1 - x2)) <= radius:
         raise PreconditionError("endpoints are too close to separate")
     anchor = deep_point(domain)[0]
     scale = float(domain.bounding_radius(anchor))
@@ -406,7 +403,7 @@ def mountain_pass(domain, x1, x2, quad_cfg: QuadratureConfig, crit_cfg: CritConf
     interior = range(1, K - 1)
     peak = max(interior, key=lambda i: values[i])
     p = _polish(domain, nodes[peak], quad_cfg, scale, pd_floor=False)
-    if min(float(np.linalg.norm(p.location - x1)), float(np.linalg.norm(p.location - x2))) <= cfg.merge_radius:
+    if min(float(np.linalg.norm(p.location - x1)), float(np.linalg.norm(p.location - x2))) <= radius:
         raise ConvergenceError("the string collapsed onto an endpoint")
     if p.morse_index == 0:
         raise ConvergenceError("no barrier separates the endpoints (polish found a minimum)")
@@ -420,7 +417,7 @@ def census(domain, quad_cfg: QuadratureConfig, crit_cfg: CritConfig | None = Non
     census is re-established by polishing each start on this domain instead
     of searching from scratch — the mode used by the perturbation audit.
     """
-    cfg = crit_cfg or CritConfig()
+    radius = _merge_radius(domain)
     anchor = deep_point(domain)[0]
     scale = float(domain.bounding_radius(anchor))
     comps = positive_leaf_components(domain)
@@ -430,10 +427,10 @@ def census(domain, quad_cfg: QuadratureConfig, crit_cfg: CritConfig | None = Non
             _polish(domain, w.location if isinstance(w, CriticalPoint) else w, quad_cfg, scale, pd_floor=False)
             for w in warm_starts
         ]
-        minima = _dedupe([p for p in pts if p.morse_index == 0], cfg.merge_radius)
-        saddles = _dedupe([p for p in pts if p.morse_index > 0], cfg.merge_radius)
+        minima = _dedupe([p for p in pts if p.morse_index == 0], radius)
+        saddles = _dedupe([p for p in pts if p.morse_index > 0], radius)
     else:
-        minima = find_minima(domain, quad_cfg, cfg, seed=seed)
+        minima = find_minima(domain, quad_cfg, crit_cfg, seed=seed)
 
         def comp_of(x: np.ndarray) -> int:
             for ci, comp in enumerate(comps):
@@ -447,8 +444,8 @@ def census(domain, quad_cfg: QuadratureConfig, crit_cfg: CritConfig | None = Non
                 ci, cj = comp_of(minima[i].location), comp_of(minima[j].location)
                 if ci != cj or ci < 0:
                     continue
-                saddles.append(mountain_pass(domain, minima[i].location, minima[j].location, quad_cfg, cfg))
-        saddles = _dedupe(saddles, cfg.merge_radius)
+                saddles.append(mountain_pass(domain, minima[i].location, minima[j].location, quad_cfg, crit_cfg))
+        saddles = _dedupe(saddles, radius)
 
     cat = len(comps)
     # both lists come from _dedupe, already in census order
@@ -476,8 +473,7 @@ def morse_audit(
         raise PreconditionError("the perturbation size must lie in (0, 0.5)")
     if trials < 1:
         raise PreconditionError("need at least one trial")
-    cfg = crit_cfg or CritConfig()
-    base = census(domain, quad_cfg, cfg, seed=seed)
+    base = census(domain, quad_cfg, crit_cfg, seed=seed)
     anchor = deep_point(domain)[0]
     scale = float(domain.bounding_radius(anchor))
     light = _light_config(quad_cfg)
@@ -492,7 +488,7 @@ def morse_audit(
         ).with_c2_norm(rho)
         pdom = perturb(domain, fld)
         try:
-            rep = census(pdom, light, cfg, warm_starts=base.points)
+            rep = census(pdom, light, crit_cfg, warm_starts=base.points)
         except (ConvergenceError, PreconditionError) as exc:
             failures.append(f"trial {t}: census failed: {exc}")
             continue

@@ -83,6 +83,13 @@ def _finite(value, what: str) -> np.ndarray:
     return arr
 
 
+def sobol_points(n: int, count: int, key=None) -> np.ndarray:
+    """The first ``count`` n-dimensional Sobol points, scrambled from ``SeedSequence(key)`` unless ``key`` is None."""
+    rng = None if key is None else np.random.default_rng(np.random.SeedSequence(key))
+    # a power-of-two draw (Sobol balance), sliced: the prefix is the same sequence
+    return qmc.Sobol(d=n, scramble=key is not None, seed=rng).random_base2(max(0, int(np.ceil(np.log2(count)))))[:count]
+
+
 def sphere_points(U: np.ndarray) -> np.ndarray:
     """Map rows of the unit cube to unit vectors (Gaussian quantiles, normalized).
 
@@ -173,20 +180,28 @@ def _normalize(node, offset: np.ndarray, factor: float):
 
     Returns an equivalent Capsule/Union/Difference tree (a ball is the
     zero-length capsule); a leaf point p maps to ``factor * p + offset``.
+    Leaf points and offsets must have the length of ``offset``.
     """
     if isinstance(node, Ball):
         return _normalize(Capsule(node.center, node.center, node.radius), offset, factor)
     if isinstance(node, Capsule):
+        _check_length(node.a, offset, "leaf")
         return Capsule(factor * node.a + offset, factor * node.b + offset, factor * node.radius)
     if isinstance(node, Union):
         return Union(_normalize(node.left, offset, factor), _normalize(node.right, offset, factor))
     if isinstance(node, Difference):
         return Difference(_normalize(node.left, offset, factor), _normalize(node.right, offset, factor))
     if isinstance(node, Translate):
+        _check_length(node.offset, offset, "translation offset")
         return _normalize(node.inner, offset + factor * node.offset, factor)
     if isinstance(node, Scale):
         return _normalize(node.inner, offset, factor * node.factor)
     raise PreconditionError(f"unknown CSG node {type(node).__name__}")
+
+
+def _check_length(v: np.ndarray, offset: np.ndarray, what: str) -> None:
+    if v.shape != offset.shape:
+        raise PreconditionError(f"{what} of dimension {v.shape[0]} in a domain of dimension {offset.shape[0]}")
 
 
 def _leaves(node, sign: int = 1) -> list[tuple[object, int]]:
@@ -327,7 +342,7 @@ def _pack(m: int, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 def _probe_fan(n: int) -> np.ndarray:
     """The fixed 512-direction fan of the boundary and carved-leaf queries."""
-    return sphere_points(qmc.Sobol(d=n, scramble=False).random(512))
+    return sphere_points(sobol_points(n, 512))
 
 
 # ---------------------------------------------------------------------------
@@ -348,11 +363,6 @@ class Domain:
         if self.dimension < 1:
             raise PreconditionError("dimension must be >= 1")
         self._norm = _normalize(self.root, np.zeros(self.dimension), 1.0)
-        for leaf, _ in _leaves(self._norm):
-            if leaf.a.shape != (self.dimension,):
-                raise PreconditionError(
-                    f"leaf of dimension {leaf.a.shape[0]} in a domain of dimension {self.dimension}"
-                )
 
     # -- queries ------------------------------------------------------------
 
@@ -427,9 +437,13 @@ def _node_from_dict(data: dict):
     if cls is None:
         raise PreconditionError(f"unknown CSG node type {kind!r}")
     try:
-        return cls(*(_node_from_dict(data[f.name]) if f.name in _CHILD_FIELDS else data[f.name] for f in fields(cls)))
+        args = [_node_from_dict(data[f.name]) if f.name in _CHILD_FIELDS else data[f.name] for f in fields(cls)]
     except KeyError as exc:
         raise PreconditionError(f"missing field {exc} in '{kind}' node") from exc
+    try:
+        return cls(*args)
+    except PreconditionError:
+        raise  # a leaf's own range check, not a malformed number
     except (TypeError, ValueError) as exc:
         raise PreconditionError(f"malformed number in '{kind}' node: {exc}") from exc
 

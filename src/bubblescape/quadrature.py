@@ -42,10 +42,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate, special
-from scipy.stats import qmc
 
 from .errors import PreconditionError
-from .geometry import _as_point, deep_point, sphere_points
+from .geometry import _as_point, deep_point, sobol_points, sphere_points
 
 __all__ = [
     "QuadratureConfig",
@@ -145,9 +144,7 @@ def _base_direction_count(n: int, config: QuadratureConfig, nodes_per_ray: int =
 
 def _folded_fan(seed: int, tag: int, rep: int, n: int, m_base: int) -> np.ndarray:
     """``m_base`` scrambled-Sobol sphere points folded into the positive orthant (read-only)."""
-    seed_seq = np.random.SeedSequence((seed, tag, rep))
-    eng = qmc.Sobol(d=n, scramble=True, seed=np.random.default_rng(seed_seq))
-    G = np.abs(sphere_points(eng.random(m_base)))
+    G = np.abs(sphere_points(sobol_points(n, m_base, (seed, tag, rep))))
     G.setflags(write=False)
     return G
 

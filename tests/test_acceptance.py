@@ -47,7 +47,7 @@ from bubblescape.quadrature import (
 CFG_FULL = QuadratureConfig(seed=0, near_budget=2**17, far_shells=32, replicates=8)
 CFG_MED = QuadratureConfig(seed=0, near_budget=2**16, far_shells=24, replicates=4)
 CFG_CENSUS = QuadratureConfig(seed=0, near_budget=2**15, far_shells=24, replicates=4)
-CRIT = CritConfig(multistart=8, dedupe_radius=0.05)
+CRIT = CritConfig(multistart=8)
 
 
 def ball(n: int, radius: float = 1.0) -> Domain:

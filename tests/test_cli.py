@@ -214,14 +214,6 @@ def test_psi_grid_slice_outside_exits_2(tmp_path):
     assert rc == 2
 
 
-@pytest.mark.parametrize("depth", ["nan", "inf", "-0.1"])
-def test_psi_grid_min_depth_must_be_finite_and_nonnegative(tmp_path, depth):
-    out = tmp_path / "g"
-    rc = main(["psi-grid", "--domain", ball3_file(tmp_path), "--out", str(out), *FAST, "--min-depth", depth])
-    assert rc == 2
-    assert not (out / "manifest.json").exists()
-
-
 # ---------------------------------------------------------------------------
 # crit
 # ---------------------------------------------------------------------------
@@ -454,14 +446,25 @@ def test_manifest_records_resolved_configuration(tmp_path):
     assert man["dimension"] == 5
     assert man["seed"] == 7
     assert man["quadrature"] == {"seed": 7, "near_budget": 2048, "far_shells": 64, "replicates": 8}
-    assert man["critical"] == {"multistart": 12, "dedupe_radius": 0.05}
+    assert man["critical"] == {"multistart": 12}
 
 
-@pytest.mark.parametrize("flag", ["--target-rel-err", "--newton-tol", "--morse-tol"])
+# the subcommand that read each deleted flag, where it was not crit
+_DELETED_FLAG_COMMAND = {
+    "--min-depth": ["psi-grid"],
+    "--d": ["energy-check", "--regime", "sub"],
+    "--eps-power-scale": ["predict", "--regime", "nodal"],
+}
+
+
+@pytest.mark.parametrize(
+    "flag", ["--target-rel-err", "--newton-tol", "--morse-tol", "--dedupe-radius", "--min-depth", "--d", "--eps-power-scale"]
+)
 def test_fixed_tolerance_flags_refused(tmp_path, flag):
-    # these tolerances are module constants: argparse refuses the flags with exit code 2
+    # these settings are module constants, derived or deleted: argparse refuses the flags with exit code 2
+    command = _DELETED_FLAG_COMMAND.get(flag, ["crit"])
     with pytest.raises(SystemExit) as exc:
-        main(["crit", "--domain", ball3_file(tmp_path), "--out", str(tmp_path), *FAST, flag, "1e-3"])
+        main([*command, "--domain", ball3_file(tmp_path), "--out", str(tmp_path), *FAST, flag, "1e-3"])
     assert exc.value.code == 2
 
 
@@ -529,27 +532,20 @@ def test_negative_seed_exits_2(tmp_path, capsys):
     assert "seed" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["energy-check", "--regime", "sub", "--xi", "0", "0", "0", "--d", "inf"],
-        ["predict", "--regime", "nodal", "--eps-power-scale", "inf"],
-    ],
-)
-def test_non_finite_scale_exits_2(tmp_path, argv):
-    argv = [*argv, "--domain", ball3_file(tmp_path), "--out", str(tmp_path), *FAST]
-    if "--eps-power-scale" in argv:
-        # the nodal power-scale override no longer exists: argparse refuses the flag with exit code 2
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
-    else:
-        assert main(argv) == 2
-
-
 def test_dimension_mismatch_exits_2(tmp_path):
     rc = main(["crit", "--domain", ball3_file(tmp_path), "--dim", "4", "--out", str(tmp_path)])
     assert rc == 2
+
+
+@pytest.mark.parametrize(
+    "root",
+    [{"type": "ball", "center": [5.0], "radius": 1.0}, {"type": "translate", "offset": [1.0, 0.0], "inner": _BALL}],
+    ids=["center", "offset"],
+)
+def test_domain_vector_of_wrong_dimension_exits_2(tmp_path, capsys, root):
+    path = write_domain(tmp_path, "bad.json", {"dimension": 3, "root": root})
+    assert main(["crit", "--domain", path, "--out", str(tmp_path), *FAST]) == 2
+    assert "in a domain of dimension 3" in capsys.readouterr().err
 
 
 def test_bad_axes_exit_2(tmp_path):

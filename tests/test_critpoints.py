@@ -31,7 +31,7 @@ from bubblescape.geometry import Ball, Capsule, Difference, Domain, Scale, Trans
 from bubblescape.quadrature import QuadratureConfig, sphere_area
 
 CFG = QuadratureConfig(seed=0, near_budget=2**15, far_shells=24, replicates=4)
-CRIT = CritConfig(multistart=8, dedupe_radius=0.05)
+CRIT = CritConfig(multistart=8)
 
 
 def ball3() -> Domain:
@@ -77,8 +77,6 @@ def dumbbell_census() -> CensusReport:
 def test_crit_config_validation():
     with pytest.raises(PreconditionError):
         CritConfig(multistart=0)
-    with pytest.raises(PreconditionError):
-        CritConfig(dedupe_radius=-1.0)
 
 
 def test_ball_minimum_found_to_high_precision():
@@ -134,7 +132,7 @@ def test_dumbbell_census_structure(dumbbell_census):
         assert float(np.min(np.abs(p.hess_eigs))) > 1e-8 * amax
     for i, p in enumerate(rep.points):
         for q in rep.points[i + 1 :]:
-            assert np.linalg.norm(p.location - q.location) > CRIT.dedupe_radius
+            assert np.linalg.norm(p.location - q.location) > critpoints._merge_radius(dumbbell())
 
 
 def test_mirror_symmetric_minima_values_match(dumbbell_census):
@@ -173,17 +171,18 @@ def test_census_order_ties_psi_values_within_their_standard_error():
         return CriticalPoint(np.array([x, 0.0, 0.0]), value, 0.0, 0.0, np.ones(3), 0, True, psi_std=1e-6)
 
     right, left, high = point(2.5, 4.0), point(-2.5, np.nextafter(4.0, 5.0)), point(-5.0, 4.1)
-    ordered = critpoints._dedupe([high, right, left], CRIT.merge_radius)
+    ordered = critpoints._dedupe([high, right, left], 0.1)
     assert [p.location[0] for p in ordered] == [-2.5, 2.5, -5.0]
     assert "psi_std" not in ordered[0].to_dict()
 
 
-def test_find_minima_equivariance_under_similarity():
+def test_find_minima_equivariance_under_similarity(dumbbell_census):
+    # one config for both domains: the merge radius scales with the domain
     lam, v = 0.5, np.array([0.3, -0.2, 0.1])
-    base = find_minima(dumbbell(), CFG, CRIT, seed=0)
+    base = dumbbell_census.minima
     mapped_dom = Domain(3, Translate(v, Scale(lam, dumbbell_root())))
-    crit_scaled = CritConfig(multistart=8, dedupe_radius=0.05 * lam)
-    mapped = find_minima(mapped_dom, CFG, crit_scaled, seed=0)
+    assert critpoints._merge_radius(mapped_dom) == lam * critpoints._merge_radius(dumbbell())
+    mapped = find_minima(mapped_dom, CFG, CRIT, seed=0)
     assert len(base) == len(mapped) == 2
     want = sorted((lam * p.location + v for p in base), key=lambda x: x[0])
     got = sorted((p.location for p in mapped), key=lambda x: x[0])
@@ -194,6 +193,12 @@ def test_find_minima_equivariance_under_similarity():
     mapped_vals = sorted(p.psi_value for p in mapped)
     for b, m in zip(base_vals, mapped_vals):
         assert m == pytest.approx(b / lam**3, rel=1e-6)
+    # the saddle between the mapped minima is the mapped saddle
+    [s] = dumbbell_census.saddles
+    t = mountain_pass(mapped_dom, got[0], got[1], CFG, CRIT)
+    assert np.linalg.norm(t.location - (lam * s.location + v)) <= 10.0 * _NEWTON_TOL
+    assert t.morse_index == s.morse_index == 1
+    assert t.psi_value == pytest.approx(s.psi_value / lam**3, rel=1e-6)
 
 
 def test_mountain_pass_requires_a_barrier():
@@ -282,8 +287,8 @@ def test_crit_holed_ball_polishes_one_minimum_once(tmp_path, monkeypatch, seed):
 
 
 def test_census_merges_noisy_minima_at_the_mountain_pass_radius():
-    # noisy polishes of one minimum used to survive the merge between one and
-    # two dedupe radii apart, and the saddle search then refused the pair
+    # noisy polishes of one minimum used to survive the merge between 0.05
+    # and 0.1 apart, and the saddle search then refused the pair
     cfg = QuadratureConfig(seed=0, near_budget=2**13, far_shells=24, replicates=2)
     rep = census(holed_ball(), cfg, CritConfig(), seed=3)
     assert [p.morse_index for p in rep.points] == [0]

@@ -241,19 +241,24 @@ def test_bad_domain_dicts_rejected():
         domain_from_dict({"dimension": 2, "root": {"type": "ball", "center": [0, 0], "radius": -1}})
     with pytest.raises(PreconditionError):
         domain_from_dict({"dimension": 2, "root": {"type": "scale", "factor": 0.0, "inner": {"type": "ball", "center": [0, 0], "radius": 1}}})
-    # a nested node's error is wrapped once per enclosing node
+    # a nested node's error reaches the caller as the node raised it; only a
+    # number that does not parse is labelled "malformed number"
     ball = {"type": "ball", "center": [0, 0], "radius": 1}
     for root, message in [
         ({"type": "union", "left": ball}, "missing field 'right' in 'union' node"),
-        (
-            {"type": "union", "left": {"type": "ball", "center": [0, 0]}, "right": ball},
-            "malformed number in 'union' node: missing field 'radius' in 'ball' node",
-        ),
+        ({"type": "union", "left": {"type": "ball", "center": [0, 0]}, "right": ball}, "missing field 'radius' in 'ball' node"),
         (
             {"type": "translate", "offset": [0, 0], "inner": {**ball, "center": ["x", 0]}},
-            "malformed number in 'translate' node: malformed number in 'ball' node: could not convert string to float: 'x'",
+            "malformed number in 'ball' node: could not convert string to float: 'x'",
         ),
+        ({**ball, "radius": -1}, "ball radius must be positive and finite"),
         ({"type": ["x"]}, "unknown CSG node type ['x']"),
+        # vectors whose length is not the domain dimension
+        ({**ball, "center": [5]}, "leaf of dimension 1 in a domain of dimension 2"),
+        ({**ball, "center": [0, 0, 0]}, "leaf of dimension 3 in a domain of dimension 2"),
+        ({"type": "capsule", "a": [0], "b": [1], "radius": 1}, "leaf of dimension 1 in a domain of dimension 2"),
+        ({"type": "translate", "offset": [1.0], "inner": ball}, "translation offset of dimension 1 in a domain of dimension 2"),
+        ({"type": "translate", "offset": [1, 0, 0], "inner": ball}, "translation offset of dimension 3 in a domain of dimension 2"),
     ]:
         with pytest.raises(PreconditionError) as exc:
             domain_from_dict({"dimension": 2, "root": root})
