@@ -15,9 +15,11 @@ parameters.  Membership along the ray is a comparison of the ray parameter
 with those spans, combined down the CSG tree like point membership; the
 parameters where it flips are the ray's boundary crossings.  On a perturbed
 domain each leaf's surface can only be crossed inside band windows of the
-same spans, where a certificate admits one root; rays the certificate does
-not cover take a membership scan.  One bracketed root solve on the perturbed
-depth refines both the certified windows and the scan's flips.
+same spans; where a certificate admits one root, that root replaces the
+span end, and the perturbed spans combine down the tree the same way.  A
+ray with an uncertified window is traced by bisecting the perturbed depth
+over those windows (``PerturbedDomain.fallback_rays`` counts them), which
+misses only features thinner than the pull-back tolerance.
 
 All queries are deterministic.  Batched variants operate on ``(m, n)`` arrays
 of row points and are the workhorses of the quadrature layer; scalar wrappers
@@ -332,6 +334,25 @@ def _on_ray(node, T: np.ndarray, spans) -> np.ndarray:
     raise PreconditionError(f"non-normalized node {type(node).__name__}")
 
 
+def _span_flips(norm, spans, t_hi: float):
+    """Membership flips along rays from their leaf spans, and first-segment flags.
+
+    ``spans`` holds each leaf's ``(lo, hi)`` in ``_leaves`` order.  The span
+    ends in (0, t_hi) cut each ray into gaps, classified at their midpoints
+    by ``_on_ray``; an end is a flip where that changes.  Returns
+    ``(flips, inside0)``: ``flips`` is (m, K), each row ascending and
+    NaN-padded, and ``inside0`` is each ray's first-gap membership.
+    """
+    ends = np.concatenate([np.stack(span, axis=1) for span in spans], axis=1)
+    ends = np.where((ends > 1e-14 * max(t_hi, 1.0)) & (ends < t_hi), ends, np.nan)
+    ends.sort(axis=1)
+    m = ends.shape[0]
+    edges = np.concatenate([np.zeros((m, 1)), np.where(np.isfinite(ends), ends, t_hi), np.full((m, 1), t_hi)], axis=1)
+    inside = _on_ray(norm, 0.5 * (edges[:, :-1] + edges[:, 1:]), iter(spans))
+    ray, col = np.nonzero((inside[:, 1:] != inside[:, :-1]) & np.isfinite(ends))
+    return _pack(m, ray, ends[ray, col]), inside[:, 0]
+
+
 def _pack(m: int, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Scatter values, grouped by ascending row, into an (m, K) NaN-padded array; K the widest row, at least 1."""
     counts = np.bincount(rows, minlength=m)
@@ -378,23 +399,10 @@ class Domain:
         return _enclosing_radius(self._norm, _as_point(center, self.dimension))
 
     def surface_crossing_candidates(self, origin, D: np.ndarray, t_hi: float):
-        """Membership flips along the rays ``origin + t D``, t in (0, t_hi), and first-segment flags.
-
-        Returns ``(flips, inside0)``: ``flips`` is (m, K), each row ascending
-        and NaN-padded.  The leaf span ends cut each ray into gaps, classified
-        at their midpoints by ``_on_ray``; an end is a flip where that changes.
-        """
+        """Membership flips along the rays ``origin + t D``, t in (0, t_hi), and first-segment flags (:func:`_span_flips`)."""
         o = _as_point(origin, self.dimension)
         D = np.asarray(D, dtype=float)
-        spans = [_leaf_span(leaf, o, D) for leaf, _ in _leaves(self._norm)]
-        ends = np.concatenate([np.stack(span, axis=1) for span in spans], axis=1)
-        ends = np.where((ends > 1e-14 * max(t_hi, 1.0)) & (ends < t_hi), ends, np.nan)
-        ends.sort(axis=1)
-        m = D.shape[0]
-        edges = np.concatenate([np.zeros((m, 1)), np.where(np.isfinite(ends), ends, t_hi), np.full((m, 1), t_hi)], axis=1)
-        inside = _on_ray(self._norm, 0.5 * (edges[:, :-1] + edges[:, 1:]), iter(spans))
-        ray, col = np.nonzero((inside[:, 1:] != inside[:, :-1]) & np.isfinite(ends))
-        return _pack(m, ray, ends[ray, col]), inside[:, 0]
+        return _span_flips(self._norm, [_leaf_span(leaf, o, D) for leaf, _ in _leaves(self._norm)], t_hi)
 
     def leaves(self) -> list[tuple[object, int]]:
         return _leaves(self._norm)
@@ -580,14 +588,14 @@ class PerturbedDomain:
     ``x <- y - theta(x)`` to absolute tolerance 1e-12 (times the domain
     scale); the C^2 bound below one half certifies the contraction.
 
-    Band certificate: the base depth is 1-Lipschitz and has the sign of base
-    membership, and every pulled-back point lies within
-    ``theta.amplitude_bound()`` of its image.  So a point whose base depth
-    exceeds that band (plus 1e-9 times the domain scale for rounding) in
-    absolute value is inside the perturbed domain exactly when it is inside
-    the base domain, for open and closed membership alike.  Only points
-    inside the band, or with a non-finite depth, are pulled back.  The same
-    argument holds leaf by leaf, which is what the ray crossings use.
+    Band certificate: every pulled-back point lies within
+    ``theta.amplitude_bound()`` of its image, and the distance to a leaf's
+    axis is 1-Lipschitz.  So a point farther than that band (plus 1e-9
+    times the domain scale for rounding) from a leaf's surface is inside the
+    perturbed leaf exactly when it is inside the base leaf.  The ray
+    crossings use this leaf by leaf; ``fallback_rays`` counts the rays they
+    trace instead, where only features thinner than the pull-back tolerance
+    can be missed.
     """
 
     def __init__(self, base, theta: PerturbationField):
@@ -605,7 +613,7 @@ class PerturbedDomain:
         self._band = theta.amplitude_bound() + 1e-9 * max(self._scale, 1.0)
         a, L = theta.amplitude_bound(), theta.lipschitz_bound()
         self._margin = 1.0 - min(L, 0.999)  # depth_bound_many's factor on the base depth
-        self.fallback_rays = 0  # rays whose crossings came from the membership scan
+        self.fallback_rays = 0  # rays traced by _trace because a window was not certified
         # Each base leaf with its band-widened copy, its band-narrowed copy
         # (None when r <= band + a, which no window certificate covers) and
         # kappa, the bound on |g' - q| of surface_crossing_candidates.
@@ -646,14 +654,9 @@ class PerturbedDomain:
     # -- queries --------------------------------------------------------------
 
     def contains_many(self, Y: np.ndarray, closed: bool = False) -> np.ndarray:
-        """Membership of each row; rows outside the depth band skip the pull-back."""
+        """Membership of each row: the base membership of its pull-back."""
         Y = np.atleast_2d(np.asarray(Y, dtype=float))
-        d = self.base.depth_bound_many(Y)
-        inside = d > 0.0
-        near = ~(np.isfinite(d) & (np.abs(d) > self._band))  # non-finite depths take the full path
-        if np.any(near):
-            inside[near] = self.base.contains_many(self.pull_back(Y[near]), closed)
-        return inside
+        return self.base.contains_many(self.pull_back(Y), closed)
 
     def depth_bound_many(self, Y: np.ndarray) -> np.ndarray:
         Y = np.atleast_2d(np.asarray(Y, dtype=float))
@@ -665,86 +668,82 @@ class PerturbedDomain:
     def surface_crossing_candidates(self, origin, D: np.ndarray, t_hi: float):
         """Membership flips along the rays ``origin + t D``, t in (0, t_hi), with ``Domain``'s ``(flips, inside0)`` contract.
 
-        Band windows: let ``s`` be the distance to a leaf's axis segment
-        minus its radius ``r``, ``a`` and ``L`` the field's amplitude
+        Perturbed leaf spans: let ``s`` be the distance to a leaf's axis
+        segment minus its radius ``r``, ``a`` and ``L`` the field's amplitude
         and Lipschitz bounds, and ``g(t) = s(pull_back(o + t D))``.  Since
-        ``|g(t) - s(o + t D)| <= a < band``, the leaf's perturbed surface
-        meets a ray only where ``|s| < band``: inside the leaf's span at
-        radius ``r + band`` and outside its span at ``r - band``, which is an
-        entry and an exit window ``[w0, w1]`` (one window when the ray misses
-        the inner span).  Outside every window, perturbed membership equals
-        base membership (class docstring).
+        ``|g(t) - s(o + t D)| <= a < band``, the perturbed leaf surface meets
+        a ray only inside the leaf's span at radius ``r + band`` and outside
+        its span at ``r - band``: an entry and an exit window ``[w0, w1]``
+        (one window when the ray misses the inner span).  Outside its windows
+        the perturbed leaf holds a ray parameter exactly when the widened
+        span does (class docstring).
 
         Certificate: ``s`` is convex, so ``q(t) = grad s(o + t D) . D`` is
         nondecreasing along the ray, and
-        ``|g' - q| <= kappa = (L + a / (r - band - a)) / (1 - L)``.  An entry
-        or exit window with ``w0 > 0`` where ``q`` has one sign and
-        ``|q| > kappa`` at both ends therefore holds exactly one root of
-        ``g``; ``g`` has opposite signs at its ends, where ``|s| = band``.
-        The domain flips at that root exactly when base membership differs
-        at the window's ends, and only then is it solved.  Every other
-        leaf's membership is constant in a window that overlaps no other,
-        so the root is the only zero of the perturbed depth there, which
-        :meth:`_roots` finds.
+        ``|g' - q| <= kappa = (L + a / (r - band - a)) / (1 - L)``.  A window
+        with ``w0 > 0`` where ``q`` has one sign and ``|q| > kappa`` at both
+        ends holds exactly one root of ``g``.  :meth:`_roots` solves each such
+        window that meets (0, t_hi), and the root replaces that end of the
+        widened span.  The perturbed spans combine down the CSG tree like the
+        base spans (:func:`_span_flips`, Roth's ray classification), so CSG
+        creases are exact.
 
-        Fallback: a ray with an uncertified window (grazing rays, leaves with
-        ``r <= band + a``, an origin inside a window) or with two leaves'
-        windows overlapping (CSG creases) takes the membership scan of
-        :meth:`_scan_crossings` and is counted in ``fallback_rays``.  Only
-        these rays can miss features thinner than the scan's probe spacing.
-        A ray that meets no window keeps its base membership, without flips.
-        Every ray's first-segment flag is the membership of ``origin``.
+        Trace: a ray with an uncertified window in (0, t_hi) (a grazing ray,
+        a leaf with ``r <= band + a``, an origin inside a window) is counted
+        in ``fallback_rays``; inside the hull of those windows its flips come
+        from :meth:`_trace`, which misses only features thinner than the
+        pull-back tolerance.  Every ray's first-segment flag is the
+        membership of ``origin``.
         """
         o = _as_point(origin, self.dimension)
         D = np.asarray(D, dtype=float)
         m = D.shape[0]
-        W0, W1, certified = [], [], []
+        ends, W0, W1, certified = [], [], [], []
         for leaf, outer, inner, kappa in self._leaf_bands:
             lo_out, hi_out = _leaf_span(outer, o, D)
             lo_in, hi_in = _leaf_span(inner, o, D) if inner is not None else (np.full(m, np.nan),) * 2
             hit = np.isfinite(lo_in)
+            ends += [lo_out, hi_out]
             for w0, w1 in ((lo_out, np.where(hit, lo_in, hi_out)), (np.where(hit, hi_in, np.nan), hi_out)):
                 q0, q1 = (_leaf_slope(leaf, o + w[:, None] * D, D) for w in (w0, w1))
                 certified.append(hit & (w0 > 0.0) & (q0 * q1 > 0.0) & (np.minimum(np.abs(q0), np.abs(q1)) > kappa))
                 W0.append(w0)
                 W1.append(w1)
-        W0, W1, certified = (np.stack(cols, axis=1) for cols in (W0, W1, certified))  # (m, 2 * leaves)
+        # column 2k is leaf k's entry window and span start, 2k + 1 its exit window and span end
+        ends, W0, W1, certified = (np.stack(cols, axis=1) for cols in (ends, W0, W1, certified))
         live = (W1 > 0.0) & (W0 < t_hi)
-        # two live windows of one ray overlap when one starts before an earlier-starting one ends
-        order = np.argsort(np.where(live, W0, np.inf), axis=1)
-        starts = np.take_along_axis(np.where(live, W0, np.inf), order, axis=1)
-        ends = np.maximum.accumulate(np.take_along_axis(np.where(live, W1, -np.inf), order, axis=1), axis=1)
-        fallback = np.any(starts[:, 1:] <= ends[:, :-1], axis=1) | np.any(live & ~certified, axis=1)
-        spans = [_leaf_span(leaf, o, D) for leaf, *_ in self._leaf_bands]
-        at_ends = _on_ray(self.base._norm, np.concatenate([W0, W1], axis=1), iter(spans))
-        ray, col = np.nonzero(live & ~fallback[:, None] & (at_ends[:, : W0.shape[1]] != at_ends[:, W0.shape[1] :]))
-        t = self._roots(o, D[ray], W0[ray, col], W1[ray, col])
-        fallback[ray[np.isnan(t)]] = True  # end signs that contradict the certificate
-        keep = ~fallback[ray] & (t < t_hi)
-        rows, values = ray[keep], t[keep]
-        fb = np.nonzero(fallback)[0]
-        if fb.size:
-            self.fallback_rays += int(fb.size)
-            flips, _ = self._scan_crossings(o, D[fb], t_hi)
-            fb_ray, fb_col = np.nonzero(np.isfinite(flips))
-            rows = np.concatenate([rows, fb[fb_ray]])
-            values = np.concatenate([values, flips[fb_ray, fb_col]])
-        order = np.lexsort((values, rows))
-        return _pack(m, rows[order], values[order]), np.full(m, self.contains_many(o[None, :])[0])
+        ray, col = np.nonzero(live & certified)
+        ends[ray, col] = self._roots(o, D[ray], W0[ray, col], W1[ray, col], col // 2)
+        flips, _ = _span_flips(self.base._norm, list(zip(ends.T[0::2], ends.T[1::2])), t_hi)
+        uncertified = live & ~certified
+        h0 = np.maximum(np.min(np.where(uncertified, W0, np.inf), axis=1), 0.0)  # hull of the uncertified
+        h1 = np.minimum(np.max(np.where(uncertified, W1, -np.inf), axis=1), t_hi)  # windows, empty if none
+        traced = np.nonzero(np.any(uncertified, axis=1))[0]
+        if traced.size:
+            self.fallback_rays += int(traced.size)
+            ray, col = np.nonzero(np.isfinite(flips))
+            t = flips[ray, col]
+            keep = (t < h0[ray]) | (t > h1[ray])
+            tr_ray, tr_t = self._trace(o, D[traced], h0[traced], h1[traced])
+            rows, values = np.concatenate([ray[keep], traced[tr_ray]]), np.concatenate([t[keep], tr_t])
+            order = np.lexsort((values, rows))
+            flips = _pack(m, rows[order], values[order])
+        return flips, np.full(m, self.contains_many(o[None, :])[0])
 
-    def _roots(self, o: np.ndarray, D: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """The zero of the perturbed depth ``g(t) = depth_bound_many(o + t D[i])`` in each bracket ``[a[i], b[i]]``.
+    def _roots(self, o: np.ndarray, D: np.ndarray, a: np.ndarray, b: np.ndarray, leaf: np.ndarray) -> np.ndarray:
+        """The zero of base leaf ``leaf[i]``'s perturbed depth ``r - dist(pull_back(o + t D[i]), axis)`` in each bracket ``[a[i], b[i]]``.
 
-        ``g`` is continuous, positive exactly where open membership holds,
-        and zero on the perturbed boundary.  Illinois regula falsi (Dowell and
-        Jarratt, BIT 11, 1971): after the same end moves twice in a row, the
-        other end's value is halved.  Stops at a value or bracket within the
-        pull-back tolerance.  An end where ``g`` is exactly zero is the root;
-        NaN where the ends have one sign.
+        Illinois regula falsi (Dowell and Jarratt, BIT 11, 1971): after the
+        same end moves twice in a row, the other end's value is halved.
+        Stops at a value or bracket within the pull-back tolerance.  An end
+        where the depth is exactly zero is the root; NaN where the ends have
+        one sign, which a certified window excludes.
         """
 
         def g(t, rows):
-            return self.depth_bound_many(o + t[:, None] * D[rows])
+            X = self.pull_back(o + t[:, None] * D[rows])
+            depths = [lf.radius - np.linalg.norm(_axis_offset(lf, X), axis=1) for lf, *_ in self._leaf_bands]
+            return np.stack(depths)[leaf[rows], np.arange(rows.size)]
 
         n = a.size
         a, b = a.copy(), b.copy()
@@ -772,37 +771,34 @@ class PerturbedDomain:
         root[act] = 0.5 * (a[act] + b[act])
         return root
 
-    def _scan_crossings(self, origin, D: np.ndarray, t_hi: float):
-        """Membership-scan flips along each ray, with ``Domain``'s ``(flips, inside0)`` contract.
+    def _trace(self, o: np.ndarray, D: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+        """Membership flips of the rays ``o + t D[i]`` inside ``[lo[i], hi[i]]``, as ``(rows, t)``.
 
-        A geometric probe grid (16 probes per octave over 14 octaves below
-        ``t_hi``) locates membership flips, and :meth:`_roots` refines each
-        flip's bracket.  Features thinner than the local probe spacing can
-        be missed; the grid is sized for the smooth, C^2-small perturbations
-        this class produces.  Every probe goes through ``contains_many``, so
-        probes outside the depth band of the class docstring are answered by
-        the base domain alone, with the same booleans the pull-back gives.
-        A bracket whose end depths share a sign keeps its midpoint: the
-        depth and the probe's membership come from separate pull-backs, which
-        agree only to the pull-back tolerance.  Every ray's first-segment
-        flag is the membership of ``origin``.
+        Breadth-first bisection of the perturbed depth
+        ``g(t) = depth_bound_many(o + t D[i])``, which is 1-Lipschitz in t
+        and positive exactly where open membership holds.  A gap whose ends
+        have one membership and ``|g_l| + |g_r| > width`` holds no zero of
+        ``g`` (the bound behind sphere tracing: Hart, The Visual Computer 12,
+        1996) and is dropped; every other gap is halved until it is no wider
+        than the pull-back tolerance, and one whose ends still differ in
+        membership gives its midpoint as a flip.  So only a feature thinner
+        than that tolerance can be missed.
         """
-        o = _as_point(origin, self.dimension)
-        D = np.asarray(D, dtype=float)
-        m = D.shape[0]
-        exps = np.arange(14 * 16, -1, -1, dtype=float)
-        ts = t_hi * np.power(2.0, -exps / 16)
-        P = ts.shape[0]
-        pts = o[None, None, :] + ts[None, :, None] * D[:, None, :]
-        inside = self.contains_many(pts.reshape(m * P, -1)).reshape(m, P)
-        at0 = self.contains_many(o[None, :])[0]
-        inside = np.concatenate([np.full((m, 1), at0), inside], axis=1)
-        grid = np.concatenate([[0.0], ts])
-        flips = inside[:, 1:] != inside[:, :-1]
-        ray, col = np.nonzero(flips)
-        lo, hi = grid[col], grid[col + 1]
-        t = self._roots(o, D[ray], lo, hi)
-        return _pack(m, ray, np.where(np.isnan(t), 0.5 * (lo + hi), t)), np.full(m, at0)
+        tol = 1e-12 * max(self._scale, 1.0)
+        rows, a, b = np.arange(lo.size), lo, hi
+        ga, gb = np.split(self.depth_bound_many(o + np.concatenate([a, b])[:, None] * np.tile(D, (2, 1))), 2)
+        found = []
+        while rows.size:
+            c = 0.5 * (a + b)
+            flip = (ga > 0.0) != (gb > 0.0)
+            split = flip | (np.abs(ga) + np.abs(gb) <= b - a)  # else the Lipschitz bound excludes a zero
+            fine = (b - a <= tol) | (c <= a) | (c >= b)
+            found.append((rows[split & fine & flip], c[split & fine & flip]))
+            rows, a, b, c, ga, gb = (v[split & ~fine] for v in (rows, a, b, c, ga, gb))
+            gc = self.depth_bound_many(o + c[:, None] * D[rows])
+            rows, a, b = np.tile(rows, 2), np.concatenate([a, c]), np.concatenate([c, b])
+            ga, gb = np.concatenate([ga, gc]), np.concatenate([gc, gb])
+        return tuple(np.concatenate(v) for v in zip(*found))
 
     def deep_point_hint(self):
         x, d = deep_point(self.base)

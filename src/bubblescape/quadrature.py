@@ -4,10 +4,11 @@ Everything here integrates over the *complement* of a domain (or over whole
 balls), with integrands that concentrate near the domain boundary or at a
 designated center.  The engine casts a quasi-random fan of rays from the
 center, cuts each ray at the domain's membership flips (exact, from the
-per-leaf spans of the geometry layer; for perturbed domains, certified
-roots inside per-leaf band windows, or a membership scan on the rays the
-certificate does not cover) into segments that alternate between inside
-and outside, and integrates radially along the outside segments:
+per-leaf spans of the geometry layer; for perturbed domains, perturbed
+leaf spans from certified roots inside band windows, and a bisection trace
+on the rays the certificate does not cover) into segments that alternate
+between inside and outside, and integrates radially along the outside
+segments:
 
 * inverse-power kernels (the concentration landscape and its first two
   derivatives) get closed-form radial antiderivatives per segment, so the

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
@@ -19,7 +19,6 @@ from bubblescape.geometry import (
     Difference,
     Domain,
     PerturbationField,
-    PerturbedDomain,
     Scale,
     Translate,
     Union,
@@ -597,25 +596,6 @@ def test_non_finite_rows_still_take_the_pull_back(bad):
             dom.contains_many(Y)
 
 
-def test_band_shortcut_keeps_scan_crossings():
-    class FullPullBack(PerturbedDomain):
-        def contains_many(self, Y, closed=False):
-            Y = np.atleast_2d(np.asarray(Y, dtype=float))
-            return self.base.contains_many(self.pull_back(Y), closed)
-
-    base = dumbbell()
-    theta = small_field(norm=0.2)
-    rng = np.random.default_rng(14)
-    D = rng.normal(size=(512, 3))
-    D /= np.linalg.norm(D, axis=1, keepdims=True)
-    origin = np.array([0.3, 0.1, 0.0])
-    t_hi = base.bounding_radius(origin) + theta.amplitude_bound()
-    fast, _ = perturb(base, theta)._scan_crossings(origin, D, t_hi)
-    full, _ = FullPullBack(base, theta)._scan_crossings(origin, D, t_hi)
-    assert np.isfinite(fast).sum() >= 512
-    assert np.array_equal(fast, full, equal_nan=True)
-
-
 def test_theta_expanded_distance_matches_the_difference_form():
     theta = small_field(norm=0.3)
     X = np.random.default_rng(15).uniform(-3, 3, size=(2000, 3))
@@ -623,6 +603,34 @@ def test_theta_expanded_distance_matches_the_difference_form():
     g = np.exp(-np.einsum("mkj,mkj->mk", diff, diff) / theta.widths[None, :] ** 2)
     want = g @ theta.displacements
     assert np.max(np.abs(theta(X) - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def _all_traced(dom):
+    """The same perturbed domain with no window certified (every kappa infinite), so every ray that meets a window is traced."""
+    ref = perturb(dom.base, dom.theta)
+    ref._leaf_bands = [(leaf, outer, inner, np.inf) for leaf, outer, inner, _ in ref._leaf_bands]
+    return ref
+
+
+def _sweep_flips(dom, origin, d, t_hi, n=200_001):
+    """Membership flips of one ray from a dense sweep: each lies within ``t_hi / (n - 1)`` before the returned value."""
+    ts = np.linspace(0.0, t_hi, n)[1:-1]
+    inside = dom.contains_many(origin + ts[:, None] * d)
+    return ts[1:][inside[1:] != inside[:-1]]
+
+
+def _assert_crossings_on_surfaces(dom, origin, D, t_hi, rng):
+    """Every flip pulls back onto a leaf surface, and membership inside each segment matches its flag."""
+    leaves = [leaf for leaf, _ in dom.base.leaves()]
+    flips, _ = dom.surface_crossing_candidates(origin, D, t_hi)
+    ray, col = np.nonzero(np.isfinite(flips))
+    X = dom.pull_back(origin + flips[ray, col][:, None] * D[ray])
+    s = np.stack([np.abs(np.linalg.norm(_axis_offset(leaf, X), axis=1) - leaf.radius) for leaf in leaves])
+    assert np.all(s.min(axis=0) <= 1e-9)
+    a, b, outside, _ = _outside_segments(dom, origin, D, t_hi)
+    ray, seg = np.nonzero(b - a > 1e-6 * t_hi)
+    t = a[ray, seg] + rng.uniform(0.01, 0.99, ray.size) * (b[ray, seg] - a[ray, seg])
+    assert np.array_equal(dom.contains_many(origin + t[:, None] * D[ray]), ~outside[ray, seg])
 
 
 @pytest.mark.parametrize("rho", [0.01, 0.05])
@@ -636,15 +644,18 @@ def test_theta_expanded_distance_matches_the_difference_form():
     ids=["two_balls", "dumbbell", "holed_ball"],
 )
 def test_certified_crossings_match_the_scan(base, origin, rho):
+    # the reference traces every ray (a bisection scan of the perturbed depth)
     origin = np.array(origin)
     for seed in range(3):
         theta = PerturbationField.random(3, 3, seed, support_radius=1.2 * base.bounding_radius(np.zeros(3)))
         dom = perturb(base, theta.with_c2_norm(rho))
+        ref = _all_traced(dom)
         D = _unit_rows(np.random.default_rng(seed), 1024)
         t_hi = dom.bounding_radius(origin)
         got, inside0 = dom.surface_crossing_candidates(origin, D, t_hi)
-        want, want0 = dom._scan_crossings(origin, D, t_hi)
+        want, want0 = ref.surface_crossing_candidates(origin, D, t_hi)
         assert dom.fallback_rays < 0.15 * D.shape[0]
+        assert ref.fallback_rays == D.shape[0]
         assert np.array_equal(inside0, want0)
         assert np.array_equal(np.isfinite(got).sum(axis=1), np.isfinite(want).sum(axis=1))
         K = want.shape[1]
@@ -652,47 +663,77 @@ def test_certified_crossings_match_the_scan(base, origin, rho):
         assert np.nanmax(np.abs(got[:, :K] - want)) <= 1e-9 * t_hi
 
 
+@pytest.mark.parametrize(
+    "rho, seed, ray, want",
+    [
+        (0.01, 0, 812, [1.0483, 2.6858, 2.7616]),
+        (0.01, 2, 312, [2.0023, 2.0100, 3.6919]),
+        (0.05, 1, 988, [0.9414, 2.6689, 2.7808]),
+    ],
+    ids=["rho0.01-seed0-ray812", "rho0.01-seed2-ray312", "rho0.05-seed1-ray988"],
+)
+def test_crease_rays_match_a_dense_sweep(rho, seed, ray, want):
+    # Rays from inside the perturbed dumbbell's lobe that cross slivers near
+    # the bridge's crease; a scan of 225 probes per ray found only one flip.
+    base = dumbbell()
+    origin = np.array([1.4, 0.1, 0.0])
+    theta = PerturbationField.random(3, 3, seed, support_radius=1.2 * base.bounding_radius(np.zeros(3)))
+    dom = perturb(base, theta.with_c2_norm(rho))
+    D = _unit_rows(np.random.default_rng(seed), 1024)
+    t_hi = dom.bounding_radius(origin)
+    flips, inside0 = dom.surface_crossing_candidates(origin, D, t_hi)
+    got = flips[ray][np.isfinite(flips[ray])]
+    sweep = _sweep_flips(dom, origin, D[ray], t_hi)
+    assert inside0[ray]
+    assert got.size == sweep.size == len(want)
+    assert np.all((sweep - t_hi / 200_000 <= got) & (got <= sweep))
+    assert np.allclose(got, want, atol=1e-4)
+
+
 @settings(max_examples=30, deadline=None)
 @given(_tree, st.floats(min_value=0.01, max_value=0.45), st.integers(min_value=0, max_value=10**6))
+@example(Difference(Ball(np.zeros(3), 1.0), Difference(Capsule([0, 0, 0.5], [0, 1, 1], 1.0), Ball(np.zeros(3), 0.25))), 0.25, 1760)
+@example(Difference(Scale(1.5625, Ball([0.8125, 0, 0], 0.75)), Ball([0.8125, 0, 1], 0.75)), 0.125, 259376)
+@example(
+    Difference(Union(Ball([0, 1, 0.25], 1.0), Ball([-1, 0, 0], 0.5)), Difference(Ball(np.zeros(3), 1.0), Ball([0, 0, -0.5], 0.75))),
+    0.25,
+    61,
+)
 def test_perturbed_crossings_lie_on_leaf_surfaces(root, c2, seed):
     base = Domain(3, root)
     theta = PerturbationField.random(3, bumps=3, seed=seed, support_radius=1.5).with_c2_norm(c2)
     dom = perturb(base, theta)
     rng = np.random.default_rng(seed)
     D = _unit_rows(rng, 128)
-    leaves = [leaf for leaf, _ in base.leaves()]
     for origin in _origins(base, rng):
-        t_hi = dom.bounding_radius(origin)
-        flips, _ = dom.surface_crossing_candidates(origin, D, t_hi)
-        ray, col = np.nonzero(np.isfinite(flips))
-        X = dom.pull_back(origin + flips[ray, col][:, None] * D[ray])
-        s = np.stack([np.abs(np.linalg.norm(_axis_offset(leaf, X), axis=1) - leaf.radius) for leaf in leaves])
-        assert np.all(s.min(axis=0) <= 1e-9)
-        a, b, outside, _ = _outside_segments(dom, origin, D, t_hi)
-        ray, seg = np.nonzero(b - a > 1e-6 * t_hi)
-        t = a[ray, seg] + rng.uniform(0.01, 0.99, ray.size) * (b[ray, seg] - a[ray, seg])
-        assert np.array_equal(dom.contains_many(origin + t[:, None] * D[ray]), ~outside[ray, seg])
+        _assert_crossings_on_surfaces(dom, origin, D, dom.bounding_radius(origin), rng)
 
 
-def test_tangent_and_crease_rays_take_the_scan():
+def test_tangent_rays_are_traced_and_crease_rays_certified():
     theta = small_field(norm=0.05)
     dom = perturb(unit_ball(), theta)
     # tangent to the unit ball, so it misses the band-narrowed ball; then just
     # inside the band-narrowed ball, where |q| < kappa at the window ends
     for height in (1.0, (1.0 - dom._band) * (1.0 - 1e-6)):
         origin, D = np.array([-3.0, height, 0.0]), np.array([[1.0, 0.0, 0.0]])
+        t_hi = dom.bounding_radius(origin)
         dom.fallback_rays = 0
-        flips, _ = dom.surface_crossing_candidates(origin, D, dom.bounding_radius(origin))
+        flips, _ = dom.surface_crossing_candidates(origin, D, t_hi)
         assert dom.fallback_rays == 1
-        assert np.array_equal(flips, dom._scan_crossings(origin, D, dom.bounding_radius(origin))[0], equal_nan=True)
+        sweep = _sweep_flips(dom, origin, D[0], t_hi)
+        assert np.isfinite(flips[0]).sum() == sweep.size
+        assert np.all(np.abs(flips[0, : sweep.size] - sweep) <= t_hi / 200_000)
     # through the dumbbell's crease circle, where the bridge meets a ball
     dom = perturb(dumbbell(), theta)
     crease = np.array([-1.5 + np.sqrt(1.0 - 0.35**2), 0.35, 0.0])
     origin = np.array([0.0, 0.0, 0.0])
     D = (crease - origin)[None, :] / np.linalg.norm(crease - origin)
-    flips, _ = dom.surface_crossing_candidates(origin, D, dom.bounding_radius(origin))
-    assert dom.fallback_rays == 1
-    assert np.array_equal(flips, dom._scan_crossings(origin, D, dom.bounding_radius(origin))[0], equal_nan=True)
+    t_hi = dom.bounding_radius(origin)
+    flips, _ = dom.surface_crossing_candidates(origin, D, t_hi)
+    want, _ = _all_traced(dom).surface_crossing_candidates(origin, D, t_hi)
+    assert dom.fallback_rays == 0
+    assert np.array_equal(np.isfinite(flips), np.isfinite(want))
+    assert np.nanmax(np.abs(flips - want)) <= 1e-9 * t_hi
 
 
 def test_roots_return_a_bracket_end_on_the_surface():
@@ -700,12 +741,12 @@ def test_roots_return_a_bracket_end_on_the_surface():
     dom = perturb(unit_ball(), zero)
     o = np.array([0.0, 0.0, 0.0])
     D = np.array([[1.0, 0.0, 0.0], [0.0, -1.0, 0.0]])
-    t = dom._roots(o, D, np.array([0.5, 1.0]), np.array([1.0, 1.5]))
+    t = dom._roots(o, D, np.array([0.5, 1.0]), np.array([1.0, 1.5]), np.array([0, 0]))
     assert np.array_equal(t, [1.0, 1.0])
     assert np.array_equal(np.linalg.norm(o + t[:, None] * D, axis=1), [1.0, 1.0])
 
 
-def test_uncertifiable_leaves_scan_only_the_rays_that_meet_a_window():
+def test_uncertifiable_leaves_trace_only_the_rays_that_meet_a_window():
     theta = small_field(norm=0.2)
     a = theta.amplitude_bound()
     base = Domain(3, Union(Ball([-0.2, 0.0, 0.0], 1.5 * a), Ball([0.2, 0.0, 0.0], 1.5 * a)))
@@ -722,10 +763,8 @@ def test_uncertifiable_leaves_scan_only_the_rays_that_meet_a_window():
     assert 0 < meets.sum() < D.shape[0]
     assert dom.fallback_rays == meets.sum()
     assert np.all(np.isnan(flips[~meets]))
-    want, want0 = dom._scan_crossings(origin, D[meets], t_hi)
-    assert np.array_equal(inside0[meets], want0)
-    assert np.array_equal(flips[meets][:, : want.shape[1]], want, equal_nan=True)
-    assert np.all(np.isnan(flips[meets][:, want.shape[1] :]))
+    assert np.any(np.isfinite(flips[meets, 0]))
+    _assert_crossings_on_surfaces(dom, origin, D[meets], t_hi, np.random.default_rng(17))
 
 
 def _origins(dom, rng):
