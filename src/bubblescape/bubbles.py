@@ -1,4 +1,4 @@
-"""Standard bubbles, their kernel modes, rescalings, and ansatz energies.
+"""Standard bubbles, their kernel modes, rescalings, interactions, and ansatz energies.
 
 The building block is the radial profile
 
@@ -12,10 +12,11 @@ provides
 * a finite-difference residual check for the linearized equation,
 * the scaling map ``u -> delta^(-(n-2)/2) u((x - xi)/delta)`` together with a
   numerical isometry/scaling audit,
-* the free energy ``J = 1/2 |grad u|^2 - (1/m) W[u]`` of one- and two-bubble
-  ansatz functions on a bounded region, where the weighted mass
+* the free energy ``J = 1/2 |grad u|^2 - (1/m) W[u]`` of a one-bubble
+  ansatz on a bounded region, where the weighted mass
   ``W = whole-space mass - 2 * exterior mass`` encodes a weight that is +1
-  inside the region and -1 outside, and
+  inside the region and -1 outside,
+* the closed-form interaction ``int U_1^p U_2`` of two bubbles, and
 * energy-expansion residual tables for the slightly subcritical regime and
   the critical shrinking-hole regime.
 """
@@ -23,21 +24,19 @@ provides
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import PreconditionError
-from .geometry import Ball, Difference, Domain, Union, deep_point
+from .geometry import Ball, Difference, Domain, deep_point
 from .landscape import Constants, _check_eps, hole_critical_point, optimal_d, reduced_energy_hole, reduced_energy_sub
 from .quadrature import (
     QuadratureConfig,
     QuadratureResult,
-    ball_lp_mass,
     bubble_alpha,
     bubble_moment,
     exterior_bubble_mass,
-    exterior_lp_mass,
     psi_integrals,
     radial_integral,
     sphere_area,
@@ -53,7 +52,6 @@ __all__ = [
     "linearization_residual",
     "rescale",
     "rescaling_isometry_check",
-    "ansatz_value",
     "energy",
     "interaction",
     "expansion_residual_sub",
@@ -212,18 +210,9 @@ def rescaling_isometry_check(n: int, s: float, deltas=(0.25, 0.5, 1.0, 2.0, 4.0)
 # ---------------------------------------------------------------------------
 
 
-def ansatz_value(n: int, bubbles, X) -> np.ndarray:
-    """Evaluate the signed bubble superposition at an (m, n) array."""
-    X = _as_points(X, n)
-    out = np.zeros(X.shape[0])
-    for b in bubbles:
-        out += b.sign * bubble_value(n, b.delta, b.center, X)
-    return out
-
-
 @dataclass
 class EnergyReport:
-    """Free energy of an ansatz and the pieces it was assembled from."""
+    """Free energy of a one-bubble ansatz and the pieces it was assembled from."""
 
     j_eps: float
     j_std: float
@@ -232,38 +221,8 @@ class EnergyReport:
     whole_mass: float
     exterior_mass: float
     exponent: float
-    stds: dict = field(default_factory=dict)
     n_evals: int = 0
     converged: bool = True
-
-
-def _two_peak_whole_mass(n, g, c1, c2, config) -> QuadratureResult:
-    """Whole-space integral of g >= 0 with peaks at two points.
-
-    Splits space into two tangent balls around the peaks plus the exterior of
-    their union; the pieces overlap only in measure zero.  ``converged`` is
-    judged on the assembled value: a piece that is a tiny fraction of the
-    whole may carry a larger relative error on its own.
-    """
-    sep = float(np.linalg.norm(c1 - c2))
-    r = 0.5 * sep
-    virtual = Domain(n, Union(Ball(c1, r), Ball(c2, r)))
-    mid = 0.5 * (c1 + c2)
-    parts = [
-        ball_lp_mass(g, 1.0, c1, r, n, config),
-        ball_lp_mass(g, 1.0, c2, r, n, config),
-        exterior_lp_mass(virtual, g, 1.0, config, center=mid),
-    ]
-    value = sum(p.value for p in parts)
-    std = math.sqrt(sum(p.std_error**2 for p in parts))
-    decay_ok = all(p.decay_ok for p in parts)
-    return QuadratureResult(
-        value=value,
-        std_error=std,
-        n_evals=sum(p.n_evals for p in parts),
-        converged=decay_ok and config.accepts(value, std),
-        decay_ok=decay_ok,
-    )
 
 
 def interaction(n: int, b1: Bubble, b2: Bubble, config: QuadratureConfig) -> QuadratureResult:
@@ -281,8 +240,8 @@ def interaction(n: int, b1: Bubble, b2: Bubble, config: QuadratureConfig) -> Qua
     The interaction is the radial integral of ``|S^(n-1)| U_1^p r^(n-1)``
     against that mean, with breakpoints spaced geometrically from ``r = 0``
     and ``r = d``.  The result carries no standard error and no integrand
-    evaluations; ``config`` is accepted so that every piece of ``energy`` is
-    called alike.  Decays like ``(separation)^-(n-2)`` with the leading
+    evaluations; ``config`` is unused, as the value needs no sampling
+    budget.  Decays like ``(separation)^-(n-2)`` with the leading
     coefficient ``c1_nodal (delta_1 delta_2)^((n-2)/2)``.
     """
     if np.allclose(b1.center, b2.center):
@@ -308,80 +267,48 @@ def interaction(n: int, b1: Bubble, b2: Bubble, config: QuadratureConfig) -> Qua
     return QuadratureResult(value, 0.0, 0, True, True)
 
 
-def energy(domain: Domain, bubbles, eps: float, consts: Constants, config: QuadratureConfig) -> EnergyReport:
-    """Free energy ``J = 1/2 int |grad u|^2 - (1/m) W`` of a bubble ansatz.
+def energy(domain: Domain, bubble: Bubble, eps: float, consts: Constants, config: QuadratureConfig) -> EnergyReport:
+    """Free energy ``J = 1/2 int |grad u|^2 - (1/m) W`` of the one-bubble ansatz ``u = U[delta, xi]``.
 
     ``m = p + 1 - eps`` (``eps = 0`` is the critical case) and
-    ``W = int_whole |u|^m - 2 int_exterior |u|^m`` realizes a weight +1 on
-    the region and -1 outside.  The gradient part is assembled exactly from
-    single-bubble masses plus pairwise interaction integrals.  One bubble's
-    whole-space mass is a Beta integral and its exterior mass is exact along
-    each ray (``exterior_bubble_mass``); two-bubble masses use a
-    two-ball/exterior decomposition.  Centers may lie outside the open
-    region (hole-regime ansatz functions peak inside the carved hole) but
-    must stay within its bounding ball.
+    ``W = int_whole u^m - 2 int_exterior u^m`` realizes a weight +1 on the
+    region and -1 outside.  The gradient part is the moment
+    ``1/2 int U^(p+1)`` and the whole-space mass a Beta integral, both
+    exact; the exterior mass is exact along each ray
+    (``exterior_bubble_mass``), so the standard error of ``J`` is that of
+    its directional average alone.  The center may lie outside the open
+    region (a hole-regime bubble peaks inside the carved hole) but must
+    stay within its bounding ball.
     """
     n = consts.n
     if domain.dimension != n:
         raise PreconditionError("domain dimension does not match the constants")
     if eps != 0.0:  # 0 is the critical case
         _check_eps(eps)
-    bubbles = tuple(bubbles)
-    if not 1 <= len(bubbles) <= 2:
-        raise PreconditionError("only one- and two-bubble ansatz functions are supported")
-    centers = np.array([b.center for b in bubbles])
-    if centers.shape[1] != n:
-        raise PreconditionError("bubble centers do not match the domain dimension")
-    # centers may sit outside the open region (a hole-regime bubble peaks
-    # inside the carved hole), but must stay within the region's bounding ball
+    if bubble.center.shape[0] != n:
+        raise PreconditionError("bubble center does not match the domain dimension")
     anchor = deep_point(domain)[0]
-    bound = domain.bounding_radius(anchor)
-    if np.any(np.linalg.norm(centers - anchor[None, :], axis=1) > bound):
-        raise PreconditionError("bubble centers must lie within the region's bounding ball")
+    if np.linalg.norm(bubble.center - anchor) > domain.bounding_radius(anchor):
+        raise PreconditionError("bubble center must lie within the region's bounding ball")
     p = consts.p
     m = p + 1.0 - eps
 
-    # gradient part: int |grad u|^2 = sum_i int U_i^(p+1) + 2 sum_{i<j} s_i s_j int U_i^p U_j
-    grad2 = len(bubbles) * bubble_moment(n, p + 1.0)
-
-    def u_abs(X):
-        return np.abs(ansatz_value(n, bubbles, X))
-
-    if len(bubbles) == 1:
-        b = bubbles[0]
-        # exact pieces: no standard error and no integrand evaluations
-        cross = QuadratureResult(0.0, 0.0, 0, True, True)
-        whole = QuadratureResult(b.delta ** (eps * (n - 2.0) / 2.0) * bubble_moment(n, m), 0.0, 0, True, True)
-        ext = exterior_bubble_mass(domain, b.delta, b.center, m, config)
-    else:
-        b1, b2 = bubbles
-        if np.allclose(b1.center, b2.center):
-            raise PreconditionError("bubble centers must be distinct")
-        cross = interaction(n, b1, b2, config)
-        grad2 += 2.0 * b1.sign * b2.sign * cross.value
-        whole = _two_peak_whole_mass(n, lambda X: u_abs(X) ** m, b1.center, b2.center, config)
-        ext = exterior_lp_mass(domain, u_abs, m, config)
-    gradient_part = 0.5 * grad2
-    stds = {"gradient": 2.0 * cross.std_error, "whole_mass": whole.std_error, "exterior_mass": ext.std_error}
-
-    weighted_part = (whole.value - 2.0 * ext.value) / m
+    gradient_part = 0.5 * bubble_moment(n, p + 1.0)
+    whole_mass = bubble.delta ** (eps * (n - 2.0) / 2.0) * bubble_moment(n, m)
+    ext = exterior_bubble_mass(domain, bubble.delta, bubble.center, m, config)
+    weighted_part = (whole_mass - 2.0 * ext.value) / m
     j = gradient_part - weighted_part
-    j_std = math.sqrt(cross.std_error**2 + (whole.std_error / m) ** 2 + (2.0 * ext.std_error / m) ** 2)
-    # convergence is judged on the assembled energy: pieces that are a tiny
-    # fraction of J may individually carry larger relative noise
-    parts = (cross, whole, ext)
-    converged = all(q.decay_ok for q in parts) and config.accepts(j, j_std)
+    j_std = 2.0 * ext.std_error / m
     return EnergyReport(
         j_eps=j,
         j_std=j_std,
         gradient_part=gradient_part,
         weighted_part=weighted_part,
-        whole_mass=whole.value,
+        whole_mass=whole_mass,
         exterior_mass=ext.value,
         exponent=m,
-        stds=stds,
-        n_evals=sum(q.n_evals for q in parts),
-        converged=bool(converged),
+        n_evals=ext.n_evals,
+        converged=bool(ext.decay_ok and config.accepts(j, j_std)),
     )
 
 
@@ -441,7 +368,7 @@ def expansion_residual_sub(domain, xi, eps_list, consts: Constants, config: Quad
     rows = []
     for eps in eps_list:
         delta = d * eps ** (1.0 / n)
-        rep = energy(domain, [Bubble(1, delta, xi)], eps, consts, config)
+        rep = energy(domain, Bubble(1, delta, xi), eps, consts, config)
         predicted = consts.a + consts.c * eps * math.log(eps) + eps * (consts.b + psi_level)
         residual = (rep.j_eps - predicted) / eps
         # the psi uncertainty enters the prediction linearly in eps
@@ -478,7 +405,7 @@ def expansion_residual_hole(domain, rho_list, consts: Constants, config: Quadrat
     for rho in rho_list:
         holed = Domain(n, Difference(domain.root, Ball(center, rho)))
         delta = d * math.sqrt(rho)
-        rep = energy(holed, [Bubble(1, delta, center)], 0.0, consts, config)
+        rep = energy(holed, Bubble(1, delta, center), 0.0, consts, config)
         predicted = consts.a + rho ** (n / 2.0) * phi
         residual = (rep.j_eps - predicted) / rho ** (n / 2.0)
         res_std = math.sqrt(

@@ -383,7 +383,11 @@ class Domain:
         self.dimension = int(self.dimension)
         if self.dimension < 1:
             raise PreconditionError("dimension must be >= 1")
-        self._norm = _normalize(self.root, np.zeros(self.dimension), 1.0)
+        try:
+            origin = np.zeros(self.dimension)
+        except (ValueError, MemoryError) as exc:
+            raise PreconditionError(f"cannot hold a point of dimension {self.dimension}: {exc}") from exc
+        self._norm = _normalize(self.root, origin, 1.0)
 
     # -- queries ------------------------------------------------------------
 
@@ -466,7 +470,10 @@ def domain_from_dict(data: dict) -> Domain:
         dimension = int(raw)
     except (TypeError, ValueError) as exc:
         raise PreconditionError(f"malformed domain dimension: {exc}") from exc
-    return Domain(dimension, _node_from_dict(data["root"]))
+    try:
+        return Domain(dimension, _node_from_dict(data["root"]))
+    except RecursionError as exc:
+        raise PreconditionError("the CSG tree nests too deeply") from exc
 
 
 def load_domain(path: str) -> Domain:
@@ -477,6 +484,8 @@ def load_domain(path: str) -> Domain:
         raise PreconditionError(f"cannot read domain file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise PreconditionError(f"domain file {path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise PreconditionError(f"domain file {path} nests too deeply to parse") from exc
     return domain_from_dict(data)
 
 

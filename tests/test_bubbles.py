@@ -4,7 +4,7 @@ Independent routes used as oracles:
 
 * closed-form radial integrals (Beta forms, exact antiderivatives) for
   single-bubble masses, evaluated inline;
-* axisymmetric 2D adaptive quadrature (dblquad) for every two-bubble
+* axisymmetric 2D adaptive quadrature (dblquad) for the pair interaction
   integral;
 * high-precision frozen values for the expansion residual tables on balls
   (the energies there reduce to exact radial integrals);
@@ -18,11 +18,8 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from bubblescape import bubbles as bubbles_module
 from bubblescape.bubbles import (
     Bubble,
-    _two_peak_whole_mass,
-    ansatz_value,
     bubble_value,
     energy,
     expansion_residual_hole,
@@ -36,7 +33,7 @@ from bubblescape.bubbles import (
 from bubblescape.errors import PreconditionError
 from bubblescape.geometry import Ball, Domain
 from bubblescape.landscape import constants
-from bubblescape.quadrature import _TARGET_REL_ERR, QuadratureConfig, bubble_alpha, bubble_moment, sphere_area
+from bubblescape.quadrature import QuadratureConfig, bubble_alpha, bubble_moment, exterior_bubble_mass, sphere_area
 
 CFG = QuadratureConfig(seed=0, near_budget=2**17, far_shells=32, replicates=8)
 
@@ -204,7 +201,7 @@ def test_energy_single_bubble_ball_matches_exact_closed_form():
     frozen = {0.1: 30.1643809563, 0.05: 28.5192738939, 0.025: 27.550537512}
     for eps, jfrozen in frozen.items():
         delta = d_star * eps**0.25
-        rep = energy(dom, [Bubble(1, delta, np.zeros(4))], eps, cn, CFG)
+        rep = energy(dom, Bubble(1, delta, np.zeros(4)), eps, cn, CFG)
         want = exact_ball_energy_n4(eps)
         assert want == pytest.approx(jfrozen, rel=1e-10)  # closed form vs frozen high-precision
         assert rep.j_eps == pytest.approx(want, rel=1e-8)
@@ -221,47 +218,31 @@ def test_energy_translation_invariance():
     dom1 = Domain(3, Ball(v, 1.0))
     b0 = Bubble(1, 0.2, np.array([0.1, 0.0, -0.2]))
     b1 = Bubble(1, 0.2, b0.center + v)
-    r0 = energy(dom0, [b0], 0.05, cn, CFG)
-    r1 = energy(dom1, [b1], 0.05, cn, CFG)
+    r0 = energy(dom0, b0, 0.05, cn, CFG)
+    r1 = energy(dom1, b1, 0.05, cn, CFG)
     assert r0.j_eps == pytest.approx(r1.j_eps, rel=1e-12)
     assert r0.exterior_mass == pytest.approx(r1.exterior_mass, rel=1e-10)
 
 
-def test_single_bubble_energy_takes_the_closed_form_exterior_mass(monkeypatch):
-    calls = []
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("a single-bubble energy called exterior_lp_mass")
-
-    def record(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    original = bubbles_module.exterior_lp_mass
+def test_single_bubble_energy_takes_the_closed_form_exterior_mass():
     cfg = QuadratureConfig(seed=0, near_budget=2**12, far_shells=16, replicates=2)
     cn = constants(3)
-    monkeypatch.setattr(bubbles_module, "exterior_lp_mass", refuse)
-    rep = energy(ball(3), [Bubble(1, 0.1, np.array([0.2, 0.0, 0.0]))], 0.05, cn, cfg)
-    assert np.isfinite(rep.j_eps) and rep.exterior_mass > 0.0
-    monkeypatch.setattr(bubbles_module, "exterior_lp_mass", record)
-    pair = [Bubble(1, 0.2, np.array([0.0, 0.0, 0.5])), Bubble(-1, 0.2, np.array([0.0, 0.0, -0.5]))]
-    energy(ball(3), pair, 0.05, cn, cfg)
-    assert calls
+    b = Bubble(1, 0.1, np.array([0.2, 0.0, 0.0]))
+    rep = energy(ball(3), b, 0.05, cn, cfg)
+    ext = exterior_bubble_mass(ball(3), b.delta, b.center, rep.exponent, cfg)
+    assert rep.exterior_mass == ext.value and rep.exterior_mass > 0.0
+    assert rep.n_evals == ext.n_evals
 
 
 def test_energy_preconditions():
     cn = constants(4)
     dom = ball(4)
     with pytest.raises(PreconditionError):
-        energy(dom, [Bubble(1, 0.1, np.array([3.0, 0, 0, 0]))], 0.1, cn, CFG)  # center outside
+        energy(dom, Bubble(1, 0.1, np.array([3.0, 0, 0, 0])), 0.1, cn, CFG)  # center outside
     with pytest.raises(PreconditionError):
-        energy(dom, [Bubble(1, 0.1, np.zeros(4))], 0.25, cn, CFG)  # eps too large
+        energy(dom, Bubble(1, 0.1, np.zeros(4)), 0.25, cn, CFG)  # eps too large
     with pytest.raises(PreconditionError):
-        energy(dom, [], 0.1, cn, CFG)
-    with pytest.raises(PreconditionError):
-        energy(dom, [Bubble(1, 0.1, np.zeros(4))] * 3, 0.1, cn, CFG)
-    with pytest.raises(PreconditionError):
-        energy(ball(3), [Bubble(1, 0.1, np.zeros(3))], 0.1, cn, CFG)  # dim mismatch
+        energy(ball(3), Bubble(1, 0.1, np.zeros(3)), 0.1, cn, CFG)  # dim mismatch
     with pytest.raises(PreconditionError):
         Bubble(2, 0.1, np.zeros(4))
     with pytest.raises(PreconditionError):
@@ -269,58 +250,28 @@ def test_energy_preconditions():
 
 
 # ---------------------------------------------------------------------------
-# two-bubble integrals against axisymmetric 2D quadrature
+# pair interaction against axisymmetric 2D quadrature
 # ---------------------------------------------------------------------------
 
 
 def _axisym_oracle():
-    """dblquad values for U[0.25, +0.5 e3] - U[0.2, -0.5 e3] with m = 5.95."""
+    """dblquad value of ``int U[0.25, +0.5 e3]^5 U[0.2, -0.5 e3]`` in R^3."""
     alpha = 3.0**0.25
-    m = 5.95
 
     def U(d, zc, rho, z):
         return alpha * d**0.5 / (d * d + rho * rho + (z - zc) ** 2) ** 0.5
 
-    def u(rho, z):
-        return U(0.25, 0.5, rho, z) - U(0.2, -0.5, rho, z)
-
-    whole = 2 * math.pi * integrate.dblquad(
-        lambda rho, z: rho * abs(u(rho, z)) ** m, -np.inf, np.inf, 0, np.inf, epsabs=1e-11, epsrel=1e-9
-    )[0]
-    interior = 2 * math.pi * integrate.dblquad(
-        lambda rho, z: rho * abs(u(rho, z)) ** m, -1, 1, 0, lambda z: math.sqrt(1 - z * z), epsabs=1e-12, epsrel=1e-10
-    )[0]
-    cross = 2 * math.pi * integrate.dblquad(
+    return 2 * math.pi * integrate.dblquad(
         lambda rho, z: rho * U(0.25, 0.5, rho, z) ** 5 * U(0.2, -0.5, rho, z), -np.inf, np.inf, 0, np.inf,
         epsabs=1e-12, epsrel=1e-10,
     )[0]
-    return whole, whole - interior, cross
-
-
-def test_two_bubble_energy_matches_axisymmetric_quadrature():
-    cn = constants(3)
-    dom = ball(3)
-    eps = 0.05
-    b1 = Bubble(1, 0.25, np.array([0.0, 0.0, 0.5]))
-    b2 = Bubble(-1, 0.2, np.array([0.0, 0.0, -0.5]))
-    rep = energy(dom, [b1, b2], eps, cn, CFG)
-    whole, ext, cross = _axisym_oracle()
-    m = 6.0 - eps
-    assert rep.whole_mass == pytest.approx(whole, abs=5 * rep.stds["whole_mass"] + 1e-4 * whole)
-    assert rep.exterior_mass == pytest.approx(ext, abs=5 * rep.stds["exterior_mass"] + 2e-3 * ext)
-    M = bubble_moment(3, 6.0)
-    want_grad = 0.5 * (2 * M - 2 * cross)
-    assert rep.gradient_part == pytest.approx(want_grad, abs=5 * 0.5 * rep.stds["gradient"] + 1e-4 * abs(want_grad))
-    want_j = want_grad - (whole - 2 * ext) / m
-    assert rep.j_eps == pytest.approx(want_j, abs=5 * rep.j_std + 2e-4 * abs(want_j))
-    assert rep.converged
 
 
 def test_interaction_against_axisymmetric_quadrature_and_decay():
     cn = constants(3)
     b_near = (Bubble(1, 0.25, np.array([0.0, 0.0, 0.5])), Bubble(1, 0.2, np.array([0.0, 0.0, -0.5])))
     got = interaction(3, *b_near, CFG)
-    _, _, cross = _axisym_oracle()
+    cross = _axisym_oracle()
     assert got.value == pytest.approx(cross, abs=5 * got.std_error + 1e-9 * cross)
 
     # far-field law: value ~ c1_nodal (d1 d2)^((n-2)/2) / R^(n-2)
@@ -333,20 +284,6 @@ def test_interaction_against_axisymmetric_quadrature_and_decay():
     assert abs(slope + 1.0) < 0.05  # -(n-2) for n = 3
     model = cn.c1_nodal * delta / 4.0
     assert vals[4.0] == pytest.approx(model, rel=0.05)
-
-
-def test_two_peak_mass_converged_judged_on_assembled_value():
-    # the exterior piece alone misses the relative target, the assembled value meets it
-    cfg = QuadratureConfig(seed=0, near_budget=2**14, replicates=4)
-    c1, c2 = np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -1.0])
-
-    def g(X):
-        return bubble_value(3, 1e-2, c1, X) ** 5 * bubble_value(3, 1e-2, c2, X)
-
-    got = _two_peak_whole_mass(3, g, c1, c2, cfg)
-    assert got.decay_ok
-    assert got.std_error <= _TARGET_REL_ERR * got.value
-    assert got.converged
 
 
 def interaction_mpmath(n: int, d1: float, d2: float, sep: float) -> float:
@@ -390,22 +327,13 @@ def test_interaction_swap_identity(n):
 
 def test_interaction_is_exact_and_casts_no_rays(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("interaction called the two-peak ray quadrature")
+        raise AssertionError("interaction cast rays")
 
-    monkeypatch.setattr(bubbles_module, "_two_peak_whole_mass", refuse)
+    monkeypatch.setattr(Domain, "surface_crossing_candidates", refuse)
     got = interaction(3, Bubble(1, 0.01, np.array([0.0, 0.0, 0.5])), Bubble(1, 0.01, np.array([0.0, 0.0, -0.5])), CFG)
     assert got.value > 0.0
     assert got.std_error == 0.0 and got.n_evals == 0
     assert got.converged and got.decay_ok
-
-
-def test_ansatz_value_signs_and_shapes():
-    bubbles = [Bubble(1, 0.3, np.zeros(3)), Bubble(-1, 0.3, np.array([1.0, 0.0, 0.0]))]
-    mid = np.array([[0.5, 0.0, 0.0]])
-    assert ansatz_value(3, bubbles, mid)[0] == pytest.approx(0.0, abs=1e-14)
-    one = ansatz_value(3, bubbles[:1], np.zeros(3))
-    assert one.shape == (1,)
-    assert one[0] == pytest.approx(bubble_alpha(3) * 0.3 ** 0.5 / 0.3, rel=1e-13)
 
 
 # ---------------------------------------------------------------------------

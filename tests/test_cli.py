@@ -516,6 +516,36 @@ def test_malformed_domain_numbers_exit_2(tmp_path, capsys, payload):
     assert "malformed" in capsys.readouterr().err
 
 
+def _nested(kind: str, depth: int) -> str:
+    """A domain file whose root nests ``depth`` nodes of ``kind`` around the unit ball, as JSON text."""
+    ball = json.dumps(_BALL)
+    if kind == "union":
+        root = ball
+        for _ in range(depth):
+            root = f'{{"type": "union", "left": {root}, "right": {ball}}}'
+    else:
+        root = '{"type": "scale", "factor": 1.0, "inner": ' * depth + ball + "}" * depth
+    return f'{{"dimension": 3, "root": {root}}}'
+
+
+@pytest.mark.parametrize("kind, depth", [("union", 500), ("scale", 3000)])
+def test_deeply_nested_domain_exits_2(tmp_path, capsys, kind, depth):
+    # 500 unions overflow the recursion of the CSG loader, 3000 scales that
+    # of the JSON decoder itself
+    path = tmp_path / "deep.json"
+    path.write_text(_nested(kind, depth))
+    assert main(["crit", "--domain", str(path), "--out", str(tmp_path), *FAST]) == 2
+    err = capsys.readouterr().err
+    assert "precondition violated:" in err and "nests too deeply" in err and "Traceback" not in err
+
+
+def test_huge_domain_dimension_exits_2(tmp_path, capsys):
+    path = write_domain(tmp_path, "huge.json", {"dimension": 1e20, "root": _BALL})
+    assert main(["crit", "--domain", path, "--out", str(tmp_path), *FAST]) == 2
+    err = capsys.readouterr().err
+    assert "precondition violated:" in err and "dimension 100000000000000000000" in err
+
+
 def test_empty_domain_exits_2(tmp_path, capsys):
     empty = {
         "type": "difference",
