@@ -528,22 +528,23 @@ def _nested(kind: str, depth: int) -> str:
     return f'{{"dimension": 3, "root": {root}}}'
 
 
-@pytest.mark.parametrize("kind, depth", [("union", 500), ("scale", 3000)])
-def test_deeply_nested_domain_exits_2(tmp_path, capsys, kind, depth):
-    # 500 unions overflow the recursion of the CSG loader, 3000 scales that
-    # of the JSON decoder itself
-    path = tmp_path / "deep.json"
-    path.write_text(_nested(kind, depth))
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # 500 unions overflow the recursion of the CSG loader, 3000 scales that
+        # of the JSON decoder itself
+        (_nested("union", 500), "nests too deeply"),
+        (_nested("scale", 3000), "nests too deeply"),
+        (json.dumps({"dimension": 1e20, "root": _BALL}), "dimension 100000000000000000000"),
+    ],
+    ids=["union-500", "scale-3000", "dimension-1e20"],
+)
+def test_unloadable_domain_exits_2(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
     assert main(["crit", "--domain", str(path), "--out", str(tmp_path), *FAST]) == 2
     err = capsys.readouterr().err
-    assert "precondition violated:" in err and "nests too deeply" in err and "Traceback" not in err
-
-
-def test_huge_domain_dimension_exits_2(tmp_path, capsys):
-    path = write_domain(tmp_path, "huge.json", {"dimension": 1e20, "root": _BALL})
-    assert main(["crit", "--domain", path, "--out", str(tmp_path), *FAST]) == 2
-    err = capsys.readouterr().err
-    assert "precondition violated:" in err and "dimension 100000000000000000000" in err
+    assert err.startswith("precondition violated:") and message in err and "Traceback" not in err
 
 
 def test_empty_domain_exits_2(tmp_path, capsys):
