@@ -8,7 +8,8 @@ rerunning the same invocation reproduces every output file byte for byte.
 
 Exit codes: 0 for success / a PASS verdict, 1 for a completed run whose
 verdict is FAIL (census not satisfied, residuals not shrinking, audit
-unstable), 2 for violated preconditions, 3 for numerical non-convergence.
+unstable), 2 for violated preconditions (a request too large to allocate
+included), 3 for numerical non-convergence.
 """
 
 from __future__ import annotations
@@ -64,17 +65,7 @@ class RunManifest:
     options: dict
 
     def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "domain_file": self.domain_file,
-            "dimension": int(self.dimension),
-            "seed": int(self.seed),
-            "output_dir": self.output_dir,
-            "regime": self.regime,
-            "quadrature": dataclasses.asdict(self.quadrature),
-            "critical": dataclasses.asdict(self.critical),
-            "options": self.options,
-        }
+        return dataclasses.asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +520,7 @@ def main(argv=None) -> int:
         rc = _DISPATCH[manifest.command](manifest, domain)
         _write_json(os.path.join(manifest.output_dir, "manifest.json"), manifest.to_dict())
         return rc
-    except PreconditionError as exc:
+    except (PreconditionError, MemoryError) as exc:  # MemoryError: a request too large to allocate
         print(f"precondition violated: {exc}", file=sys.stderr)
         return 2
     except ConvergenceError as exc:

@@ -434,7 +434,7 @@ def census(domain, quad_cfg: QuadratureConfig, crit_cfg: CritConfig | None = Non
 
         def comp_of(x: np.ndarray) -> int:
             for ci, comp in enumerate(comps):
-                if any(_member(leaf, x[None, :], closed=False)[0] for leaf in comp):
+                if any(_member(leaf, x[None, :])[0] for leaf in comp):
                     return ci
             return -1
 

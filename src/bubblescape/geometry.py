@@ -10,6 +10,13 @@ enclosing radii, boundary projections with inner normals, diameter pairs
 and smooth volume-preservation-free perturbations ``y = x + theta(x)`` with
 certified small C^2 norm.
 
+One fold over the tree (``_csg``) serves every tree query: membership,
+depth, enclosing radius, the leaf list and the ray rule.  Membership and
+depth share the implicit-CSG rule (Ricci, The Computer Journal 16, 1973):
+each leaf's inside value, combined by ``max`` over a union and
+``min(l, -r)`` over a difference.  Membership is the sign of the CSG value
+of ``r^2 - |x - axis|^2``: ``> 0`` for open membership, ``>= 0`` for closed.
+
 Ray classification: every leaf is convex, so a ray meets it in one span of
 parameters.  Membership along the ray is a comparison of the ray parameter
 with those spans, combined down the CSG tree like point membership; the
@@ -42,6 +49,7 @@ import json
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
+from scipy.sparse.csgraph import connected_components
 from scipy.special import ndtri
 from scipy.stats import qmc
 
@@ -206,15 +214,19 @@ def _check_length(v: np.ndarray, offset: np.ndarray, what: str) -> None:
         raise PreconditionError(f"{what} of dimension {v.shape[0]} in a domain of dimension {offset.shape[0]}")
 
 
-def _leaves(node, sign: int = 1) -> list[tuple[object, int]]:
-    """All leaves of a normalized tree with their inclusion parity."""
+def _csg(node, leaf, union, difference):
+    """Fold a normalized tree: ``leaf`` of each capsule, in ``_leaves`` order, combined by ``union`` and ``difference``."""
     if isinstance(node, Capsule):
-        return [(node, sign)]
-    if isinstance(node, Union):
-        return _leaves(node.left, sign) + _leaves(node.right, sign)
-    if isinstance(node, Difference):
-        return _leaves(node.left, sign) + _leaves(node.right, -sign)
+        return leaf(node)
+    if isinstance(node, (Union, Difference)):
+        combine = union if isinstance(node, Union) else difference
+        return combine(_csg(node.left, leaf, union, difference), _csg(node.right, leaf, union, difference))
     raise PreconditionError(f"non-normalized node {type(node).__name__}")
+
+
+def _leaves(node) -> list[tuple[object, int]]:
+    """All leaves of a normalized tree with their inclusion parity."""
+    return _csg(node, lambda c: [(c, 1)], list.__add__, lambda l, r: l + [(c, -sign) for c, sign in r])
 
 
 def _axis_offset(leaf, X: np.ndarray) -> np.ndarray:
@@ -227,45 +239,27 @@ def _axis_offset(leaf, X: np.ndarray) -> np.ndarray:
     return X - leaf.a - t[:, None] * u
 
 
-def _member(node, X: np.ndarray, closed: bool) -> np.ndarray:
-    if isinstance(node, Capsule):
-        d = _axis_offset(node, X)
-        d2 = np.einsum("ij,ij->i", d, d)
-        r2 = node.radius * node.radius
-        return d2 <= r2 if closed else d2 < r2
-    if isinstance(node, Union):
-        return _member(node.left, X, closed) | _member(node.right, X, closed)
-    if isinstance(node, Difference):
-        return _member(node.left, X, closed) & ~_member(node.right, X, not closed)
-    raise PreconditionError(f"non-normalized node {type(node).__name__}")
+def _csg_value(node, X: np.ndarray, leaf) -> np.ndarray:
+    """The CSG value of each row: ``leaf`` values, max over a union, ``min(l, -r)`` over a difference (Ricci, 1973)."""
+    return _csg(node, lambda c: leaf(c, _axis_offset(c, X)), np.maximum, lambda l, r: np.minimum(l, -r))
+
+
+def _member(node, X: np.ndarray, closed: bool = False) -> np.ndarray:
+    """Open (closed) membership of each row: the CSG value of ``r^2 - |x - axis|^2`` is > 0 (>= 0)."""
+    v = _csg_value(node, X, lambda c, d: c.radius * c.radius - np.einsum("ij,ij->i", d, d))
+    return v >= 0.0 if closed else v > 0.0
 
 
 def _depth(node, X: np.ndarray) -> np.ndarray:
     """Conservative signed interior depth (positive inside) for each row."""
-    if isinstance(node, Capsule):
-        d = _axis_offset(node, X)
-        return node.radius - np.sqrt(np.einsum("ij,ij->i", d, d))
-    if isinstance(node, Union):
-        return np.maximum(_depth(node.left, X), _depth(node.right, X))
-    if isinstance(node, Difference):
-        return np.minimum(_depth(node.left, X), -_depth(node.right, X))
-    raise PreconditionError(f"non-normalized node {type(node).__name__}")
+    return _csg_value(node, X, lambda c, d: c.radius - np.sqrt(np.einsum("ij,ij->i", d, d)))
 
 
 def _enclosing_radius(node, center: np.ndarray) -> float:
-    if isinstance(node, Capsule):
-        return (
-            max(
-                float(np.linalg.norm(node.a - center)),
-                float(np.linalg.norm(node.b - center)),
-            )
-            + node.radius
-        )
-    if isinstance(node, Union):
-        return max(_enclosing_radius(node.left, center), _enclosing_radius(node.right, center))
-    if isinstance(node, Difference):
-        return _enclosing_radius(node.left, center)
-    raise PreconditionError(f"non-normalized node {type(node).__name__}")
+    def far(c):
+        return max(float(np.linalg.norm(c.a - center)), float(np.linalg.norm(c.b - center))) + c.radius
+
+    return _csg(node, far, max, lambda l, r: l)
 
 
 # ---------------------------------------------------------------------------
@@ -324,14 +318,12 @@ def _on_ray(node, T: np.ndarray, spans) -> np.ndarray:
     ``spans`` yields each leaf's ``(lo, hi)`` from ``_leaf_span``, in
     ``_leaves`` order.
     """
-    if isinstance(node, Capsule):
+
+    def leaf(_):
         lo, hi = next(spans)
         return (lo[:, None] < T) & (T < hi[:, None])
-    if isinstance(node, Union):
-        return _on_ray(node.left, T, spans) | _on_ray(node.right, T, spans)
-    if isinstance(node, Difference):
-        return _on_ray(node.left, T, spans) & ~_on_ray(node.right, T, spans)
-    raise PreconditionError(f"non-normalized node {type(node).__name__}")
+
+    return _csg(node, leaf, lambda l, r: l | r, lambda l, r: l & ~r)
 
 
 def _span_flips(norm, spans, t_hi: float):
@@ -1061,21 +1053,6 @@ def positive_leaf_components(domain) -> list[list[object]]:
         flips, inside0 = base.surface_crossing_candidates(o, D, base.bounding_radius(o))
         if np.any(inside0) or np.any(flips[:, 0] < _leaf_span(leaf, o, D)[1]):
             kept.append(leaf)
-    parent = list(range(len(kept)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(len(kept)):
-        for j in range(i + 1, len(kept)):
-            if _leaf_overlap(kept[i], kept[j]):
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    groups: dict[int, list] = {}
-    for i, leaf in enumerate(kept):
-        groups.setdefault(find(i), []).append(leaf)
-    return list(groups.values())
+    overlap = [[i < j and _leaf_overlap(a, b) for j, b in enumerate(kept)] for i, a in enumerate(kept)]
+    count, labels = connected_components(np.array(overlap, dtype=bool).reshape(len(kept), len(kept)), directed=False)
+    return [[leaf for leaf, label in zip(kept, labels) if label == k] for k in range(count)]

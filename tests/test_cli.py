@@ -547,6 +547,30 @@ def test_unloadable_domain_exits_2(tmp_path, capsys, text, message):
     assert err.startswith("precondition violated:") and message in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["psi-grid", "--steps", "1000000", "1000000"],  # 21.8 TiB of grid points
+        ["predict", "--regime", "hole", "--sweep-count", "1000000000000"],  # 7.28 TiB of sweep values
+        ["crit", "--multistart", "100000000000"],  # 24.0 TiB of start points
+    ],
+    ids=["psi-grid-steps", "predict-sweep-count", "crit-multistart"],
+)
+def test_request_too_large_to_allocate_exits_2(tmp_path, args):
+    # a 3 GiB address-space limit makes the allocation fail at malloc, so no large memory is touched
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, resource.getrlimit(resource.RLIMIT_AS)[1]))\n"
+        "from bubblescape.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(bubblescape.__file__)))
+    argv = [sys.executable, "-c", code, *args, "--domain", ball3_file(tmp_path), "--out", str(tmp_path)]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("precondition violated: Unable to allocate") and "Traceback" not in proc.stderr
+
+
 def test_empty_domain_exits_2(tmp_path, capsys):
     empty = {
         "type": "difference",

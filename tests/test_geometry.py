@@ -23,8 +23,12 @@ from bubblescape.geometry import (
     Translate,
     Union,
     _axis_offset,
+    _depth,
+    _enclosing_radius,
     _leaf_nearest,
     _leaf_span,
+    _leaves,
+    _member,
     _probe_fan,
     boundary_nearest,
     contains,
@@ -419,6 +423,8 @@ def test_positive_leaf_components():
     assert len(positive_leaf_components(dumbbell())) == 1  # bridge connects
     two = Domain(3, Union(Ball([-2.0, 0, 0], 0.5), Ball([2.0, 0, 0], 0.5)))
     assert len(positive_leaf_components(two)) == 2
+    # the only positive leaf is carved away: no leaf is kept, no group returned
+    assert positive_leaf_components(Domain(3, Difference(Ball(np.zeros(3), 1.0), Ball(np.zeros(3), 2.0)))) == []
 
 
 @pytest.mark.parametrize("inner", [0.899, 0.8])
@@ -589,6 +595,62 @@ def test_depth_zero_on_the_surface():
     assert np.array_equal(dom.depth_bound_many(S), [0.0, 0.0])
     assert not np.any(dom.contains_many(S))
     assert np.all(dom.contains_many(S, closed=True))
+
+
+# The recursive tree walks that the CSG fold replaced, kept as oracles.
+def _member_walk(node, X, closed):
+    if isinstance(node, Capsule):
+        d = _axis_offset(node, X)
+        d2 = np.einsum("ij,ij->i", d, d)
+        r2 = node.radius * node.radius
+        return d2 <= r2 if closed else d2 < r2
+    if isinstance(node, Union):
+        return _member_walk(node.left, X, closed) | _member_walk(node.right, X, closed)
+    return _member_walk(node.left, X, closed) & ~_member_walk(node.right, X, not closed)
+
+
+def _depth_walk(node, X):
+    if isinstance(node, Capsule):
+        d = _axis_offset(node, X)
+        return node.radius - np.sqrt(np.einsum("ij,ij->i", d, d))
+    if isinstance(node, Union):
+        return np.maximum(_depth_walk(node.left, X), _depth_walk(node.right, X))
+    return np.minimum(_depth_walk(node.left, X), -_depth_walk(node.right, X))
+
+
+def _enclosing_radius_walk(node, center):
+    if isinstance(node, Capsule):
+        return max(float(np.linalg.norm(node.a - center)), float(np.linalg.norm(node.b - center))) + node.radius
+    if isinstance(node, Union):
+        return max(_enclosing_radius_walk(node.left, center), _enclosing_radius_walk(node.right, center))
+    return _enclosing_radius_walk(node.left, center)
+
+
+def _leaves_walk(node, sign=1):
+    if isinstance(node, Capsule):
+        return [(node, sign)]
+    if isinstance(node, Union):
+        return _leaves_walk(node.left, sign) + _leaves_walk(node.right, sign)
+    return _leaves_walk(node.left, sign) + _leaves_walk(node.right, -sign)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_tree, st.integers(min_value=0, max_value=10**6))
+# points exactly on a surface: a hole's sphere touching the outer sphere, and a union's seam
+@example(Difference(Ball(np.zeros(3), 1.0), Ball([0.5, 0.0, 0.0], 0.5)), 0)
+@example(Union(Ball(np.zeros(3), 0.5), Difference(Ball([1.0, 0.0, 0.0], 1.0), Ball(np.zeros(3), 0.5))), 0)
+def test_csg_fold_matches_the_recursive_walks(root, seed):
+    norm = Domain(3, root)._norm
+    rng = np.random.default_rng(seed)
+    leaves = _leaves_walk(norm)
+    assert [(id(leaf), sign) for leaf, sign in _leaves(norm)] == [(id(leaf), sign) for leaf, sign in leaves]
+    surface = [end + s * leaf.radius * e for leaf, _ in leaves for end in (leaf.a, leaf.b) for e in np.eye(3) for s in (1, -1)]
+    X = np.concatenate([surface, _near_and_far_points(Domain(3, norm), 0.0, rng), rng.uniform(-3.0, 3.0, size=(200, 3))])
+    for closed in (False, True):
+        assert _same_bits(_member(norm, X, closed), _member_walk(norm, X, closed))
+    assert _same_bits(_depth(norm, X), _depth_walk(norm, X))
+    center = rng.uniform(-1.0, 1.0, size=3)
+    assert _same_bits(_enclosing_radius(norm, center), _enclosing_radius_walk(norm, center))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
