@@ -45,7 +45,7 @@ def main() -> None:
     print("=" * 72)
 
     ball = Domain(3, Ball(np.zeros(3), 1.0))
-    rep = census(ball, CFG, CRIT, seed=0)
+    rep = census(ball, CFG, CRIT)
     show(rep, "unit ball:")
     omega = sphere_area(3)
     center = rep.points[0]
@@ -61,7 +61,7 @@ def main() -> None:
                   Capsule(np.array([-c, 0.0, 0.0]), np.array([c, 0.0, 0.0]), 0.35)),
         ),
     )
-    rep = census(dumbbell, CFG, CRIT, seed=0)
+    rep = census(dumbbell, CFG, CRIT)
     show(rep, "dumbbell (lobes at x = -1.75 and +1.75, neck radius 0.35):")
     saddle = rep.saddles[0]
     print(f"  the saddle sits on the neck mid-plane: x1 = {saddle.location[0]:+.2e}")
@@ -76,7 +76,7 @@ def main() -> None:
           f" from the census saddle")
 
     print("\nstability audit: 3 random C^2-small boundary deformations, size 0.05")
-    audit = morse_audit(dumbbell, rho=0.05, trials=3, quad_cfg=CFG, crit_cfg=CRIT, seed=0)
+    audit = morse_audit(dumbbell, rho=0.05, trials=3, quad_cfg=CFG, crit_cfg=CRIT)
     print(f"  stable: {audit.stable};  worst nondegeneracy margin: {audit.min_margin:.4f}")
     print(f"  largest critical-point displacement: {audit.max_displacement:.4f}"
           f"  (perturbation size 0.05)")

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .geometry import Ball, Difference, Domain, deep_point
+from .geometry import Ball, Difference, Domain, _finite, deep_point
 from .landscape import Constants, _check_eps, hole_critical_point, optimal_d, reduced_energy_hole, reduced_energy_sub
 from .quadrature import (
     QuadratureConfig,
@@ -334,7 +334,7 @@ class ResidualTable:
 
 
 def _check_decreasing(values, name: str):
-    values = [float(v) for v in values]
+    values = _finite(values, f"{name} values").tolist()
     if len(values) < 2:
         raise PreconditionError(f"need at least two {name} values")
     if any(b >= a for a, b in zip(values, values[1:])):

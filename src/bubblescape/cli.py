@@ -27,7 +27,7 @@ import numpy as np
 from .bubbles import _check_eps_grid, expansion_residual_hole, expansion_residual_sub
 from .critpoints import CritConfig, census, find_minima, morse_audit
 from .errors import ConvergenceError, PreconditionError
-from .geometry import deep_point, load_domain
+from .geometry import _finite, deep_point, load_domain
 from .landscape import constants, predict_hole, predict_nodal, predict_subcritical
 from .quadrature import QuadratureConfig, psi_integrals
 
@@ -173,7 +173,7 @@ def _grid_summary(values: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> str:
 
 def cmd_crit(manifest: RunManifest, domain) -> int:
     """Run the critical-point census and write it as stable-key JSON."""
-    rep = census(domain, manifest.quadrature, manifest.critical, seed=manifest.seed)
+    rep = census(domain, manifest.quadrature, manifest.critical)
     _write_json(os.path.join(manifest.output_dir, "census.json"), rep.to_dict())
     verdict = "PASS" if rep.satisfied else "FAIL"
     print(
@@ -187,7 +187,7 @@ def _sub_xi(manifest: RunManifest, domain) -> np.ndarray:
     """The ``--xi`` point of the sub regime; by default the lowest landscape minimum."""
     xi = manifest.options.get("xi")
     if xi is None:
-        pts = find_minima(domain, manifest.quadrature, manifest.critical, seed=manifest.seed)
+        pts = find_minima(domain, manifest.quadrature, manifest.critical)
         xi = min(pts, key=lambda p: p.psi_value).location
     return np.asarray(xi, dtype=float)
 
@@ -280,7 +280,6 @@ def cmd_morse_audit(manifest: RunManifest, domain) -> int:
         trials=int(opt["trials"]),
         quad_cfg=manifest.quadrature,
         crit_cfg=manifest.critical,
-        seed=manifest.seed,
     )
     _write_json(os.path.join(manifest.output_dir, "morse_audit.json"), audit.to_dict())
     verdict = "PASS" if audit.stable else "FAIL"
@@ -445,19 +444,16 @@ def _resolve_grid_options(args, domain) -> dict:
     axes = (a0, a1)
     if args.steps[0] < 2 or args.steps[1] < 2:
         raise PreconditionError("--steps must be at least 2 in each direction")
-    fixed = [0.0] * (n - 2) if args.fixed is None else [float(v) for v in args.fixed]
+    fixed = [0.0] * (n - 2) if args.fixed is None else _finite(args.fixed, "--fixed").tolist()
     if len(fixed) != n - 2:
         raise PreconditionError(f"--fixed needs exactly {n - 2} values")
-    if args.lo is None or args.hi is None:
+    lo = None if args.lo is None else _finite(args.lo, "--lo").tolist()
+    hi = None if args.hi is None else _finite(args.hi, "--hi").tolist()
+    if lo is None or hi is None:
         anchor, _ = deep_point(domain)
         radius = domain.bounding_radius(anchor)
-        lo = [float(anchor[a0] - radius), float(anchor[a1] - radius)]
-        hi = [float(anchor[a0] + radius), float(anchor[a1] + radius)]
-        lo = lo if args.lo is None else [float(v) for v in args.lo]
-        hi = hi if args.hi is None else [float(v) for v in args.hi]
-    else:
-        lo = [float(v) for v in args.lo]
-        hi = [float(v) for v in args.hi]
+        lo = lo or [float(anchor[a0] - radius), float(anchor[a1] - radius)]
+        hi = hi or [float(anchor[a0] + radius), float(anchor[a1] + radius)]
     if not (lo[0] < hi[0] and lo[1] < hi[1]):
         raise PreconditionError("--lo must be strictly below --hi on both axes")
     return {
@@ -478,12 +474,12 @@ def _point_option(options: dict, name: str, values, regime: str, wanted: str, di
         raise PreconditionError(f"{flag} applies only to the {wanted} regime")
     if len(values) != dimension:
         raise PreconditionError(f"{flag} needs exactly {dimension} coordinates")
-    options[name] = [float(v) for v in values]
+    options[name] = _finite(values, flag).tolist()
 
 
 def _resolve_predict_options(args, dimension: int) -> dict:
-    if not 0.0 < args.sweep_min <= args.sweep_max:
-        raise PreconditionError("need 0 < --sweep-min <= --sweep-max")
+    if not 0.0 < args.sweep_min <= args.sweep_max < np.inf:
+        raise PreconditionError("need 0 < --sweep-min <= --sweep-max < inf")
     if args.sweep_count < 1:
         raise PreconditionError("--sweep-count must be at least 1")
     sweep = [float(v) for v in np.geomspace(args.sweep_min, args.sweep_max, args.sweep_count)]

@@ -293,13 +293,13 @@ def _dedupe(points: list, radius: float) -> list:
     return [p for run in runs for p in sorted(run, key=lambda p: _lex_key(p.location))]
 
 
-def find_minima(domain, quad_cfg: QuadratureConfig, crit_cfg: CritConfig | None = None, seed: int = 0) -> list:
+def find_minima(domain, quad_cfg: QuadratureConfig, crit_cfg: CritConfig | None = None) -> list:
     """Local landscape minima: light descent from every start, one full polish per basin.
 
     The starts are every positive-leaf anchor inside the domain (each
     distinct point once, in lexicographic order) and up to ``multistart``
-    scrambled Sobol points inside the domain from the cube anchor +-
-    bounding radius.  Each start descends at :func:`_light_config`; its
+    Sobol points, scrambled from ``quad_cfg.seed``, inside the domain from the
+    cube anchor +- bounding radius.  Each start descends at :func:`_light_config`; its
     endpoint is polished at ``quad_cfg`` unless it lies within
     :func:`_merge_radius` of a minimum polished earlier.  A polished point is
     kept when :func:`_polish` accepts it and it has Morse index 0.
@@ -316,7 +316,7 @@ def find_minima(domain, quad_cfg: QuadratureConfig, crit_cfg: CritConfig | None 
     if not starts:
         starts = [anchor]
 
-    raw = sobol_points(domain.dimension, 8 * cfg.multistart, (int(seed), 0xC417))
+    raw = sobol_points(domain.dimension, 8 * cfg.multistart, (int(quad_cfg.seed), 0xC417))
     pts = anchor[None, :] + (2.0 * raw - 1.0) * scale
     inside = domain.contains_many(pts)
     extra = [pts[i] for i in np.nonzero(inside)[0][: cfg.multistart]]
@@ -410,7 +410,7 @@ def mountain_pass(domain, x1, x2, quad_cfg: QuadratureConfig, crit_cfg: CritConf
     return p
 
 
-def census(domain, quad_cfg: QuadratureConfig, crit_cfg: CritConfig | None = None, seed: int = 0, warm_starts=None) -> CensusReport:
+def census(domain, quad_cfg: QuadratureConfig, crit_cfg: CritConfig | None = None, warm_starts=None) -> CensusReport:
     """Minima plus the saddles connecting same-component minima pairs.
 
     With ``warm_starts`` (an iterable of critical points or locations) the
@@ -430,7 +430,7 @@ def census(domain, quad_cfg: QuadratureConfig, crit_cfg: CritConfig | None = Non
         minima = _dedupe([p for p in pts if p.morse_index == 0], radius)
         saddles = _dedupe([p for p in pts if p.morse_index > 0], radius)
     else:
-        minima = find_minima(domain, quad_cfg, crit_cfg, seed=seed)
+        minima = find_minima(domain, quad_cfg, crit_cfg)
 
         def comp_of(x: np.ndarray) -> int:
             for ci, comp in enumerate(comps):
@@ -458,22 +458,22 @@ def morse_audit(
     trials: int,
     quad_cfg: QuadratureConfig,
     crit_cfg: CritConfig | None = None,
-    seed: int = 0,
 ) -> MorseAudit:
     """Census stability under random boundary deformations of C^2 size rho.
 
-    Each trial perturbs the domain by a random bump field rescaled to C^2
-    norm ``rho``, re-polishes the unperturbed census points on the deformed
-    domain, and verifies that every point survives with the same Morse index,
-    nondegenerate Hessian, and a displacement comparable to ``rho``.  Base
-    and re-polished points are paired by the assignment of least total
-    displacement, so a swapped pair neither fakes a failure nor hides one.
+    Each trial perturbs the domain by a bump field drawn from
+    ``quad_cfg.seed``, rescaled to C^2 norm ``rho``, re-polishes the census
+    points on the deformed domain, and verifies that every point survives
+    with the same Morse index, nondegenerate Hessian, and a displacement
+    comparable to ``rho``.  Base and re-polished points are paired by the
+    assignment of least total displacement, so a swapped pair neither fakes
+    a failure nor hides one.
     """
     if not 0.0 < rho < 0.5:
         raise PreconditionError("the perturbation size must lie in (0, 0.5)")
     if trials < 1:
         raise PreconditionError("need at least one trial")
-    base = census(domain, quad_cfg, crit_cfg, seed=seed)
+    base = census(domain, quad_cfg, crit_cfg)
     anchor = deep_point(domain)[0]
     scale = float(domain.bounding_radius(anchor))
     light = _light_config(quad_cfg)
@@ -482,7 +482,7 @@ def morse_audit(
     min_margin = min((p.margin() for p in base.points), default=0.0)
     max_disp = 0.0
     for t in range(trials):
-        sub_seed = int(np.random.SeedSequence((int(seed), 0xA0D1, t)).generate_state(1)[0])
+        sub_seed = int(np.random.SeedSequence((int(quad_cfg.seed), 0xA0D1, t)).generate_state(1)[0])
         fld = PerturbationField.random(
             domain.dimension, bumps=3, seed=sub_seed, support_center=anchor, support_radius=1.2 * scale
         ).with_c2_norm(rho)

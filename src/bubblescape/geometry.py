@@ -854,11 +854,8 @@ def _inner_normals(domain, P: np.ndarray, N: np.ndarray, scale: float) -> np.nda
 
 def _leaf_nearest(leaf, x: np.ndarray):
     """Nearest point on the leaf surface and the outward leaf normal there."""
-    u = leaf.b - leaf.a
-    uu = float(u @ u)
-    t = 0.0 if uu == 0.0 else float(np.clip((x - leaf.a) @ u / uu, 0.0, 1.0))
-    q = leaf.a + t * u
-    v = x - q
+    v = _axis_offset(leaf, x[None, :])[0]
+    q = x - v
     nv = np.linalg.norm(v)
     if nv < 1e-300:
         v = np.zeros_like(x)
@@ -876,6 +873,8 @@ def boundary_nearest(domain, x) -> BoundaryPoint:
     nearest boundary point sits on a CSG crease), the closest first
     membership flip along a fixed direction fan supplies the answer.
     Distance ties are broken toward the lexicographically largest point.
+    On a ``PerturbedDomain`` the answer is the push-forward of the base answer
+    for the pulled-back point: on the perturbed boundary, but not always nearest.
     """
     if isinstance(domain, PerturbedDomain):
         inner = boundary_nearest(domain.base, domain.pull_back(np.atleast_2d(x))[0])
@@ -1000,37 +999,23 @@ def deep_point(domain):
 
 
 def _leaf_overlap(a, b) -> bool:
-    return _segment_segment_distance(a.a, a.b, b.a, b.b) < a.radius + b.radius
+    """Whether two leaves' axis segments are closer than the sum of their radii.
 
-
-def _segment_segment_distance(p1, p2, q1, q2) -> float:
-    """Euclidean distance between two segments (standard clamped solve)."""
-    d1 = p2 - p1
-    d2 = q2 - q1
-    r = p1 - q1
-    a = float(d1 @ d1)
-    e = float(d2 @ d2)
-    f = float(d2 @ r)
-    if a <= 1e-300 and e <= 1e-300:
-        return float(np.linalg.norm(r))
-    if a <= 1e-300:
-        t = np.clip(f / e, 0.0, 1.0)
-        return float(np.linalg.norm(p1 - (q1 + t * d2)))
-    c = float(d1 @ r)
-    if e <= 1e-300:
-        s = np.clip(-c / a, 0.0, 1.0)
-        return float(np.linalg.norm(p1 + s * d1 - q1))
-    b = float(d1 @ d2)
-    denom = a * e - b * b
-    s = np.clip((b * f - c * e) / denom, 0.0, 1.0) if denom > 1e-300 else 0.0
-    t = (b * s + f) / e
-    if t < 0.0:
-        t = 0.0
-        s = np.clip(-c / a, 0.0, 1.0)
-    elif t > 1.0:
-        t = 1.0
-        s = np.clip((b - c) / a, 0.0, 1.0)
-    return float(np.linalg.norm(p1 + s * d1 - q1 - t * d2))
+    The squared distance between ``a.a + s u`` and ``b.a + t w`` is convex in
+    ``(s, t)``: its minimum on the unit square is its stationary point or lies
+    on an edge, where it is a segment end's distance to the other segment.
+    """
+    ends = np.concatenate([_axis_offset(b, np.array([a.a, a.b])), _axis_offset(a, np.array([b.a, b.b]))])
+    dist = float(np.min(np.linalg.norm(ends, axis=1)))
+    u, w, r = a.b - a.a, b.b - b.a, a.a - b.a
+    uu, ww, uw, ur, wr = u @ u, w @ w, u @ w, u @ r, w @ r
+    det = uu * ww - uw * uw  # zero for parallel or zero-length axes, whose minimum lies on an edge
+    if det > 0.0:
+        s = (uw * wr - ww * ur) / det  # Cramer's rule
+        t = (uw * s + wr) / ww  # the best t for this s: rounding in s moves the distance to second order
+        if 0.0 <= s <= 1.0 and 0.0 <= t <= 1.0:
+            dist = min(dist, float(np.linalg.norm(r + s * u - t * w)))
+    return dist < a.radius + b.radius
 
 
 def positive_leaf_components(domain) -> list[list[object]]:

@@ -175,22 +175,22 @@ def test_criterion_03_gradient_hessian_finite_difference():
 def test_criterion_04_census_facts():
     t0 = time.perf_counter()
 
-    rep = census(ball(3), CFG_CENSUS, CRIT, seed=0)
+    rep = census(ball(3), CFG_CENSUS, CRIT)
     assert len(rep.points) == 1 and rep.points[0].morse_index == 0
     assert float(np.linalg.norm(rep.points[0].location)) <= 1e-6
 
     two = Domain(3, Union(Ball(np.array([-2.5, 0.0, 0.0]), 1.0), Ball(np.array([2.5, 0.0, 0.0]), 1.0)))
-    rep2 = census(two, CFG_CENSUS, CRIT, seed=0)
+    rep2 = census(two, CFG_CENSUS, CRIT)
     assert len(rep2.minima) == 2 and len(rep2.saddles) == 0
 
     asym = Domain(3, Union(Ball(np.zeros(3), 1.0), Ball(np.array([4.0, 0.0, 0.0]), 0.6)))
-    rep3 = census(asym, CFG_CENSUS, CRIT, seed=0)
+    rep3 = census(asym, CFG_CENSUS, CRIT)
     assert len(rep3.minima) == 2
     low = rep3.points[0]
     assert low.psi_value < rep3.points[1].psi_value  # strictly smaller landscape value
     assert float(np.linalg.norm(low.location)) < 0.2  # inside the larger lobe
 
-    rep4 = census(dumbbell(), CFG_CENSUS, CRIT, seed=0)
+    rep4 = census(dumbbell(), CFG_CENSUS, CRIT)
     assert len(rep4.points) == 3
     assert sorted(p.morse_index for p in rep4.points) == [0, 0, 1]
     saddle = rep4.saddles[0]
@@ -448,11 +448,11 @@ def test_criterion_11_rescaling_isometry():
 
 
 def test_criterion_12_morse_audit_dumbbell():
-    audit = morse_audit(dumbbell(), rho=0.05, trials=5, quad_cfg=CFG_CENSUS, crit_cfg=CRIT, seed=0)
+    audit = morse_audit(dumbbell(), rho=0.05, trials=5, quad_cfg=CFG_CENSUS, crit_cfg=CRIT)
     assert audit.stable
     assert audit.failures == []
     assert audit.min_margin > _MORSE_TOL
-    again = morse_audit(dumbbell(), rho=0.05, trials=5, quad_cfg=CFG_CENSUS, crit_cfg=CRIT, seed=0)
+    again = morse_audit(dumbbell(), rho=0.05, trials=5, quad_cfg=CFG_CENSUS, crit_cfg=CRIT)
     assert json.dumps(audit.to_dict(), sort_keys=True) == json.dumps(again.to_dict(), sort_keys=True)
 
 

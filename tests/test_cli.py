@@ -283,6 +283,17 @@ def test_predict_sub_ball_power_law(tmp_path):
     assert ratios[0] == pytest.approx(d_star, rel=1e-12)
 
 
+def test_predict_sub_default_xi_is_the_landscape_minimum(tmp_path):
+    # find_minima lands on the ball's center, so the table equals that of --xi 0 0 0
+    budget = ["--near-budget", "32768", "--replicates", "4", "--seed", "0"]
+    tables = []
+    for name, xi in (("default", []), ("center", ["--xi", "0", "0", "0"])):
+        out = str(tmp_path / name)
+        assert main(["predict", "--regime", "sub", "--domain", ball3_file(tmp_path), "--out", out, *budget, *xi]) == 0
+        tables.append(open(os.path.join(out, "predict_sub.csv"), "rb").read())
+    assert tables[0] == tables[1]
+
+
 def test_predict_nodal_ball_antipodal_boundary_pair(tmp_path):
     out = str(tmp_path / "p")
     rc = main(
@@ -601,6 +612,39 @@ def test_domain_vector_of_wrong_dimension_exits_2(tmp_path, capsys, root):
     path = write_domain(tmp_path, "bad.json", {"dimension": 3, "root": root})
     assert main(["crit", "--domain", path, "--out", str(tmp_path), *FAST]) == 2
     assert "in a domain of dimension 3" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["morse-audit", "--trials", "0"], "--trials must be at least 1"),
+        (["psi-grid", "--steps", "1", "5"], "--steps must be at least 2 in each direction"),
+        (["psi-grid", "--fixed", "0", "0"], "--fixed needs exactly 1 values"),
+        (["psi-grid", "--lo", "1", "0", "--hi", "0", "1"], "--lo must be strictly below --hi on both axes"),
+        (["predict", "--regime", "sub", "--xi", "0", "0"], "--xi needs exactly 3 coordinates"),
+        (["predict", "--regime", "hole", "--sweep-min", "0.5", "--sweep-max", "0.1"], "need 0 < --sweep-min <= --sweep-max < inf"),
+        (["predict", "--regime", "hole", "--sweep-count", "0"], "--sweep-count must be at least 1"),
+        # non-finite numbers; the leading space gets "-inf" past argparse
+        (["psi-grid", "--lo", " -inf", " -1", "--hi", "inf", "1"], "--lo must be finite"),
+        (["psi-grid", "--fixed", "nan"], "--fixed must be finite"),
+        (["predict", "--regime", "hole", "--sweep-max", "inf"], "need 0 < --sweep-min <= --sweep-max < inf"),
+        (["energy-check", "--regime", "hole", "--values", "0.01", "nan"], "rho values must be finite"),
+        (["predict", "--regime", "sub", "--xi", "nan", "0", "0"], "--xi must be finite"),
+    ],
+    ids=[
+        "trials", "steps", "fixed-count", "lo-hi", "xi-length", "sweep-order", "sweep-count",
+        "lo-inf", "fixed-nan", "sweep-max-inf", "values-nan", "xi-nan",
+    ],
+)
+def test_flag_preconditions_exit_2_before_any_quadrature(tmp_path, monkeypatch, capsys, args, message):
+    def no_quadrature(*a, **k):
+        raise AssertionError("quadrature ran before the flags were checked")
+
+    for module in ("cli", "critpoints", "bubbles", "landscape"):
+        monkeypatch.setattr(f"bubblescape.{module}.psi_integrals", no_quadrature)
+    assert main([*args, "--domain", ball3_file(tmp_path), "--out", str(tmp_path / "o"), *FAST]) == 2
+    assert capsys.readouterr().err == f"precondition violated: {message}\n"
 
 
 def test_bad_axes_exit_2(tmp_path):

@@ -71,7 +71,7 @@ HOLED_MINIMUM = np.array([-0.2837604, 0.0, 0.0])
 
 @pytest.fixture(scope="module")
 def dumbbell_census() -> CensusReport:
-    return census(dumbbell(), CFG, CRIT, seed=0)
+    return census(dumbbell(), CFG, CRIT)
 
 
 def test_crit_config_validation():
@@ -81,7 +81,7 @@ def test_crit_config_validation():
 
 def test_ball_minimum_found_to_high_precision():
     """Symmetry cancellation drives Newton far below the nominal tolerance."""
-    pts = find_minima(ball3(), CFG, CRIT, seed=0)
+    pts = find_minima(ball3(), CFG, CRIT)
     assert len(pts) == 1
     p = pts[0]
     assert np.linalg.norm(p.location) <= 1e-6
@@ -144,7 +144,7 @@ def test_mirror_symmetric_minima_values_match(dumbbell_census):
 
 def test_two_disjoint_balls_census_and_ordering():
     dom = Domain(3, Union(Ball(np.zeros(3), 1.0), Ball(np.array([4.0, 0.0, 0.0]), 0.6)))
-    rep = census(dom, CFG, CRIT, seed=0)
+    rep = census(dom, CFG, CRIT)
     assert len(rep.minima) == 2
     assert len(rep.saddles) == 0  # no same-component pair
     assert rep.cat_lower_bound == 2
@@ -182,7 +182,7 @@ def test_find_minima_equivariance_under_similarity(dumbbell_census):
     base = dumbbell_census.minima
     mapped_dom = Domain(3, Translate(v, Scale(lam, dumbbell_root())))
     assert critpoints._merge_radius(mapped_dom) == lam * critpoints._merge_radius(dumbbell())
-    mapped = find_minima(mapped_dom, CFG, CRIT, seed=0)
+    mapped = find_minima(mapped_dom, CFG, CRIT)
     assert len(base) == len(mapped) == 2
     want = sorted((lam * p.location + v for p in base), key=lambda x: x[0])
     got = sorted((p.location for p in mapped), key=lambda x: x[0])
@@ -219,7 +219,7 @@ def test_census_warm_start_reproduces(dumbbell_census):
 
 
 def test_morse_audit_ball_stable():
-    rep = morse_audit(ball3(), rho=0.05, trials=2, quad_cfg=CFG, crit_cfg=CRIT, seed=0)
+    rep = morse_audit(ball3(), rho=0.05, trials=2, quad_cfg=CFG, crit_cfg=CRIT)
     assert rep.stable, rep.failures
     assert rep.trials == 2
     assert rep.failures == []
@@ -228,16 +228,48 @@ def test_morse_audit_ball_stable():
     assert len(rep.base.points) == 1
 
 
-def test_morse_audit_pairs_points_by_least_total_displacement(monkeypatch):
-    def point(x):
-        return CriticalPoint(np.array([x, 0.0, 0.0]), 1.0, 0.0, 0.0, np.ones(3), 0, True)
+def _point(x, index=0, nondegenerate=True):
+    return CriticalPoint(np.array([x, 0.0, 0.0]), 1.0, 0.0, 0.0, np.ones(3), index, nondegenerate)
 
-    base = CensusReport(points=[point(0.0), point(1.0)], cat_lower_bound=1, satisfied=True)
-    moved = CensusReport(points=[point(0.6), point(-0.7)], cat_lower_bound=1, satisfied=True)
+
+def test_morse_audit_pairs_points_by_least_total_displacement(monkeypatch):
+    base = CensusReport(points=[_point(0.0), _point(1.0)], cat_lower_bound=1, satisfied=True)
+    moved = CensusReport(points=[_point(0.6), _point(-0.7)], cat_lower_bound=1, satisfied=True)
     monkeypatch.setattr(critpoints, "census", lambda *a, warm_starts=None, **k: base if warm_starts is None else moved)
     rep = morse_audit(ball3(), rho=0.05, trials=1, quad_cfg=CFG, crit_cfg=CRIT)
     # nearest-neighbour pairing in base order takes 0 -> 0.6 and then 1 -> -0.7, a move of 1.7
     assert rep.max_displacement == pytest.approx(0.7, abs=1e-12)
+
+
+def _fail_census():
+    raise ConvergenceError("Newton stalled")
+
+
+@pytest.mark.parametrize(
+    "repolished, failure",
+    [
+        (_fail_census, "trial 0: census failed: Newton stalled"),
+        (lambda: [_point(0.0)], "trial 0: point count changed from 2 to 1"),
+        (lambda: [_point(0.0), _point(1.0, index=1)], "trial 0: Morse index flipped 0 -> 1"),
+        (lambda: [_point(0.0), _point(1.0, nondegenerate=False)], "trial 0: a Hessian became degenerate"),
+        (lambda: [_point(0.0), _point(1.3)], "trial 0: a critical point moved by 0.300"),  # 0.25 * scale is 0.25
+    ],
+    ids=["census-fails", "count", "index", "degenerate", "moved"],
+)
+def test_morse_audit_failures_make_the_cli_exit_1(tmp_path, monkeypatch, repolished, failure):
+    base = CensusReport(points=[_point(0.0), _point(1.0)], cat_lower_bound=1, satisfied=True)
+
+    def stub(*a, warm_starts=None, **k):
+        return base if warm_starts is None else CensusReport(points=repolished(), cat_lower_bound=1, satisfied=True)
+
+    monkeypatch.setattr(critpoints, "census", stub)
+    path = tmp_path / "ball.json"
+    path.write_text(json.dumps({"dimension": 3, "root": {"type": "ball", "center": [0.0, 0.0, 0.0], "radius": 1.0}}))
+    out = str(tmp_path / "m")
+    assert main(["morse-audit", "--domain", str(path), "--out", out, "--trials", "1"]) == 1
+    audit = json.loads(open(os.path.join(out, "morse_audit.json")).read())
+    assert audit["stable"] is False
+    assert audit["failures"] == [failure]
 
 
 def test_morse_audit_preconditions():
@@ -290,14 +322,14 @@ def test_census_merges_noisy_minima_at_the_mountain_pass_radius():
     # noisy polishes of one minimum used to survive the merge between 0.05
     # and 0.1 apart, and the saddle search then refused the pair
     cfg = QuadratureConfig(seed=0, near_budget=2**13, far_shells=24, replicates=2)
-    rep = census(holed_ball(), cfg, CritConfig(), seed=3)
+    rep = census(holed_ball(), cfg, CritConfig())
     assert [p.morse_index for p in rep.points] == [0]
     assert np.linalg.norm(rep.points[0].location - HOLED_MINIMUM) <= 0.02
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_find_minima_starts_in_every_dumbbell_lobe(seed):
-    pts = find_minima(dumbbell(), dataclasses.replace(CFG, seed=seed), CRIT, seed=seed)
+    pts = find_minima(dumbbell(), dataclasses.replace(CFG, seed=seed), CRIT)
     locs = sorted((p.location for p in pts), key=lambda x: x[0])
     assert len(locs) == 2
     for loc, side in zip(locs, (-1.0, 1.0)):
@@ -308,7 +340,7 @@ def test_dumbbell_census_seed_5_finds_the_neck_saddle():
     # at this seed the measured Hessian near the neck saddle reads H_xx of
     # about -0.6 +- 5.7 against a true -11; without the secant correction the
     # saddle Newton overshoots onto the mirror point and stalls there
-    rep = census(dumbbell(), dataclasses.replace(CFG, seed=5), CRIT, seed=5)
+    rep = census(dumbbell(), dataclasses.replace(CFG, seed=5), CRIT)
     assert [p.morse_index for p in rep.points] == [0, 0, 1]
     assert np.linalg.norm(rep.saddles[0].location) <= 1e-3
 

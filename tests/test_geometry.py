@@ -26,6 +26,7 @@ from bubblescape.geometry import (
     _depth,
     _enclosing_radius,
     _leaf_nearest,
+    _leaf_overlap,
     _leaf_span,
     _leaves,
     _member,
@@ -338,6 +339,18 @@ def test_inner_normals_point_inward():
             assert not contains(dom, bp.point - 1e-9 * bp.inner_normal)
 
 
+def test_boundary_nearest_on_a_perturbed_domain_is_on_its_surface():
+    # the push-forward of the base projection of the pulled-back point; here a
+    # 400,000-point sample of the perturbed sphere has a point 0.00017 nearer
+    fld = PerturbationField.random(3, bumps=3, seed=1, support_center=np.zeros(3), support_radius=1.2).with_c2_norm(0.3)
+    dom = perturb(unit_ball(), fld)
+    bp = boundary_nearest(dom, [0.0, 0.5, 0.2])
+    assert abs(np.linalg.norm(dom.pull_back(bp.point)[0]) - 1.0) <= 1e-12 * dom._scale
+    assert np.linalg.norm(bp.inner_normal) == pytest.approx(1.0, abs=1e-12)
+    assert contains(dom, bp.point + 1e-6 * bp.inner_normal)
+    assert not contains(dom, bp.point - 1e-6 * bp.inner_normal)
+
+
 def test_diameter_pair_ball():
     # A ball's diameter is direction-degenerate: require an exact antipodal
     # pair of the right length, radially inward normals, and determinism.
@@ -425,6 +438,50 @@ def test_positive_leaf_components():
     assert len(positive_leaf_components(two)) == 2
     # the only positive leaf is carved away: no leaf is kept, no group returned
     assert positive_leaf_components(Domain(3, Difference(Ball(np.zeros(3), 1.0), Ball(np.zeros(3), 2.0)))) == []
+    # an X: the axes cross at their midpoints, far from every axis end
+    x = Domain(3, Union(Capsule([-1.0, -1.0, 0], [1.0, 1.0, 0], 0.2), Capsule([-1.0, 1.0, 0], [1.0, -1.0, 0], 0.2)))
+    assert len(positive_leaf_components(x)) == 1
+    rails = Domain(3, Union(Capsule([-1.0, 0, 0], [1.0, 0, 0], 0.4), Capsule([-1.0, 1.0, 0], [1.0, 1.0, 0], 0.4)))
+    assert len(positive_leaf_components(rails)) == 2
+
+
+def _sampled_segment_distance(p1, p2, q1, q2, k=20_001):
+    """Least distance from ``k`` evenly spaced points of [p1, p2] to [q1, q2], each projected in closed form, and its error bound."""
+    P = p1 + np.linspace(0.0, 1.0, k)[:, None] * (p2 - p1)
+    w = q2 - q1
+    t = np.clip((P - q1) @ w / (w @ w), 0.0, 1.0) if w @ w > 0.0 else np.zeros(k)
+    dist = float(np.min(np.linalg.norm(P - q1 - t[:, None] * w, axis=1)))
+    return dist, 0.5 * float(np.linalg.norm(p2 - p1)) / (k - 1)  # the distance is |p2 - p1|-Lipschitz in s
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(["skew", "crossing", "parallel", "zero-length", "points"]),
+    st.integers(min_value=2, max_value=4),
+    st.integers(min_value=0, max_value=10**6),
+)
+def test_leaf_overlap_matches_a_sampled_segment_distance(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    p1, p2, q1, q2 = rng.uniform(-2.0, 2.0, size=(4, n))
+    if kind == "crossing":  # the axes meet inside both: the stationary point of the squared distance
+        c, d = p1 + rng.uniform(0.1, 0.9) * (p2 - p1), rng.normal(size=n)
+        q1, q2 = c - rng.uniform(0.1, 1.0) * d, c + rng.uniform(0.1, 1.0) * d
+    elif kind == "parallel":
+        q2 = q1 + rng.uniform(-2.0, 2.0) * (p2 - p1)
+    elif kind == "zero-length":
+        q2 = q1
+    elif kind == "points":
+        p2, q2 = p1, q1
+    dist, err = _sampled_segment_distance(p1, p2, q1, q2)
+
+    def overlap(total):
+        a, b = Capsule(p1, p2, 0.5 * total), Capsule(q1, q2, 0.5 * total)
+        assert bool(_leaf_overlap(a, b)) == bool(_leaf_overlap(b, a))
+        return _leaf_overlap(a, b)
+
+    assert overlap(dist + 1e-9)
+    if dist - err > 1e-9:
+        assert not overlap(dist - err - 1e-9)
 
 
 @pytest.mark.parametrize("inner", [0.899, 0.8])
