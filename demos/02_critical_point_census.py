@@ -67,8 +67,8 @@ def main() -> None:
     print(f"  the saddle sits on the neck mid-plane: x1 = {saddle.location[0]:+.2e}")
     print(f"  its Hessian has exactly one descending direction: {saddle.hess_eigs}")
 
-    # The same saddle, found independently as the mountain pass between the
-    # two minima: relax a string of states joining them and polish its peak.
+    # The same saddle, from the routine the census runs on each pair of
+    # minima: the highest node of the segment joining them, polished by Newton.
     m1, m2 = (p.location for p in rep.minima)
     mp = mountain_pass(dumbbell, m1, m2, CFG, CRIT)
     drift = np.linalg.norm(mp.location - saddle.location)

@@ -9,10 +9,11 @@ pays the full budget once (sample-size continuation, Byrd, Chin, Nocedal and
 Wu 2012, with the basin test of multi-level single linkage, Rinnooy Kan and
 Timmer 1987).  As there, the merge radius comes from the domain (a tenth of
 its largest positive leaf radius), so similar domains have similar censuses.
-Minima are connected through a string (elastic-band) method whose highest
-node is polished into a saddle by a full Newton iteration; both are
-assembled into a census, and the census is audited for stability under
-random C^2-small domain perturbations.
+Neighbouring minima are joined by a saddle: the highest node of the segment
+between them is polished by a full Newton iteration (the mountain pass of
+Ambrosetti and Rabinowitz 1973); both are assembled into a census, and the
+census is audited for stability under random C^2-small domain
+perturbations.
 
 All derivative information comes from :func:`bubblescape.quadrature.
 psi_integrals`, whose direction-orbit construction cancels odd noise at
@@ -60,8 +61,7 @@ __all__ = [
 ]
 
 _NEWTON_ITERS = 80  # Newton steps before the acceptance check
-_STRING_NODES = 11  # mountain-pass string nodes, both endpoints included
-_STRING_ROUNDS = 30  # string relaxation rounds
+_PATH_NODES = 11  # mountain-pass segment nodes, both endpoints included; odd, so one is on a mirror plane
 _NEWTON_TOL = 1e-3  # accepted final gradient norm, before three standard errors of noise
 _MORSE_TOL = 1e-6  # relative eigenvalue floor of a nondegenerate Hessian
 
@@ -347,75 +347,52 @@ def _light_config(quad_cfg: QuadratureConfig) -> QuadratureConfig:
 
 
 def mountain_pass(domain, x1, x2, quad_cfg: QuadratureConfig, crit_cfg: CritConfig | None = None):
-    """Separating saddle between two minima via a string method.
+    """Separating saddle between two minima: Newton from the top of the segment joining them.
 
-    A piecewise-linear string between the endpoints is relaxed by moving
-    interior nodes along the transverse gradient component and
-    re-equidistributing; the highest node then seeds a full Newton polish.
-    The endpoints are taken in ascending coordinate order, so swapping them
-    returns the same saddle.  Raises if the polished point is not a genuine
-    barrier (positive index).  ``crit_cfg`` is unused; it is accepted so
-    that :func:`census` calls its routines alike.
+    The segment must lie inside the region, which one ray query
+    (``surface_crossing_candidates``) checks.  Its interior nodes, of
+    ``_PATH_NODES`` evenly spaced, are evaluated at :func:`_light_config`, and
+    the highest seeds a full Newton polish with signed curvature
+    (:func:`_polish`).  The endpoints are taken in ascending coordinate order,
+    so swapping them returns the same saddle.  Raises if the polished point
+    is not a genuine barrier (positive index, away from both endpoints).
+    ``crit_cfg`` is unused; it is accepted so that :func:`census` calls its
+    routines alike.
     """
     radius = _merge_radius(domain)
     x1, x2 = sorted((np.asarray(x, dtype=float).reshape(-1) for x in (x1, x2)), key=_lex_key)
     if not (contains(domain, x1) and contains(domain, x2)):
         raise PreconditionError("both endpoints must lie inside the region")
-    if float(np.linalg.norm(x1 - x2)) <= radius:
+    length = float(np.linalg.norm(x2 - x1))
+    if length <= radius:
         raise PreconditionError("endpoints are too close to separate")
+    flips, _ = domain.surface_crossing_candidates(x1, ((x2 - x1) / length)[None, :], length)
+    if np.isfinite(flips).any():
+        raise ConvergenceError("the segment between the two minima leaves the region")
     anchor = deep_point(domain)[0]
     scale = float(domain.bounding_radius(anchor))
     light = _light_config(quad_cfg)
 
-    K = _STRING_NODES
-    nodes = np.linspace(0.0, 1.0, K)[:, None] * (x2 - x1)[None, :] + x1[None, :]
-    values = np.zeros(K)
-    for _ in range(_STRING_ROUNDS):
-        grads = np.zeros_like(nodes)
-        for i in range(1, K - 1):
-            ev = psi_integrals(domain, nodes[i], light)
-            values[i] = ev.value
-            grads[i] = ev.gradient
-        # transverse component w.r.t. the local tangent
-        for i in range(1, K - 1):
-            t = nodes[i + 1] - nodes[i - 1]
-            tn = float(np.linalg.norm(t))
-            if tn > 0.0:
-                t /= tn
-                grads[i] = grads[i] - (grads[i] @ t) * t
-        gmax = float(np.max(np.linalg.norm(grads, axis=1)))
-        spacing = float(np.linalg.norm(np.diff(nodes, axis=0), axis=1).mean())
-        eta = 0.15 * spacing / max(gmax, 1e-300)
-        for i in range(1, K - 1):
-            prop = nodes[i] - eta * grads[i]
-            for _ in range(8):
-                if contains(domain, prop):
-                    nodes[i] = prop
-                    break
-                prop = 0.5 * (prop + nodes[i])
-        # re-equidistribute by arclength
-        seg = np.linalg.norm(np.diff(nodes, axis=0), axis=1)
-        s = np.concatenate([[0.0], np.cumsum(seg)])
-        if s[-1] > 0.0:
-            target = np.linspace(0.0, s[-1], K)
-            nodes = np.stack([np.interp(target, s, nodes[:, d]) for d in range(nodes.shape[1])], axis=1)
-
-    interior = range(1, K - 1)
-    peak = max(interior, key=lambda i: values[i])
-    p = _polish(domain, nodes[peak], quad_cfg, scale, pd_floor=False)
+    nodes = np.linspace(0.0, 1.0, _PATH_NODES)[1:-1, None] * (x2 - x1)[None, :] + x1[None, :]
+    peak = max(nodes, key=lambda x: psi_integrals(domain, x, light).value)
+    p = _polish(domain, peak, quad_cfg, scale, pd_floor=False)
     if min(float(np.linalg.norm(p.location - x1)), float(np.linalg.norm(p.location - x2))) <= radius:
-        raise ConvergenceError("the string collapsed onto an endpoint")
+        raise ConvergenceError("the saddle polish fell back onto an endpoint")
     if p.morse_index == 0:
         raise ConvergenceError("no barrier separates the endpoints (polish found a minimum)")
     return p
 
 
 def census(domain, quad_cfg: QuadratureConfig, crit_cfg: CritConfig | None = None, warm_starts=None) -> CensusReport:
-    """Minima plus the saddles connecting same-component minima pairs.
+    """Minima plus the saddles that join the minima of each positive leaf component.
 
-    With ``warm_starts`` (an iterable of critical points or locations) the
-    census is re-established by polishing each start on this domain instead
-    of searching from scratch — the mode used by the perturbation audit.
+    Same-component pairs of minima are taken nearest first (ties by index),
+    and :func:`mountain_pass` searches a pair only if the saddles found so
+    far do not already join its two minima, so the saddles form a minimum
+    spanning forest (Kruskal 1956).  With ``warm_starts`` (an iterable of
+    critical points or locations) the census is re-established by polishing
+    each start on this domain instead of searching from scratch — the mode
+    used by the perturbation audit.
     """
     radius = _merge_radius(domain)
     anchor = deep_point(domain)[0]
@@ -438,13 +415,16 @@ def census(domain, quad_cfg: QuadratureConfig, crit_cfg: CritConfig | None = Non
                     return ci
             return -1
 
+        locs = [p.location for p in minima]
+        cid = [comp_of(x) for x in locs]
+        pairs = [(i, j) for i in range(len(locs)) for j in range(i + 1, len(locs)) if cid[i] == cid[j] >= 0]
+        pairs.sort(key=lambda ij: (float(np.linalg.norm(locs[ij[0]] - locs[ij[1]])), ij))
+        label = list(range(len(locs)))  # minima joined by the saddles so far share a label
         saddles = []
-        for i in range(len(minima)):
-            for j in range(i + 1, len(minima)):
-                ci, cj = comp_of(minima[i].location), comp_of(minima[j].location)
-                if ci != cj or ci < 0:
-                    continue
-                saddles.append(mountain_pass(domain, minima[i].location, minima[j].location, quad_cfg, crit_cfg))
+        for i, j in pairs:
+            if label[i] != label[j]:
+                saddles.append(mountain_pass(domain, locs[i], locs[j], quad_cfg, crit_cfg))
+                label = [label[i] if lab == label[j] else lab for lab in label]
         saddles = _dedupe(saddles, radius)
 
     cat = len(comps)

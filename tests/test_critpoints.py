@@ -319,8 +319,9 @@ def test_crit_holed_ball_polishes_one_minimum_once(tmp_path, monkeypatch, seed):
 
 
 def test_census_merges_noisy_minima_at_the_mountain_pass_radius():
-    # noisy polishes of one minimum used to survive the merge between 0.05
-    # and 0.1 apart, and the saddle search then refused the pair
+    # noisy polishes of one minimum lie between 0.05 and 0.1 apart; with a
+    # merge radius of 0.05 both survive, and the saddle polish between them
+    # falls back onto an endpoint
     cfg = QuadratureConfig(seed=0, near_budget=2**13, far_shells=24, replicates=2)
     rep = census(holed_ball(), cfg, CritConfig())
     assert [p.morse_index for p in rep.points] == [0]
@@ -349,3 +350,91 @@ def test_mountain_pass_is_symmetric_in_its_endpoints():
     cfg = QuadratureConfig(seed=0, near_budget=2**14, replicates=4)
     a, b = np.array([-1.7328, 0.0, 0.0]), np.array([1.7328, 0.0, 0.0])
     assert mountain_pass(dumbbell(), a, b, cfg).to_dict() == mountain_pass(dumbbell(), b, a, cfg).to_dict()
+
+
+def _ball(center, radius=1.0):
+    return {"type": "ball", "center": list(center), "radius": radius}
+
+
+def _union(left, right):
+    return {"type": "union", "left": left, "right": right}
+
+
+def _arms(lobe, joint, radius):
+    """Unit balls at ``(+-x, y, 0)``, each joined to ``joint`` by a capsule of ``radius``."""
+    x, y = lobe
+    return _union(*(
+        _union(_ball([s * x, y, 0.0]), {"type": "capsule", "a": [s * x, y, 0.0], "b": joint, "radius": radius})
+        for s in (-1.0, 1.0)
+    ))
+
+
+def _swap_unions(node):
+    if node["type"] != "union":
+        return node
+    return _union(_swap_unions(node["right"]), _swap_unions(node["left"]))
+
+
+# A V: the segment between its lobes leaves it.  A bent dumbbell: its neck is
+# kinked at (0, 0.5, 0).  Both have a third minimum at the joint and a mirror
+# pair of saddles, one on each arm.
+BENT_DOMAINS = {
+    "V": (_arms((2.0, 1.5), [0.0, 0.0, 0.0], 0.4), (0.632, 0.475)),
+    "bent-dumbbell": (_arms((1.75, 0.0), [0.0, 0.5, 0.0], 0.55), (0.28, 0.41)),
+}
+
+
+@pytest.mark.parametrize("name", BENT_DOMAINS)
+def test_crit_joins_the_minima_of_a_bent_domain_nearest_first(tmp_path, name):
+    root, (sx, sy) = BENT_DOMAINS[name]
+    runs = []
+    for tag, tree in (("given", root), ("swapped", _swap_unions(root))):
+        path = tmp_path / f"{tag}.json"
+        path.write_text(json.dumps({"dimension": 3, "root": tree}))
+        out = str(tmp_path / tag)
+        argv = ["crit", "--domain", str(path), "--out", out, "--seed", "0"]
+        assert main(argv + ["--near-budget", "32768", "--replicates", "4", "--far-shells", "24"]) == 0
+        runs.append(json.loads(open(os.path.join(out, "census.json")).read())["points"])
+    points = runs[0]
+    assert [p["morse_index"] for p in points] == [0, 0, 0, 1, 1]
+    assert all(p["nondegenerate"] for p in points)
+    left, right = (np.array(p["location"]) for p in points[3:])
+    # a mirror pair, up to the noise floor: off the mirror plane the fan noise does not cancel
+    np.testing.assert_allclose(left, right * [-1.0, 1.0, 1.0], atol=1e-3)
+    np.testing.assert_allclose(right, [sx, sy, 0.0], atol=0.01)
+    # Union operand order changes nothing
+    for p, q in zip(points, runs[1]):
+        assert p["morse_index"] == q["morse_index"]
+        assert np.linalg.norm(np.array(p["location"]) - q["location"]) <= 1e-6
+
+
+@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("name", ["peanut", "dumbbell"])
+def test_mountain_pass_polishes_the_top_of_the_segment(monkeypatch, name, seed):
+    calls = []
+    psi = critpoints.psi_integrals
+
+    def counting(domain, x, cfg):
+        calls.append(x)
+        return psi(domain, x, cfg)
+
+    monkeypatch.setattr(critpoints, "psi_integrals", counting)
+    if name == "peanut":
+        dom, a = Domain(3, Union(Ball(np.array([-0.9, 0.0, 0.0]), 1.0), Ball(np.array([0.9, 0.0, 0.0]), 1.0))), 0.836
+    else:
+        dom, a = dumbbell(), 1.733
+    p = mountain_pass(dom, np.array([-a, 0.0, 0.0]), np.array([a, 0.0, 0.0]), dataclasses.replace(CFG, seed=seed))
+    assert p.morse_index == 1
+    assert np.linalg.norm(p.location) <= 1e-3
+    assert len(calls) <= 60
+
+
+def test_crit_exits_3_where_a_hole_cuts_the_segment(tmp_path, capsys):
+    # the peanut's two minima lie on either side of the hole
+    root = {"type": "difference", "left": _union(_ball([-0.9, 0.0, 0.0]), _ball([0.9, 0.0, 0.0])),
+            "right": _ball([0.0, 0.0, 0.0], 0.2)}
+    path = tmp_path / "holed_peanut.json"
+    path.write_text(json.dumps({"dimension": 3, "root": root}))
+    argv = ["crit", "--domain", str(path), "--out", str(tmp_path / "k"), "--seed", "0"]
+    assert main(argv + ["--near-budget", "32768", "--replicates", "4", "--far-shells", "24"]) == 3
+    assert "the segment between the two minima leaves the region" in capsys.readouterr().err
