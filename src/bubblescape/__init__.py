@@ -12,12 +12,25 @@ concentration for near-critical elliptic problems with indefinite weight:
 * :mod:`bubblescape.cli` - reproducible command-line workflows.
 """
 
+import ctypes
 import os
 
 # The numeric libraries' thread pools gain no wall time here and only burn
 # CPU (README, "Numerical notes"); a value already set is kept.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("OMP_NUM_THREADS", "1")
+
+# The ray engine's temporaries are arrays of up to 8 MB; above glibc's mmap
+# threshold each is a fresh mapping that every psi call page-faults in again
+# (README, "Numerical notes").  Skipped where libc has no mallopt.
+try:
+    _mallopt = ctypes.CDLL(None).mallopt
+except (AttributeError, OSError, TypeError):
+    pass
+else:
+    _mallopt.argtypes, _mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    _mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: 32 MiB
+    _mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD: 64 MiB
 
 from .errors import ConvergenceError, PreconditionError
 

@@ -51,7 +51,6 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 from scipy.sparse.csgraph import connected_components
 from scipy.special import ndtri
-from scipy.stats import qmc
 
 from .errors import ConvergenceError, PreconditionError
 
@@ -93,11 +92,58 @@ def _finite(value, what: str) -> np.ndarray:
     return arr
 
 
+# Joe-Kuo direction numbers (SIAM J. Sci. Comput. 30, 2008) for dimensions
+# 1-8, the range of landscape.constants: each dimension's primitive
+# polynomial and its initial direction numbers, as SciPy tabulates them.
+_SOBOL_POLY = (1, 3, 7, 11, 13, 19, 25, 37)
+_SOBOL_VINIT = ((), (1,), (1, 3), (1, 3, 1), (1, 1, 1), (1, 1, 3, 3), (1, 3, 5, 13), (1, 1, 5, 5, 17))
+_SOBOL_BITS = 30
+_SOBOL_MSB = np.arange(_SOBOL_BITS - 1, -1, -1, dtype=np.uint32)  # bit shifts, most significant bit first
+
+
+def _sobol_directions() -> np.ndarray:
+    """The (8, 30) direction numbers: each row extends its initial numbers by the polynomial's recurrence."""
+    rows = []
+    for poly, vinit in zip(_SOBOL_POLY, _SOBOL_VINIT):
+        m, row = len(vinit), list(vinit) or [1] * _SOBOL_BITS
+        for j in range(len(row), _SOBOL_BITS):
+            new = row[j - m]
+            for k in range(m):
+                new ^= ((poly >> (m - 1 - k)) & 1) * row[j - k - 1] << (k + 1)
+            row.append(new)
+        rows.append(row)
+    return np.array(rows, dtype=np.uint32) << _SOBOL_MSB
+
+
+_SOBOL_V = _sobol_directions()
+
+
 def sobol_points(n: int, count: int, key=None) -> np.ndarray:
-    """The first ``count`` n-dimensional Sobol points, scrambled from ``SeedSequence(key)`` unless ``key`` is None."""
-    rng = None if key is None else np.random.default_rng(np.random.SeedSequence(key))
-    # a power-of-two draw (Sobol balance), sliced: the prefix is the same sequence
-    return qmc.Sobol(d=n, scramble=key is not None, seed=rng).random_base2(max(0, int(np.ceil(np.log2(count)))))[:count]
+    """The first ``count`` n-dimensional Sobol points, scrambled from ``SeedSequence(key)`` unless ``key`` is None.
+
+    Bit for bit the points of ``scipy.stats.qmc.Sobol(n, scramble=key is not
+    None, seed=default_rng(SeedSequence(key)))``: a Matousek linear scramble
+    with a digital shift (J. Complexity 14, 1998), in Gray-code order.
+    """
+    if not 1 <= n <= len(_SOBOL_POLY):
+        raise PreconditionError(f"Sobol points are tabulated for dimensions 1 through {len(_SOBOL_POLY)}, got {n}")
+    v, shift = _SOBOL_V[:n], np.zeros(n, dtype=np.uint32)
+    if key is not None:
+        # the child generator SciPy spawns from the one it is given; shift first, then the scramble
+        rng = np.random.default_rng(np.random.SeedSequence(key).spawn(1)[0])
+        shift = rng.integers(2, size=(n, _SOBOL_BITS), dtype=np.uint32) @ (np.uint32(1) << _SOBOL_MSB[::-1])
+        L = np.tril(rng.integers(2, size=(n, _SOBOL_BITS, _SOBOL_BITS), dtype=np.uint32))
+        L |= np.eye(_SOBOL_BITS, dtype=np.uint32)
+        # each direction number's bits, most significant first, times L mod 2 (Matousek's scramble)
+        v = (((v[:, :, None] >> _SOBOL_MSB) & 1) @ L.transpose(0, 2, 1) & 1) @ (np.uint32(1) << _SOBOL_MSB)
+    q = np.empty((count, n), dtype=np.uint32)
+    q[:1] = shift
+    for b in range(max(count - 1, 0).bit_length()):
+        # Gray-code order: the next 2^b points mirror the first 2^b, with direction b flipped
+        lo = 1 << b
+        hi = min(2 * lo, count)
+        np.bitwise_xor(q[2 * lo - hi : lo][::-1], v[:, b], out=q[lo:hi])
+    return q * 2.0**-_SOBOL_BITS
 
 
 def sphere_points(U: np.ndarray) -> np.ndarray:

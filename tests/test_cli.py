@@ -593,6 +593,13 @@ def test_empty_domain_exits_2(tmp_path, capsys):
     assert "empty" in capsys.readouterr().err
 
 
+def test_crit_past_the_sobol_table_exits_2(tmp_path, capsys):
+    path = write_domain(tmp_path, "ball9.json", {"dimension": 9, "root": {"type": "ball", "center": [0.0] * 9, "radius": 1.0}})
+    assert main(["crit", "--domain", path, "--out", str(tmp_path), *FAST]) == 2
+    err = capsys.readouterr().err
+    assert "dimensions 1 through 8, got 9" in err and "Traceback" not in err
+
+
 def test_negative_seed_exits_2(tmp_path, capsys):
     assert main(["crit", "--domain", ball3_file(tmp_path), "--seed", "-1", "--out", str(tmp_path), *FAST]) == 2
     assert "seed" in capsys.readouterr().err
@@ -678,3 +685,11 @@ def test_import_sets_the_thread_default_unless_the_user_did(preset):
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
     want = preset or "1"
     assert out.split() == [want, want]
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs about half a second of start-up; the package draws its Sobol points itself
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(bubblescape.__file__)))
+    code = "import sys, bubblescape.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["False"]

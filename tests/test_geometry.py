@@ -39,6 +39,7 @@ from bubblescape.geometry import (
     leaf_anchors,
     perturb,
     positive_leaf_components,
+    sobol_points,
 )
 from bubblescape.quadrature import QuadratureConfig, _outside_segments, exterior_lp_mass, psi_integrals
 
@@ -1044,3 +1045,28 @@ def test_boundary_point_type():
     bp = BoundaryPoint([1.0, 0.0, 0.0], [-1.0, 0.0, 0.0])
     assert bp.point.shape == (3,)
     assert bp.inner_normal.shape == (3,)
+
+
+# ---------------------------------------------------------------------------
+# Sobol points
+# ---------------------------------------------------------------------------
+
+
+# the three key shapes the package draws with: the probe fan, find_minima's starts, a replicate's fan
+@pytest.mark.parametrize("key", [None, (7, 0xC417), (7, 0x5A1, 3)], ids=["unscrambled", "seed-tag", "seed-tag-rep"])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_sobol_points_match_scipy_bit_for_bit(n, key):
+    from scipy.stats import qmc
+
+    for count in (1, 5, 512, 4096, 2**15):
+        rng = None if key is None else np.random.default_rng(np.random.SeedSequence(key))
+        m = max(0, (count - 1).bit_length())
+        want = qmc.Sobol(n, scramble=key is not None, seed=rng).random_base2(m)[:count]
+        got = sobol_points(n, count, key)
+        assert got.dtype == want.dtype and got.shape == want.shape == (count, n)
+        assert np.array_equal(got, want), (n, count, key)
+
+
+def test_sobol_points_refuse_dimensions_past_the_table():
+    with pytest.raises(PreconditionError, match="dimensions 1 through 8, got 9"):
+        sobol_points(9, 16, (0, 0xC417))
