@@ -308,7 +308,7 @@ def energy(domain: Domain, bubble: Bubble, eps: float, consts: Constants, config
         exterior_mass=ext.value,
         exponent=m,
         n_evals=ext.n_evals,
-        converged=bool(ext.decay_ok and config.accepts(j, j_std)),
+        converged=config.accepts(j, j_std),
     )
 
 

@@ -28,7 +28,7 @@ from .bubbles import _check_eps_grid, expansion_residual_hole, expansion_residua
 from .critpoints import CritConfig, census, find_minima, morse_audit
 from .errors import ConvergenceError, PreconditionError
 from .geometry import _finite, deep_point, load_domain
-from .landscape import constants, predict_hole, predict_nodal, predict_subcritical
+from .landscape import _check_eps, constants, predict_hole, predict_nodal, predict_subcritical
 from .quadrature import QuadratureConfig, psi_integrals
 
 __all__ = [
@@ -421,7 +421,10 @@ def _resolve(args) -> tuple:
             raise PreconditionError("--trials must be at least 1")
         options = {"rho": float(args.rho), "trials": int(args.trials)}
 
-    os.makedirs(args.out, exist_ok=True)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:  # a file in the way: --out names one or lies below one
+        raise PreconditionError(f"cannot create output directory {args.out!r}: {exc}") from exc
     manifest = RunManifest(
         command=args.command,
         domain_file=args.domain,
@@ -483,6 +486,8 @@ def _resolve_predict_options(args, dimension: int) -> dict:
     if args.sweep_count < 1:
         raise PreconditionError("--sweep-count must be at least 1")
     sweep = [float(v) for v in np.geomspace(args.sweep_min, args.sweep_max, args.sweep_count)]
+    if args.regime == "sub":
+        _check_eps(sweep[-1])  # before the default xi's minimum search
     options = {"sweep": sweep}
     _point_option(options, "xi", args.xi, args.regime, "sub", dimension)
     return options

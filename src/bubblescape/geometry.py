@@ -8,14 +8,15 @@ tests, exact ray classification, conservative interior-depth bounds,
 enclosing radii, boundary projections with inner normals, diameter pairs
 (exact for unions of leaves, refused when carving removes a longer pair),
 and smooth volume-preservation-free perturbations ``y = x + theta(x)`` with
-certified small C^2 norm.
+certified small C^2 norm.  Perturbed domains answer membership, depth, ray
+crossings, pull-backs and deep points only.
 
 One fold over the tree (``_csg``) serves every tree query: membership,
 depth, enclosing radius, the leaf list and the ray rule.  Membership and
 depth share the implicit-CSG rule (Ricci, The Computer Journal 16, 1973):
 each leaf's inside value, combined by ``max`` over a union and
-``min(l, -r)`` over a difference.  Membership is the sign of the CSG value
-of ``r^2 - |x - axis|^2``: ``> 0`` for open membership, ``>= 0`` for closed.
+``min(l, -r)`` over a difference.  Membership holds where the CSG value of
+``r^2 - |x - axis|^2`` is positive.
 
 Ray classification: every leaf is convex, so a ray meets it in one span of
 parameters.  Membership along the ray is a comparison of the ray parameter
@@ -290,10 +291,9 @@ def _csg_value(node, X: np.ndarray, leaf) -> np.ndarray:
     return _csg(node, lambda c: leaf(c, _axis_offset(c, X)), np.maximum, lambda l, r: np.minimum(l, -r))
 
 
-def _member(node, X: np.ndarray, closed: bool = False) -> np.ndarray:
-    """Open (closed) membership of each row: the CSG value of ``r^2 - |x - axis|^2`` is > 0 (>= 0)."""
-    v = _csg_value(node, X, lambda c, d: c.radius * c.radius - np.einsum("ij,ij->i", d, d))
-    return v >= 0.0 if closed else v > 0.0
+def _member(node, X: np.ndarray) -> np.ndarray:
+    """Open membership of each row: the CSG value of ``r^2 - |x - axis|^2`` is > 0."""
+    return _csg_value(node, X, lambda c, d: c.radius * c.radius - np.einsum("ij,ij->i", d, d)) > 0.0
 
 
 def _depth(node, X: np.ndarray) -> np.ndarray:
@@ -429,9 +429,9 @@ class Domain:
 
     # -- queries ------------------------------------------------------------
 
-    def contains_many(self, X: np.ndarray, closed: bool = False) -> np.ndarray:
+    def contains_many(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
-        return _member(self._norm, X, closed)
+        return _member(self._norm, X)
 
     def depth_bound_many(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -570,16 +570,6 @@ class PerturbationField:
         g = np.exp(-r2 / self.widths[None, :] ** 2)
         return g @ self.displacements
 
-    def jacobian(self, X: np.ndarray) -> np.ndarray:
-        """D theta at each row of X, shape (m, n, n) with J[m, i, j] = d theta_i / d x_j."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        diff = X[:, None, :] - self.centers[None, :, :]
-        r2 = np.einsum("mkj,mkj->mk", diff, diff)
-        w2 = self.widths[None, :] ** 2
-        g = np.exp(-r2 / w2)
-        scale = -2.0 * g / w2
-        return np.einsum("mk,ki,mkj->mij", scale, self.displacements, diff)
-
     def amplitude_bound(self) -> float:
         return float(np.sum(np.linalg.norm(self.displacements, axis=1)))
 
@@ -631,7 +621,8 @@ class PerturbationField:
 class PerturbedDomain:
     """Image ``(I + theta)(Omega)`` of a base domain under a C^2-small field.
 
-    Membership inverts the map by the contraction iteration
+    It answers membership, depth, ray crossings, pull-backs and deep points
+    only.  Membership inverts the map by the contraction iteration
     ``x <- y - theta(x)`` to absolute tolerance 1e-12 (times the domain
     scale); the C^2 bound below one half certifies the contraction.
 
@@ -700,10 +691,10 @@ class PerturbedDomain:
 
     # -- queries --------------------------------------------------------------
 
-    def contains_many(self, Y: np.ndarray, closed: bool = False) -> np.ndarray:
+    def contains_many(self, Y: np.ndarray) -> np.ndarray:
         """Membership of each row: the base membership of its pull-back."""
         Y = np.atleast_2d(np.asarray(Y, dtype=float))
-        return self.base.contains_many(self.pull_back(Y), closed)
+        return self.base.contains_many(self.pull_back(Y))
 
     def depth_bound_many(self, Y: np.ndarray) -> np.ndarray:
         Y = np.atleast_2d(np.asarray(Y, dtype=float))
@@ -847,11 +838,6 @@ class PerturbedDomain:
             ga, gb = np.concatenate([ga, gc]), np.concatenate([gc, gb])
         return tuple(np.concatenate(v) for v in zip(*found))
 
-    def deep_point_hint(self):
-        x, d = deep_point(self.base)
-        y = self.push_forward(x[None, :])[0]
-        return y, self._margin * d
-
 
 # ---------------------------------------------------------------------------
 # Module-level operations
@@ -919,17 +905,10 @@ def boundary_nearest(domain, x) -> BoundaryPoint:
     nearest boundary point sits on a CSG crease), the closest first
     membership flip along a fixed direction fan supplies the answer.
     Distance ties are broken toward the lexicographically largest point.
-    On a ``PerturbedDomain`` the answer is the push-forward of the base answer
-    for the pulled-back point: on the perturbed boundary, but not always nearest.
+    A ``PerturbedDomain`` has no leaf projections and raises ``PreconditionError``.
     """
     if isinstance(domain, PerturbedDomain):
-        inner = boundary_nearest(domain.base, domain.pull_back(np.atleast_2d(x))[0])
-        p = domain.push_forward(inner.point[None, :])[0]
-        J = domain.theta.jacobian(inner.point[None, :])[0]
-        A = np.eye(domain.dimension) + J
-        nu = np.linalg.solve(A.T, inner.inner_normal)
-        return BoundaryPoint(p, nu / np.linalg.norm(nu))
-
+        raise PreconditionError("boundary_nearest needs a CSG Domain; perturbed domains are not supported")
     x = _as_point(x, domain.dimension)
     scale = domain.bounding_radius(x)
     P, N = (np.array(rows) for rows in zip(*(_leaf_nearest(leaf, x) for leaf, _ in domain.leaves())))
@@ -1020,10 +999,12 @@ def deep_point(domain):
     Checks exact leaf candidates first (the :func:`leaf_anchors` of each positive leaf);
     falls back to a fixed-seed uniform scan of the enclosing ball.  Ties go to
     the lexicographically largest point.  Raises ``PreconditionError`` when
-    the scan finds no interior point (an empty or very thin domain).
+    the scan finds no interior point (an empty or very thin domain).  A
+    ``PerturbedDomain`` pushes its base's point forward, with its depth margin.
     """
     if isinstance(domain, PerturbedDomain):
-        return domain.deep_point_hint()
+        x, d = deep_point(domain.base)
+        return domain.push_forward(x[None, :])[0], domain._margin * d
     n = domain.dimension
     cands = [c for leaf, sign in domain.leaves() if sign > 0 for c in leaf_anchors(leaf)]
     if cands:

@@ -600,6 +600,16 @@ def test_crit_past_the_sobol_table_exits_2(tmp_path, capsys):
     assert "dimensions 1 through 8, got 9" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("below", [False, True], ids=["names-a-file", "below-a-file"])
+def test_out_that_cannot_become_a_directory_exits_2(tmp_path, capsys, below):
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    out = blocker / "o" if below else blocker
+    assert main(["constants", "--dim", "3", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"precondition violated: cannot create output directory {str(out)!r}") and "Traceback" not in err
+
+
 def test_negative_seed_exits_2(tmp_path, capsys):
     assert main(["crit", "--domain", ball3_file(tmp_path), "--seed", "-1", "--out", str(tmp_path), *FAST]) == 2
     assert "seed" in capsys.readouterr().err
@@ -638,10 +648,11 @@ def test_domain_vector_of_wrong_dimension_exits_2(tmp_path, capsys, root):
         (["predict", "--regime", "hole", "--sweep-max", "inf"], "need 0 < --sweep-min <= --sweep-max < inf"),
         (["energy-check", "--regime", "hole", "--values", "0.01", "nan"], "rho values must be finite"),
         (["predict", "--regime", "sub", "--xi", "nan", "0", "0"], "--xi must be finite"),
+        (["predict", "--regime", "sub", "--sweep-max", "0.5"], "the subcriticality parameter must lie in (0, 0.2)"),
     ],
     ids=[
         "trials", "steps", "fixed-count", "lo-hi", "xi-length", "sweep-order", "sweep-count",
-        "lo-inf", "fixed-nan", "sweep-max-inf", "values-nan", "xi-nan",
+        "lo-inf", "fixed-nan", "sweep-max-inf", "values-nan", "xi-nan", "sub-sweep-max",
     ],
 )
 def test_flag_preconditions_exit_2_before_any_quadrature(tmp_path, monkeypatch, capsys, args, message):
