@@ -95,7 +95,7 @@ def main() -> None:
         fh.write("i,j,x0,x1,psi\n")
         for i in range(xs.size):
             for j in range(ys.size):
-                fh.write(f"{i},{j},{xs[i]!r},{ys[j]!r},{values[i, j]!r}\n")
+                fh.write(f"{i},{j},{float(xs[i])!r},{float(ys[j])!r},{float(values[i, j])!r}\n")
     print(f"\nwrote {path}")
 
 

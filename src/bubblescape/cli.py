@@ -74,11 +74,7 @@ class RunManifest:
 
 
 def _fmt(x) -> str:
-    """Full-precision, round-trippable text for one scalar."""
-    if isinstance(x, (bool, np.bool_)):
-        return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
+    """Full-precision, round-trippable text for one float."""
     return repr(float(x))
 
 
@@ -114,7 +110,7 @@ def cmd_psi_grid(manifest: RunManifest, domain) -> int:
     fixed = np.asarray(opt["fixed"], dtype=float)
 
     points = np.empty((xs.size * ys.size, n))
-    points[:, :] = _embed_fixed(n, (a0, a1), fixed)
+    points[:, [c for c in range(n) if c not in (a0, a1)]] = fixed
     grid_x, grid_y = np.meshgrid(xs, ys, indexing="ij")
     points[:, a0] = grid_x.ravel()
     points[:, a1] = grid_y.ravel()
@@ -290,24 +286,6 @@ def cmd_morse_audit(manifest: RunManifest, domain) -> int:
     return 0 if audit.stable else 1
 
 
-_PROVENANCE = {
-    "n": "input dimension",
-    "p": "closed form",
-    "critical_mass": "Beta integral of the bubble profile",
-    "log_mass": "radial quadrature of the log-weighted bubble moment",
-    "a": "Beta integral (leading energy level)",
-    "b": "radial quadrature of the log-weighted moment (first-order coefficient)",
-    "c": "Beta integral (log-term coefficient)",
-    "c1": "closed form (landscape coupling)",
-    "c2": "Beta integral (log-derivative coupling)",
-    "c1_nodal": "closed form (pair interaction)",
-    "c2_nodal": "injected default: identified with c2",
-    "c3_nodal": "closed form (pair interaction)",
-    "c4_nodal": "Beta integral (half-space wall kernel)",
-    "b2_hole": "closed form (hole coupling)",
-}
-
-
 def cmd_constants(manifest: RunManifest, domain=None) -> int:
     """Dump the dimensional model constants with provenance notes."""
     consts = constants(manifest.dimension)
@@ -315,7 +293,7 @@ def cmd_constants(manifest: RunManifest, domain=None) -> int:
     payload = {
         "dimension": int(manifest.dimension),
         "values": {key: (int(v) if key == "n" else float(v)) for key, v in values.items()},
-        "provenance": {key: _PROVENANCE[key] for key in values},
+        "provenance": {f.name: f.metadata["provenance"] for f in dataclasses.fields(consts)},
     }
     _write_json(os.path.join(manifest.output_dir, "constants.json"), payload)
     print(f"constants: n={manifest.dimension}; wrote {len(values)} values")
@@ -327,57 +305,54 @@ def cmd_constants(manifest: RunManifest, domain=None) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _embed_fixed(n: int, axes: tuple, fixed: np.ndarray) -> np.ndarray:
-    out = np.zeros(n)
-    rest = [c for c in range(n) if c not in axes]
-    out[rest] = fixed
-    return out
-
-
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    common = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     common.add_argument("--domain", metavar="FILE", help="JSON domain description")
-    common.add_argument("--dim", type=int, help="space dimension (checked against the domain file)")
     common.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     common.add_argument("--out", metavar="DIR", default=".", help="output directory (default .)")
     common.add_argument("--near-budget", type=int, default=2**20, help="quadrature ray budget")
-    common.add_argument("--far-shells", type=int, default=64, help="dyadic far-field octaves")
+    common.add_argument(
+        "--far-shells", type=int, default=64,
+        help="far-field octaves of the general-integrand masses only, which no subcommand runs (kept in manifest.json)",
+    )
     common.add_argument("--replicates", type=int, default=8, help="independent scramblings")
     common.add_argument("--multistart", type=int, default=12, help="extra Newton starts")
 
     top = argparse.ArgumentParser(
         prog="bubblescape",
         description="Concentration landscapes, critical points, and blow-up rate prediction.",
+        allow_abbrev=False,
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    grid = sub.add_parser("psi-grid", parents=[common], help="sample the landscape on a 2D slice")
+    grid = sub.add_parser("psi-grid", parents=[common], allow_abbrev=False, help="sample the landscape on a 2D slice")
     grid.add_argument("--axes", type=int, nargs=2, default=(0, 1), metavar=("I", "J"))
     grid.add_argument("--lo", type=float, nargs=2, metavar=("A", "B"), help="lower slice corner")
     grid.add_argument("--hi", type=float, nargs=2, metavar=("A", "B"), help="upper slice corner")
     grid.add_argument("--steps", type=int, nargs=2, default=(33, 33), metavar=("NI", "NJ"))
     grid.add_argument("--fixed", type=float, nargs="*", help="values of the remaining coordinates")
 
-    sub.add_parser("crit", parents=[common], help="critical-point census")
+    sub.add_parser("crit", parents=[common], allow_abbrev=False, help="critical-point census")
 
-    pred = sub.add_parser("predict", parents=[common], help="blow-up rate tables")
+    pred = sub.add_parser("predict", parents=[common], allow_abbrev=False, help="blow-up rate tables")
     pred.add_argument("--regime", choices=_REGIMES, required=True)
     pred.add_argument("--sweep-min", type=float, default=1e-3)
     pred.add_argument("--sweep-max", type=float, default=1e-1)
     pred.add_argument("--sweep-count", type=int, default=13)
     pred.add_argument("--xi", type=float, nargs="+", help="concentration point (sub; default: argmin)")
 
-    en = sub.add_parser("energy-check", parents=[common], help="expansion residual verdict")
+    en = sub.add_parser("energy-check", parents=[common], allow_abbrev=False, help="expansion residual verdict")
     en.add_argument("--regime", choices=("sub", "hole"), required=True)
     en.add_argument("--values", type=float, nargs="+", help="strictly decreasing small parameters")
     en.add_argument("--xi", type=float, nargs="+", help="concentration point (sub; default: argmin)")
     en.add_argument("--hole-center", type=float, nargs="+", help="hole center (hole; default: origin)")
 
-    audit = sub.add_parser("morse-audit", parents=[common], help="census stability audit")
+    audit = sub.add_parser("morse-audit", parents=[common], allow_abbrev=False, help="census stability audit")
     audit.add_argument("--rho", type=float, default=0.05, help="C^2 size of the perturbations")
     audit.add_argument("--trials", type=int, default=5, help="number of random trials")
 
-    sub.add_parser("constants", parents=[common], help="dimensional model constants")
+    consts = sub.add_parser("constants", parents=[common], allow_abbrev=False, help="dimensional model constants")
+    consts.add_argument("--dim", type=int, help="space dimension")
     return top
 
 
@@ -403,10 +378,6 @@ def _resolve(args) -> tuple:
             raise PreconditionError(f"domain file {args.domain!r} does not exist")
         domain = load_domain(args.domain)
         dimension = domain.dimension
-        if args.dim is not None and args.dim != dimension:
-            raise PreconditionError(
-                f"--dim {args.dim} contradicts the domain file dimension {dimension}"
-            )
 
     regime = getattr(args, "regime", None)
     options: dict = {}

@@ -65,25 +65,26 @@ class Constants:
     * ``b``      linear-in-eps level shift,
     * ``c``      coefficient of the ``eps ln eps`` level term,
     * ``c1``     weight of ``psi(xi) d^n`` in the subcritical reduced energy,
-    * ``c2``     weight of ``ln d`` (also ``c2_nodal``),
-    * ``c1_nodal .. c4_nodal``  the two-bubble interaction coefficients,
+    * ``c2``     weight of ``ln d``, and of ``ln(d1 d2)`` in the nodal one,
+    * ``c1_nodal``, ``c3_nodal``, ``c4_nodal``  the two-bubble interaction coefficients,
     * ``b2_hole``  the hole-repulsion weight ``c1 * |B_1|``.
+
+    Each field's ``provenance`` metadata says how its value is obtained.
     """
 
-    n: int
-    p: float
-    critical_mass: float
-    log_mass: float
-    a: float
-    b: float
-    c: float
-    c1: float
-    c2: float
-    c1_nodal: float
-    c2_nodal: float
-    c3_nodal: float
-    c4_nodal: float
-    b2_hole: float
+    n: int = field(metadata={"provenance": "input dimension"})
+    p: float = field(metadata={"provenance": "closed form"})
+    critical_mass: float = field(metadata={"provenance": "Beta integral of the bubble profile"})
+    log_mass: float = field(metadata={"provenance": "radial quadrature of the log-weighted bubble moment"})
+    a: float = field(metadata={"provenance": "Beta integral (leading energy level)"})
+    b: float = field(metadata={"provenance": "radial quadrature of the log-weighted moment (first-order coefficient)"})
+    c: float = field(metadata={"provenance": "Beta integral (log-term coefficient)"})
+    c1: float = field(metadata={"provenance": "closed form (landscape coupling)"})
+    c2: float = field(metadata={"provenance": "Beta integral (log-derivative coupling)"})
+    c1_nodal: float = field(metadata={"provenance": "closed form (pair interaction)"})
+    c3_nodal: float = field(metadata={"provenance": "closed form (pair interaction)"})
+    c4_nodal: float = field(metadata={"provenance": "Beta integral (half-space wall kernel)"})
+    b2_hole: float = field(metadata={"provenance": "closed form (hole coupling)"})
 
 
 def _half_space_kernel(n: int) -> float:
@@ -109,31 +110,23 @@ def constants(n: int) -> Constants:
     alpha = bubble_alpha(n)
     M = bubble_moment(n, m)
     L = bubble_moment(n, m, log_weight=True)
-    a = M / n
-    b = L / m - M / (m * m)
-    c = -M / (m * m)
     c1 = 2.0 * alpha**m / m
-    c2 = n * M / (m * m)
     ball_volume = sphere_area(n) / n
     c1_nodal = alpha**m * ball_volume
-    c3_nodal = (n - 2.0) * c1_nodal
-    c4_nodal = (2.0 / m) * alpha**m * _half_space_kernel(n)
-    b2_hole = c1 * ball_volume
     return Constants(
         n=n,
         p=p,
         critical_mass=M,
         log_mass=L,
-        a=a,
-        b=b,
-        c=c,
+        a=M / n,
+        b=L / m - M / (m * m),
+        c=-M / (m * m),
         c1=c1,
-        c2=c2,
+        c2=n * M / (m * m),
         c1_nodal=c1_nodal,
-        c2_nodal=c2,
-        c3_nodal=c3_nodal,
-        c4_nodal=c4_nodal,
-        b2_hole=b2_hole,
+        c3_nodal=(n - 2.0) * c1_nodal,
+        c4_nodal=(2.0 / m) * alpha**m * _half_space_kernel(n),
+        b2_hole=c1 * ball_volume,
     )
 
 
@@ -147,12 +140,12 @@ class RatePrediction:
     """Concentration parameters as functions of the small parameter.
 
     ``delta(eps)`` returns one scale per bubble, ``tau(eps)`` the boundary
-    distances (empty for interior regimes), ``centers(eps)`` the predicted
-    concentration points, and ``signs`` the bubble orientations.
+    distances (zero for interior regimes), ``centers(eps)`` the predicted
+    concentration points, and ``signs`` the bubble orientations; the
+    dimension is the width of ``anchors``.
     """
 
     regime: str
-    dimension: int
     parameters: dict
     anchors: np.ndarray  # (k, n) anchor points (centers or boundary points)
     normals: np.ndarray  # (k, n) inner normals (zero rows for interior)
@@ -170,6 +163,23 @@ class RatePrediction:
 
     def centers(self, eps: float) -> np.ndarray:
         return self.anchors + self.tau(eps)[:, None] * self.normals
+
+
+def _interior_prediction(
+    regime: str, parameters: dict, anchor: np.ndarray, delta_coeff: float, delta_exponent: float
+) -> RatePrediction:
+    """One positive bubble fixed at the interior point ``anchor``: no wall distance."""
+    return RatePrediction(
+        regime=regime,
+        parameters=parameters,
+        anchors=anchor[None, :],
+        normals=np.zeros((1, anchor.size)),
+        signs=(1,),
+        delta_coeff=np.array([delta_coeff]),
+        delta_exponent=delta_exponent,
+        tau_coeff=np.zeros(1),
+        tau_exponent=1.0,
+    )
 
 
 def reduced_energy_sub(consts: Constants, psi_val: float, d: float) -> float:
@@ -203,9 +213,8 @@ def predict_subcritical(domain, eps: float, xi_star, consts: Constants, config: 
     ev = psi_integrals(domain, xi_star, config)
     d_star = optimal_d(consts, ev.value)
     level = reduced_energy_sub(consts, ev.value, d_star)
-    return RatePrediction(
+    return _interior_prediction(
         regime="subcritical",
-        dimension=n,
         parameters={
             "d_star": d_star,
             "psi_value": ev.value,
@@ -213,13 +222,9 @@ def predict_subcritical(domain, eps: float, xi_star, consts: Constants, config: 
             "reduced_energy": level,
             "eps": float(eps),
         },
-        anchors=xi_star[None, :],
-        normals=np.zeros((1, n)),
-        signs=(1,),
-        delta_coeff=np.array([d_star]),
+        anchor=xi_star,
+        delta_coeff=d_star,
         delta_exponent=1.0 / n,
-        tau_coeff=np.zeros(1),
-        tau_exponent=1.0,
     )
 
 
@@ -266,7 +271,7 @@ def reduced_energy_nodal(
     if sep <= 0.0:
         raise PreconditionError("boundary anchors must be distinct")
     prod = d1 * d2
-    xi_term = consts.c1_nodal * prod ** ((n - 2.0) / 2.0) / sep ** (n - 2.0) - consts.c2_nodal * math.log(prod)
+    xi_term = consts.c1_nodal * prod ** ((n - 2.0) / 2.0) / sep ** (n - 2.0) - consts.c2 * math.log(prod)
     drift = float(diff @ (t1 * np.asarray(eta1.inner_normal) - t2 * np.asarray(eta2.inner_normal)))
     upsilon = (
         -consts.c3_nodal * prod ** ((n - 2.0) / 2.0) * drift / sep**n
@@ -306,7 +311,7 @@ def predict_nodal(
             "diameter normals are not aligned with the separation axis; "
             "the two-bubble ansatz needs facing boundary caps"
         )
-    sbar = sep * (2.0 * consts.c2_nodal / ((n - 2.0) * consts.c1_nodal)) ** (1.0 / (n - 2.0))
+    sbar = sep * (2.0 * consts.c2 / ((n - 2.0) * consts.c1_nodal)) ** (1.0 / (n - 2.0))
     # drift weights of t1 and t2, both positive because the normals face each other
     kappa = consts.c3_nodal * sbar ** (n - 2.0) / sep ** (n - 1.0)
     w1 = -kappa * a1
@@ -319,7 +324,6 @@ def predict_nodal(
     value = reduced_energy_nodal(consts, d1, d2, t1, t2, bp1, bp2)
     return RatePrediction(
         regime="nodal",
-        dimension=n,
         parameters={
             "d1": d1,
             "d2": d2,
@@ -376,9 +380,8 @@ def predict_hole(domain, rho: float, consts: Constants, config: QuadratureConfig
     b1 = consts.c1 * ev.value
     d0, zeta0 = hole_critical_point(consts, b1)
     level = reduced_energy_hole(consts, b1, d0, zeta0)
-    return RatePrediction(
+    return _interior_prediction(
         regime="hole",
-        dimension=n,
         parameters={
             "d0": d0,
             "b1": b1,
@@ -388,11 +391,7 @@ def predict_hole(domain, rho: float, consts: Constants, config: QuadratureConfig
             "reduced_energy": level,
             "rho": float(rho),
         },
-        anchors=zeta0[None, :],
-        normals=np.zeros((1, n)),
-        signs=(1,),
-        delta_coeff=np.array([d0]),
+        anchor=zeta0,
+        delta_coeff=d0,
         delta_exponent=0.5,
-        tau_coeff=np.zeros(1),
-        tau_exponent=1.0,
     )

@@ -37,9 +37,9 @@ from bubblescape.geometry import Ball, Capsule, Difference, Domain, Scale, Trans
 from bubblescape.landscape import constants, hole_critical_point, optimal_d, reduced_energy_sub
 from bubblescape.quadrature import (
     QuadratureConfig,
-    ball_lp_mass,
     bubble_alpha,
-    exterior_lp_mass,
+    bubble_moment,
+    exterior_bubble_mass,
     psi_integrals,
     sphere_area,
 )
@@ -329,8 +329,7 @@ def test_criterion_07_exterior_mass_ratio(sub_expansion):
         """Measured exterior mass over the leading and the first-order model."""
         delta = d * eps ** (1.0 / 4.0)
         m = consts.p + 1.0 - eps
-        u = lambda X: bubble_value(4, delta, np.zeros(4), X)
-        measured = exterior_lp_mass(dom, u, m, CFG_FULL, center=np.zeros(4))
+        measured = exterior_bubble_mass(dom, delta, np.zeros(4), m, CFG_FULL)
         assert measured.converged and measured.decay_ok, f"quadrature flagged at eps={eps}"
         model = bubble_alpha(4) ** m * delta**m * psi0
         first_order = 4.0 / (2.0 * m - 4.0) - 4.0 * m * delta**2 / (2.0 * m - 2.0)
@@ -362,14 +361,15 @@ def test_criterion_08_hole_expansion_residuals():
     mags = [abs(r.residual) for r in table.rows]
     assert all(b < a for a, b in zip(mags, mags[1:]))
 
-    # mass captured by the hole versus its model coefficient, at the smallest rho
+    # mass captured by the hole versus its model coefficient, at the smallest rho: the
+    # whole-space mass less the mass outside the hole, exact along every ray
     rho = rho_list[-1]
     d0 = float(table.parameters["d"])
     delta = d0 * math.sqrt(rho)
-    f = lambda X: bubble_value(3, delta, np.zeros(3), X)
-    got = ball_lp_mass(f, 6.0, np.zeros(3), rho, 3, CFG_FULL)
+    whole = bubble_moment(3, 6.0) * delta ** (3 - 6.0 * (3 - 2) / 2)
+    outside = exterior_bubble_mass(ball(3, rho), delta, np.zeros(3), 6.0, CFG_FULL)
     model = (4.0 * math.pi / 3.0) * rho**3 * bubble_alpha(3) ** 6 / delta**3
-    assert abs(got.value / model - 1.0) <= 0.05
+    assert abs((whole - outside.value) / model - 1.0) <= 0.05
 
 
 # ---------------------------------------------------------------------------

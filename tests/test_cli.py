@@ -73,7 +73,10 @@ def test_constants_command(tmp_path):
     assert payload["values"]["c1"] == pytest.approx(32.0, rel=1e-9)
     assert payload["values"]["a"] == consts.a
     assert set(payload["provenance"]) == set(payload["values"])
-    assert "injected default" in payload["provenance"]["c2_nodal"]
+    # the nodal log term reads c2, so no copy of it is written; provenance comes from Constants' fields
+    assert len(payload["values"]) == 13 and "c2_nodal" not in payload["values"]
+    assert payload["provenance"]["c2"] == "Beta integral (log-derivative coupling)"
+    assert payload["provenance"]["c4_nodal"] == "Beta integral (half-space wall kernel)"
     # rerun into the same directory: byte-identical files
     first = snapshot(out)
     assert main(["constants", "--dim", "4", "--out", out]) == 0
@@ -479,6 +482,25 @@ def test_fixed_tolerance_flags_refused(tmp_path, flag):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "command, prefix",
+    [
+        (["crit"], ["--multi", "2"]),
+        (["crit"], ["--near-b", "4096"]),
+        (["crit"], ["--rep", "2"]),
+        (["predict", "--regime", "hole"], ["--sweep-c", "3"]),
+        (["constants", "--dim", "3"], ["--se", "1"]),
+    ],
+    ids=["multi", "near-b", "rep", "sweep-c", "se"],
+)
+def test_unique_flag_prefixes_refused(tmp_path, command, prefix):
+    # argparse would read a unique prefix as the whole flag; every flag must be spelled out
+    domain = [] if command[0] == "constants" else ["--domain", ball3_file(tmp_path)]
+    with pytest.raises(SystemExit) as exc:
+        main([*command, *domain, "--out", str(tmp_path), *prefix])
+    assert exc.value.code == 2
+
+
 def test_missing_domain_exits_2(tmp_path):
     assert main(["crit", "--out", str(tmp_path)]) == 2
     assert main(["crit", "--domain", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 2
@@ -616,8 +638,22 @@ def test_negative_seed_exits_2(tmp_path, capsys):
 
 
 def test_dimension_mismatch_exits_2(tmp_path):
-    rc = main(["crit", "--domain", ball3_file(tmp_path), "--dim", "4", "--out", str(tmp_path)])
-    assert rc == 2
+    # the domain file sets the dimension: a domain subcommand has no --dim, so argparse refuses it
+    with pytest.raises(SystemExit) as exc:
+        main(["crit", "--domain", ball3_file(tmp_path), "--dim", "4", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["psi-grid"], ["crit"], ["predict", "--regime", "hole"], ["energy-check", "--regime", "hole"], ["morse-audit"]],
+    ids=lambda c: c[0],
+)
+def test_dim_is_refused_on_every_domain_subcommand(tmp_path, command):
+    # even a --dim that agrees with the domain file
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--domain", ball3_file(tmp_path), "--dim", "3", "--out", str(tmp_path), *FAST])
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize(

@@ -27,7 +27,7 @@ from bubblescape.critpoints import (
 )
 from bubblescape.cli import main
 from bubblescape.errors import ConvergenceError, PreconditionError
-from bubblescape.geometry import Ball, Capsule, Difference, Domain, Scale, Translate, Union
+from bubblescape.geometry import Ball, Capsule, Difference, Domain, Scale, Translate, Union, domain_from_dict
 from bubblescape.quadrature import QuadratureConfig, sphere_area
 
 CFG = QuadratureConfig(seed=0, near_budget=2**15, far_shells=24, replicates=4)
@@ -408,6 +408,26 @@ def test_crit_joins_the_minima_of_a_bent_domain_nearest_first(tmp_path, name):
         assert np.linalg.norm(np.array(p["location"]) - q["location"]) <= 1e-6
 
 
+PEANUT_ROOT = Union(Ball(np.array([-0.9, 0.0, 0.0]), 1.0), Ball(np.array([0.9, 0.0, 0.0]), 1.0))
+OFFSET = np.array([0.3, -1.2, 2.5])
+
+
+@pytest.mark.parametrize("name", ["peanut", "dumbbell"])
+def test_census_is_invariant_under_union_order_and_translation(name):
+    domain = Domain(3, PEANUT_ROOT if name == "peanut" else dumbbell_root())
+    given = census(domain, CFG, CRIT)
+    root = domain.to_dict()["root"]
+    moved = {"type": "translate", "offset": OFFSET.tolist(), "inner": root}
+    for shift, tree in ((np.zeros(3), _swap_unions(root)), (OFFSET, moved)):
+        other = census(domain_from_dict({"dimension": 3, "root": tree}), CFG, CRIT)
+        assert (other.cat_lower_bound, other.satisfied) == (given.cat_lower_bound, given.satisfied)
+        assert [q.morse_index for q in other.points] == [p.morse_index for p in given.points]
+        # not bitwise: the Newton polish amplifies round-off in the crossings
+        for p, q in zip(given.points, other.points):
+            assert np.linalg.norm(q.location - (p.location + shift)) <= 1e-3
+            assert abs(q.psi_value - p.psi_value) <= 3.0 * math.hypot(p.psi_std, q.psi_std)
+
+
 @pytest.mark.parametrize("seed", range(10))
 @pytest.mark.parametrize("name", ["peanut", "dumbbell"])
 def test_mountain_pass_polishes_the_top_of_the_segment(monkeypatch, name, seed):
@@ -420,7 +440,7 @@ def test_mountain_pass_polishes_the_top_of_the_segment(monkeypatch, name, seed):
 
     monkeypatch.setattr(critpoints, "psi_integrals", counting)
     if name == "peanut":
-        dom, a = Domain(3, Union(Ball(np.array([-0.9, 0.0, 0.0]), 1.0), Ball(np.array([0.9, 0.0, 0.0]), 1.0))), 0.836
+        dom, a = Domain(3, PEANUT_ROOT), 0.836
     else:
         dom, a = dumbbell(), 1.733
     p = mountain_pass(dom, np.array([-a, 0.0, 0.0]), np.array([a, 0.0, 0.0]), dataclasses.replace(CFG, seed=seed))

@@ -134,10 +134,9 @@ def test_constants_frozen_values_dimension_three():
 def test_constants_positive_and_cached():
     for n in range(3, 9):
         cn = constants(n)
-        for name in ("a", "c1", "c2", "c1_nodal", "c2_nodal", "c3_nodal", "c4_nodal", "b2_hole", "critical_mass"):
+        for name in ("a", "c1", "c2", "c1_nodal", "c3_nodal", "c4_nodal", "b2_hole", "critical_mass"):
             assert getattr(cn, name) > 0.0, (n, name)
         assert cn.c < 0.0
-        assert cn.c2_nodal == cn.c2
     assert constants(4) is constants(4)
 
 
@@ -279,7 +278,7 @@ def test_nodal_energy_c2_injection_and_preconditions():
     cn = constants(3)
     bp1, bp2 = _antipodal_pair(3)
     base = reduced_energy_nodal(cn, 0.2, 0.2, 0.3, 0.3, bp1, bp2)
-    shifted = reduced_energy_nodal(dataclasses.replace(cn, c2_nodal=cn.c2 + 1.0), 0.2, 0.2, 0.3, 0.3, bp1, bp2)
+    shifted = reduced_energy_nodal(dataclasses.replace(cn, c2=cn.c2 + 1.0), 0.2, 0.2, 0.3, 0.3, bp1, bp2)
     assert shifted == pytest.approx(base - math.log(0.04) * 1.0, rel=1e-12)
     with pytest.raises(PreconditionError):
         reduced_energy_nodal(cn, -0.1, 0.2, 0.3, 0.3, bp1, bp2)
@@ -339,7 +338,7 @@ def test_predict_nodal_optimum_is_a_true_minimum():
         assert g(1, h, 1) >= base - 1e-12 * abs(base)
         assert g(1, 1, h) >= base - 1e-12 * abs(base)
     n = cn.n
-    sbar = 2.0 * (2.0 * cn.c2_nodal / ((n - 2.0) * cn.c1_nodal)) ** (1.0 / (n - 2.0))
+    sbar = 2.0 * (2.0 * cn.c2 / ((n - 2.0) * cn.c1_nodal)) ** (1.0 / (n - 2.0))
     assert d1 * d2 == pytest.approx(sbar**2, rel=1e-10)
     t_closed = (n * (cn.c4_nodal / cn.c3_nodal) * sbar**2 * 2.0 ** (n - 1.0)) ** (1.0 / (n + 1.0))
     assert t1 == pytest.approx(t_closed, rel=1e-8)
