@@ -20,7 +20,7 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("OMP_NUM_THREADS", "1")
 
-# The ray engine's temporaries are arrays of up to 8 MB; above glibc's mmap
+# The ray engine's temporaries are arrays of up to 6 MB; above glibc's mmap
 # threshold each is a fresh mapping that every psi call page-faults in again
 # (README, "Numerical notes").  Skipped where libc has no mallopt.
 try:

@@ -306,10 +306,11 @@ def cmd_constants(manifest: RunManifest, domain=None) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
+    base = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
+    base.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+    base.add_argument("--out", metavar="DIR", default=".", help="output directory (default .)")
+    common = argparse.ArgumentParser(add_help=False, allow_abbrev=False, parents=[base])
     common.add_argument("--domain", metavar="FILE", help="JSON domain description")
-    common.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-    common.add_argument("--out", metavar="DIR", default=".", help="output directory (default .)")
     common.add_argument("--near-budget", type=int, default=2**20, help="quadrature ray budget")
     common.add_argument(
         "--far-shells", type=int, default=64,
@@ -351,27 +352,23 @@ def _build_parser() -> argparse.ArgumentParser:
     audit.add_argument("--rho", type=float, default=0.05, help="C^2 size of the perturbations")
     audit.add_argument("--trials", type=int, default=5, help="number of random trials")
 
-    consts = sub.add_parser("constants", parents=[common], allow_abbrev=False, help="dimensional model constants")
+    consts = sub.add_parser("constants", parents=[base], allow_abbrev=False, help="dimensional model constants")
     consts.add_argument("--dim", type=int, help="space dimension")
     return top
 
 
 def _resolve(args) -> tuple:
     """Validate flags into a RunManifest plus the loaded domain (if any)."""
-    quad = QuadratureConfig(
-        seed=args.seed,
-        near_budget=args.near_budget,
-        far_shells=args.far_shells,
-        replicates=args.replicates,
-    )
-    crit = CritConfig(multistart=args.multistart)
-
     domain = None
     if args.command == "constants":
+        # no domain or solver flags: the manifest records the defaults at --seed
+        quad, crit = QuadratureConfig(seed=args.seed), CritConfig()
         if args.dim is None:
             raise PreconditionError("constants requires --dim")
         dimension = args.dim
     else:
+        quad = QuadratureConfig(seed=args.seed, near_budget=args.near_budget, far_shells=args.far_shells, replicates=args.replicates)
+        crit = CritConfig(multistart=args.multistart)
         if not args.domain:
             raise PreconditionError(f"{args.command} requires --domain FILE")
         if not os.path.exists(args.domain):
@@ -398,7 +395,7 @@ def _resolve(args) -> tuple:
         raise PreconditionError(f"cannot create output directory {args.out!r}: {exc}") from exc
     manifest = RunManifest(
         command=args.command,
-        domain_file=args.domain,
+        domain_file=getattr(args, "domain", None),
         dimension=dimension,
         seed=args.seed,
         output_dir=args.out,

@@ -349,11 +349,11 @@ def _light_config(quad_cfg: QuadratureConfig) -> QuadratureConfig:
 def mountain_pass(domain, x1, x2, quad_cfg: QuadratureConfig, crit_cfg: CritConfig | None = None):
     """Separating saddle between two minima: Newton from the top of the segment joining them.
 
-    The segment must lie inside the region, which one ray query
-    (``surface_crossing_candidates``) checks.  Its interior nodes, of
-    ``_PATH_NODES`` evenly spaced, are evaluated at :func:`_light_config`, and
-    the highest seeds a full Newton polish with signed curvature
-    (:func:`_polish`).  The endpoints are taken in ascending coordinate order,
+    The segment must lie inside the region: one ray query
+    (``surface_crossing_candidates``) must find no membership flip on it.
+    Its interior nodes, of ``_PATH_NODES`` evenly spaced, are evaluated at
+    :func:`_light_config`, and the highest seeds a full Newton polish with
+    signed curvature (:func:`_polish`).  The endpoints are taken in ascending coordinate order,
     so swapping them returns the same saddle.  Raises if the polished point
     is not a genuine barrier (positive index, away from both endpoints).
     ``crit_cfg`` is unused; it is accepted so that :func:`census` calls its
@@ -366,8 +366,8 @@ def mountain_pass(domain, x1, x2, quad_cfg: QuadratureConfig, crit_cfg: CritConf
     length = float(np.linalg.norm(x2 - x1))
     if length <= radius:
         raise PreconditionError("endpoints are too close to separate")
-    flips, _ = domain.surface_crossing_candidates(x1, ((x2 - x1) / length)[None, :], length)
-    if np.isfinite(flips).any():
+    ray, *_ = domain.surface_crossing_candidates(x1, ((x2 - x1) / length)[None, :], length)
+    if ray.size:
         raise ConvergenceError("the segment between the two minima leaves the region")
     anchor = deep_point(domain)[0]
     scale = float(domain.bounding_radius(anchor))

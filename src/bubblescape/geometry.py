@@ -20,8 +20,8 @@ each leaf's inside value, combined by ``max`` over a union and
 
 Ray classification: every leaf is convex, so a ray meets it in one span of
 parameters.  Membership along the ray is a comparison of the ray parameter
-with those spans, combined down the CSG tree like point membership; the
-parameters where it flips are the ray's boundary crossings.  On a perturbed
+with those spans, combined down the CSG tree like point membership; it can
+flip only at a span end, so only the ends are classified.  On a perturbed
 domain each leaf's surface can only be crossed inside band windows of the
 same spans; where a certificate admits one root, that root replaces the
 span end, and the perturbed spans combine down the tree the same way.  A
@@ -358,45 +358,44 @@ def _leaf_slope(leaf, Y: np.ndarray, D: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", d, D) / np.sqrt(np.einsum("ij,ij->i", d, d))
 
 
-def _on_ray(node, T: np.ndarray, spans) -> np.ndarray:
-    """``_member`` along rays: open membership at the (m, S) ray parameters T.
+def _span_flips(norm, spans, t_hi: float):
+    """Membership flips along rays from their leaf spans, flat, and first-segment flags.
 
-    ``spans`` yields each leaf's ``(lo, hi)`` from ``_leaf_span``, in
-    ``_leaves`` order.
+    ``spans`` holds each leaf's ``(lo, hi)`` in ``_leaves`` order.  Only the
+    span ends in (0, t_hi) are classified, by open-interval states folded
+    down the tree: an exit by the states just below it and at it, an entry
+    by those at it and just above it.  Equal ends of one ray count once per
+    kind, so ends that coincide act as a zero-width gap classified at them,
+    and a crease or a tangency flips once or twice there, never more.
+
+    Returns ``(ray, t, opens, inside0)``: the flips grouped by kind, not
+    sorted by ``t`` within a ray; ``opens`` where membership ends there (an
+    outside run opens); each ray's membership at the midpoint of its first gap.
     """
+    L = len(spans)
+    ends = np.stack([hi for _, hi in spans] + [lo for lo, _ in spans])  # (2L, m): the exits, then the entries
+    live = (ends > 1e-14 * max(t_hi, 1.0)) & (ends < t_hi)
+    mid0 = 0.5 * np.where(live, ends, t_hi).min(axis=0)
+    for i in range(1, L):
+        for j in range(i):
+            live[i] &= ends[i] != ends[j]
+            live[L + i] &= ends[L + i] != ends[L + j]
+    row, ray = np.nonzero(live)
+    t = ends[row, ray]
+    nx = int(np.searchsorted(row, L))
+    x, e = slice(None, nx), slice(nx, None)  # the exits, the entries
+    it = iter(spans)
 
     def leaf(_):
-        lo, hi = next(spans)
-        return (lo[:, None] < T) & (T < hi[:, None])
+        lo, hi = next(it)
+        a, b = lo[ray], hi[ray]
+        below, above = (a[x] < t[x]) & (t[x] <= b[x]), (a[e] <= t[e]) & (t[e] < b[e])
+        return np.concatenate([(a < t) & (t < b), below, above, (lo < mid0) & (mid0 < hi)])
 
-    return _csg(node, leaf, lambda l, r: l | r, lambda l, r: l & ~r)
-
-
-def _span_flips(norm, spans, t_hi: float):
-    """Membership flips along rays from their leaf spans, and first-segment flags.
-
-    ``spans`` holds each leaf's ``(lo, hi)`` in ``_leaves`` order.  The span
-    ends in (0, t_hi) cut each ray into gaps, classified at their midpoints
-    by ``_on_ray``; an end is a flip where that changes.  Returns
-    ``(flips, inside0)``: ``flips`` is (m, K), each row ascending and
-    NaN-padded, and ``inside0`` is each ray's first-gap membership.
-    """
-    ends = np.concatenate([np.stack(span, axis=1) for span in spans], axis=1)
-    ends = np.where((ends > 1e-14 * max(t_hi, 1.0)) & (ends < t_hi), ends, np.nan)
-    ends.sort(axis=1)
-    m = ends.shape[0]
-    edges = np.concatenate([np.zeros((m, 1)), np.where(np.isfinite(ends), ends, t_hi), np.full((m, 1), t_hi)], axis=1)
-    inside = _on_ray(norm, 0.5 * (edges[:, :-1] + edges[:, 1:]), iter(spans))
-    ray, col = np.nonzero((inside[:, 1:] != inside[:, :-1]) & np.isfinite(ends))
-    return _pack(m, ray, ends[ray, col]), inside[:, 0]
-
-
-def _pack(m: int, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Scatter values, grouped by ascending row, into an (m, K) NaN-padded array; K the widest row, at least 1."""
-    counts = np.bincount(rows, minlength=m)
-    out = np.full((m, max(int(counts.max(initial=0)), 1)), np.nan)
-    out[rows, np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]] = values
-    return out
+    at, beside, inside0 = np.split(_csg(norm, leaf, np.logical_or, lambda l, r: l & ~r), [t.size, 2 * t.size])
+    flip = at != beside
+    opens = np.concatenate([beside[x], at[e]])  # inside before the end: below an exit, at an entry
+    return ray[flip], t[flip], opens[flip], inside0
 
 
 def _probe_fan(n: int) -> np.ndarray:
@@ -441,7 +440,7 @@ class Domain:
         return _enclosing_radius(self._norm, _as_point(center, self.dimension))
 
     def surface_crossing_candidates(self, origin, D: np.ndarray, t_hi: float):
-        """Membership flips along the rays ``origin + t D``, t in (0, t_hi), and first-segment flags (:func:`_span_flips`)."""
+        """Membership flips along the rays ``origin + t D``, t in (0, t_hi), flat as ``(ray, t, opens, inside0)`` (:func:`_span_flips`)."""
         o = _as_point(origin, self.dimension)
         D = np.asarray(D, dtype=float)
         return _span_flips(self._norm, [_leaf_span(leaf, o, D) for leaf, _ in _leaves(self._norm)], t_hi)
@@ -704,7 +703,7 @@ class PerturbedDomain:
         return self.base.bounding_radius(center) + self.theta.amplitude_bound()
 
     def surface_crossing_candidates(self, origin, D: np.ndarray, t_hi: float):
-        """Membership flips along the rays ``origin + t D``, t in (0, t_hi), with ``Domain``'s ``(flips, inside0)`` contract.
+        """Membership flips along the rays ``origin + t D``, t in (0, t_hi), with ``Domain``'s ``(ray, t, opens, inside0)`` contract.
 
         Perturbed leaf spans: let ``s`` be the distance to a leaf's axis
         segment minus its radius ``r``, ``a`` and ``L`` the field's amplitude
@@ -730,8 +729,9 @@ class PerturbedDomain:
         a leaf with ``r <= band + a``, an origin inside a window) is counted
         in ``fallback_rays``; inside the hull of those windows its flips come
         from :meth:`_trace`, which misses only features thinner than the
-        pull-back tolerance.  Every ray's first-segment flag is the
-        membership of ``origin``.
+        pull-back tolerance, and the merged flips are sorted within each ray,
+        with ``opens`` alternating from the first-segment flag.  Every ray's
+        first-segment flag is the membership of ``origin``.
         """
         o = _as_point(origin, self.dimension)
         D = np.asarray(D, dtype=float)
@@ -752,21 +752,22 @@ class PerturbedDomain:
         live = (W1 > 0.0) & (W0 < t_hi)
         ray, col = np.nonzero(live & certified)
         ends[ray, col] = self._roots(o, D[ray], W0[ray, col], W1[ray, col], col // 2)
-        flips, _ = _span_flips(self.base._norm, list(zip(ends.T[0::2], ends.T[1::2])), t_hi)
+        ray, t, opens, _ = _span_flips(self.base._norm, list(zip(ends.T[0::2], ends.T[1::2])), t_hi)
+        inside0 = np.full(m, self.contains_many(o[None, :])[0])
         uncertified = live & ~certified
         h0 = np.maximum(np.min(np.where(uncertified, W0, np.inf), axis=1), 0.0)  # hull of the uncertified
         h1 = np.minimum(np.max(np.where(uncertified, W1, -np.inf), axis=1), t_hi)  # windows, empty if none
         traced = np.nonzero(np.any(uncertified, axis=1))[0]
         if traced.size:
             self.fallback_rays += int(traced.size)
-            ray, col = np.nonzero(np.isfinite(flips))
-            t = flips[ray, col]
             keep = (t < h0[ray]) | (t > h1[ray])
             tr_ray, tr_t = self._trace(o, D[traced], h0[traced], h1[traced])
-            rows, values = np.concatenate([ray[keep], traced[tr_ray]]), np.concatenate([t[keep], tr_t])
-            order = np.lexsort((values, rows))
-            flips = _pack(m, rows[order], values[order])
-        return flips, np.full(m, self.contains_many(o[None, :])[0])
+            ray, t = np.concatenate([ray[keep], traced[tr_ray]]), np.concatenate([t[keep], tr_t])
+            order = np.lexsort((t, ray))
+            ray, t = ray[order], t[order]
+            rank = np.arange(ray.size) - np.searchsorted(ray, ray)  # each flip's place along its ray
+            opens = inside0[ray] ^ (rank % 2 == 1)
+        return ray, t, opens, inside0
 
     def _roots(self, o: np.ndarray, D: np.ndarray, a: np.ndarray, b: np.ndarray, leaf: np.ndarray) -> np.ndarray:
         """The zero of base leaf ``leaf[i]``'s perturbed depth ``r - dist(pull_back(o + t D[i]), axis)`` in each bracket ``[a[i], b[i]]``.
@@ -922,8 +923,9 @@ def boundary_nearest(domain, x) -> BoundaryPoint:
     # Crease fallback: the closest first flip along a deterministic direction
     # fan (lexicographic tie-break among flips within eps of the closest).
     D = _probe_fan(domain.dimension)
-    flips, inside0 = domain.surface_crossing_candidates(x, D, 2.0 * scale)
-    first = flips[:, 0]
+    ray, t, _, inside0 = domain.surface_crossing_candidates(x, D, 2.0 * scale)
+    first = np.full(D.shape[0], np.nan)
+    np.fmin.at(first, ray, t)
     if not np.any(np.isfinite(first)):
         raise ConvergenceError("no boundary found within the enclosing ball")
     eps = _EPS_FLIP * max(scale, 1.0)
@@ -1062,8 +1064,8 @@ def positive_leaf_components(domain) -> list[list[object]]:
         if sign < 0:
             continue
         o = leaf_anchors(leaf)[0]
-        flips, inside0 = base.surface_crossing_candidates(o, D, base.bounding_radius(o))
-        if np.any(inside0) or np.any(flips[:, 0] < _leaf_span(leaf, o, D)[1]):
+        ray, t, _, inside0 = base.surface_crossing_candidates(o, D, base.bounding_radius(o))
+        if np.any(inside0) or np.any(t < _leaf_span(leaf, o, D)[1][ray]):
             kept.append(leaf)
     overlap = [[i < j and _leaf_overlap(a, b) for j, b in enumerate(kept)] for i, a in enumerate(kept)]
     count, labels = connected_components(np.array(overlap, dtype=bool).reshape(len(kept), len(kept)), directed=False)

@@ -3,21 +3,23 @@
 Everything here integrates over the *complement* of a domain (or over whole
 balls), with integrands that concentrate near the domain boundary or at a
 designated center.  The engine casts a quasi-random fan of rays from the
-center, cuts each ray at the domain's membership flips (exact, from the
-per-leaf spans of the geometry layer; for perturbed domains, perturbed
-leaf spans from certified roots inside band windows, and a bisection trace
-on the rays the certificate does not cover) into segments that alternate
-between inside and outside, and integrates radially along the outside
-segments:
+center and takes the domain's membership flips along them, flat, each with
+the side it opens (exact, from the per-leaf spans of the geometry layer; for
+perturbed domains, perturbed leaf spans from certified roots inside band
+windows, and a bisection trace on the rays the certificate does not cover).
+The flips bound the runs of each ray that lie outside the domain:
 
 * inverse-power kernels (the concentration landscape and its first two
-  derivatives) get closed-form radial antiderivatives per segment, so the
-  only stochastic error is the directional average;
-* general integrands get per-segment geometric subdivision with fixed
-  Gauss-Legendre rules, which resolves integrands peaked at any scale;
+  derivatives) have closed-form radial antiderivatives, so each flip adds
+  one signed term and no segment is formed; the only stochastic error is
+  the directional average;
+* general integrands sort the flips along each ray into segments that
+  alternate between inside and outside, and get geometric subdivision of
+  each outside segment with fixed Gauss-Legendre rules, which resolves
+  integrands peaked at any scale;
 * powers of a single bubble, seen from its centre, get the incomplete-Beta
-  radial primitive per segment and an exact tail beyond the enclosing
-  radius, so no octave is summed and no decay is guessed;
+  radial primitive on the same outside segments and an exact tail beyond
+  the enclosing radius, so no octave is summed and no decay is guessed;
 * the whole-space pair interaction ``int U_1^p U_2`` casts no rays at all:
   the spherical mean of ``U_2`` about the first centre is a closed form,
   which leaves one smooth 1-D radial integral for ``radial_integral``
@@ -183,16 +185,26 @@ def _reduce(samples):
 # ---------------------------------------------------------------------------
 
 
+def _pack(m: int, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Scatter values, grouped by ascending row, into an (m, K) NaN-padded array; K the widest row, at least 1."""
+    counts = np.bincount(rows, minlength=m)
+    out = np.full((m, max(int(counts.max(initial=0)), 1)), np.nan)
+    out[rows, np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]] = values
+    return out
+
+
 def _outside_segments(domain, origin: np.ndarray, D: np.ndarray, t_hi: float):
     """Per-ray radial intervals lying outside the domain, within (0, t_hi).
 
-    The domain's membership flips cut each ray into segments that alternate
-    between inside and outside, starting from the ray's first-segment flag.
-    Returns ``(a, b, mask, n_segments)`` where ``a``, ``b`` are (m, S)
-    interval endpoint arrays, ``mask`` flags outside intervals of positive
-    width, and ``n_segments = m * S`` counts the segments.
+    The domain's flips, sorted along each ray and packed into (m, K), cut each
+    ray into segments that alternate between inside and outside, starting from
+    its first-segment flag.  Returns ``(a, b, mask, n_segments)``: (m, K + 1)
+    interval ends, ``mask`` flagging outside intervals of positive width, and
+    ``n_segments = m (K + 1)``.
     """
-    flips, inside0 = domain.surface_crossing_candidates(origin, D, t_hi)
+    ray, t, _, inside0 = domain.surface_crossing_candidates(origin, D, t_hi)
+    order = np.lexsort((t, ray))
+    flips = _pack(D.shape[0], ray[order], t[order])
     m, K = flips.shape
     ts = np.concatenate([np.zeros((m, 1)), np.where(np.isfinite(flips), flips, t_hi), np.full((m, 1), t_hi)], axis=1)
     a = ts[:, :-1]
@@ -207,24 +219,31 @@ def _outside_segments(domain, origin: np.ndarray, D: np.ndarray, t_hi: float):
 
 
 def _psi_replicate(domain, xi: np.ndarray, D: np.ndarray, R: float, n: int):
-    """One replicate's ray-averaged near-field value/gradient/hessian."""
-    a, b, mask, n_seg = _outside_segments(domain, xi, D, R)
-    # only the outside segments enter: index them once and work on those alone
-    ri, ci = np.nonzero(mask)
+    """One replicate's ray-averaged near-field value/gradient/hessian.
+
+    A ray's outside runs ``(a, b)`` give ``(a^-k - b^-k)/k`` for k = n, n + 1,
+    n + 2: ``+t^-k/k`` at each flip that opens one and ``-t^-k/k`` at each that
+    closes one, ``-R^-k/k`` if the ray ends outside and infinity if it starts
+    outside.  The count ``m (K + 1)``, K the most flips on a ray (at least 1),
+    is that of :func:`_outside_segments`.
+    """
+    ray, t, opens, inside0 = domain.surface_crossing_candidates(xi, D, R)
     m = D.shape[0]
-    with np.errstate(divide="ignore", over="ignore"):
-        ra, rb = 1.0 / a[ri, ci], 1.0 / b[ri, ci]
-        pa, pb = ra**n, rb**n
-        sv = np.bincount(ri, (pa - pb) / n, minlength=m)
-        pa, pb = pa * ra, pb * rb
-        sg = np.bincount(ri, (pa - pb) / (n + 1), minlength=m)
-        sh = np.bincount(ri, (pa * ra - pb * rb) / (n + 2), minlength=m)
+    count = np.bincount(ray, minlength=m)
+    ends_out, start = inside0 == (count % 2 == 1), np.where(inside0, 0.0, np.inf)
+    r = 1.0 / t
+    p = np.where(opens, 1.0, -1.0) * r**n
+    sums = []
+    for k in range(n, n + 3):
+        sums.append(np.bincount(ray, p / k, minlength=m) - ends_out * (R**-k / k) + start)
+        p = p * r
+    sv, sg, sh = sums
     omega = sphere_area(n)
     value = omega * float(sv.mean())
     grad = omega * 2.0 * n * (sg @ D) / m
     dd = (D.T * sh) @ D / m
     hess = omega * 2.0 * n * ((2.0 * n + 2.0) * dd - np.eye(n) * float(sh.mean()))
-    return value, grad, hess, n_seg
+    return value, grad, hess, m * (max(int(count.max(initial=0)), 1) + 1)
 
 
 def psi_integrals(domain, xi, config: QuadratureConfig) -> PsiEvaluation:

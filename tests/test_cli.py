@@ -454,12 +454,21 @@ def test_morse_audit_ball_stable(tmp_path):
 
 def test_manifest_records_resolved_configuration(tmp_path):
     out = str(tmp_path / "c")
-    main(["constants", "--dim", "5", "--seed", "7", "--out", out, "--near-budget", "2048"])
+    main(["psi-grid", "--domain", ball3_file(tmp_path), "--steps", "3", "3", "--seed", "7", "--out", out, "--near-budget", "2048"])
     man = json.loads(open(os.path.join(out, "manifest.json")).read())
-    assert man["command"] == "constants"
-    assert man["dimension"] == 5
+    assert man["command"] == "psi-grid"
+    assert man["dimension"] == 3
     assert man["seed"] == 7
     assert man["quadrature"] == {"seed": 7, "near_budget": 2048, "far_shells": 64, "replicates": 8}
+    assert man["critical"] == {"multistart": 12}
+
+
+def test_constants_manifest_records_no_domain_and_the_default_solver_settings(tmp_path):
+    out = str(tmp_path / "c")
+    assert main(["constants", "--dim", "5", "--seed", "7", "--out", out]) == 0
+    man = json.loads(open(os.path.join(out, "manifest.json")).read())
+    assert man["command"] == "constants" and man["dimension"] == 5 and man["domain_file"] is None
+    assert man["quadrature"] == {"seed": 7, "near_budget": 2**20, "far_shells": 64, "replicates": 8}
     assert man["critical"] == {"multistart": 12}
 
 
@@ -654,6 +663,19 @@ def test_dim_is_refused_on_every_domain_subcommand(tmp_path, command):
     with pytest.raises(SystemExit) as exc:
         main([*command, "--domain", ball3_file(tmp_path), "--dim", "3", "--out", str(tmp_path), *FAST])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--domain", "/nonexistent.json"], ["--multistart", "3"], ["--near-budget", "4096"], ["--far-shells", "16"], ["--replicates", "2"]],
+    ids=lambda f: f[0],
+)
+def test_domain_and_solver_flags_are_refused_on_constants(tmp_path, flags):
+    # constants loads no domain and runs no solver: argparse refuses the flags rather than recording them
+    with pytest.raises(SystemExit) as exc:
+        main(["constants", "--dim", "3", "--out", str(tmp_path), *flags])
+    assert exc.value.code == 2
+    assert not (tmp_path / "manifest.json").exists()
 
 
 @pytest.mark.parametrize(

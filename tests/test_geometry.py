@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
-from bubblescape import bubbles, quadrature
+from bubblescape import bubbles, geometry, quadrature
 from bubblescape.errors import ConvergenceError, PreconditionError
 from bubblescape.geometry import (
     Ball,
@@ -23,6 +23,7 @@ from bubblescape.geometry import (
     Translate,
     Union,
     _axis_offset,
+    _csg,
     _depth,
     _enclosing_radius,
     _leaf_nearest,
@@ -41,7 +42,8 @@ from bubblescape.geometry import (
     positive_leaf_components,
     sobol_points,
 )
-from bubblescape.quadrature import QuadratureConfig, _outside_segments, exterior_lp_mass, psi_integrals
+from bubblescape.quadrature import QuadratureConfig, _outside_segments, _pack, exterior_lp_mass, psi_integrals
+from test_quadrature import _psi_replicate_per_cell
 
 
 def unit_ball(n=3, center=None, radius=1.0):
@@ -58,6 +60,13 @@ def dumbbell(n=3, gap=1.5, radius=1.0, neck=0.35):
 
 def holed_ball(n=3, hole=0.25):
     return Domain(n, Difference(Ball(np.zeros(n), 1.0), Ball(np.zeros(n), hole)))
+
+
+def _packed(dom, origin, D, t_hi):
+    """The flat flips of ``surface_crossing_candidates`` as ``(flips, inside0)``: each ray's flips ascending in one NaN-padded row."""
+    ray, t, _, inside0 = dom.surface_crossing_candidates(origin, D, t_hi)
+    order = np.lexsort((t, ray))
+    return _pack(D.shape[0], ray[order], t[order]), inside0
 
 
 # ---------------------------------------------------------------------------
@@ -569,7 +578,7 @@ def test_perturbed_scan_finds_boundary():
     base = unit_ball()
     dom = perturb(base, small_field(norm=0.1))
     D = np.eye(3)
-    cand, _ = dom.surface_crossing_candidates(np.zeros(3), D, 2.0)
+    cand, _ = _packed(dom, np.zeros(3), D, 2.0)
     t = cand[:, 0]
     assert np.all(np.isfinite(t))
     # crossing point should sit on the perturbed sphere: pull back to |x| = 1
@@ -613,7 +622,7 @@ def _near_and_far_points(base, amplitude, rng):
     R = base.bounding_radius(np.zeros(3)) + 1.0
     D = rng.normal(size=(64, 3))
     D /= np.linalg.norm(D, axis=1, keepdims=True)
-    cand, _ = base.surface_crossing_candidates(np.zeros(3), D, R)
+    cand, _ = _packed(base, np.zeros(3), D, R)
     ray, col = np.nonzero(np.isfinite(cand))
     t = cand[ray, col] + amplitude * rng.uniform(-3.0, 3.0, size=ray.size)
     near = t[:, None] * D[ray]
@@ -749,7 +758,7 @@ def _sweep_flips(dom, origin, d, t_hi, n=200_001):
 def _assert_crossings_on_surfaces(dom, origin, D, t_hi, rng):
     """Every flip pulls back onto a leaf surface, and membership inside each segment matches its flag."""
     leaves = [leaf for leaf, _ in dom.base.leaves()]
-    flips, _ = dom.surface_crossing_candidates(origin, D, t_hi)
+    flips, _ = _packed(dom, origin, D, t_hi)
     ray, col = np.nonzero(np.isfinite(flips))
     X = dom.pull_back(origin + flips[ray, col][:, None] * D[ray])
     s = np.stack([np.abs(np.linalg.norm(_axis_offset(leaf, X), axis=1) - leaf.radius) for leaf in leaves])
@@ -779,8 +788,8 @@ def test_certified_crossings_match_the_scan(base, origin, rho):
         ref = _all_traced(dom)
         D = _unit_rows(np.random.default_rng(seed), 1024)
         t_hi = dom.bounding_radius(origin)
-        got, inside0 = dom.surface_crossing_candidates(origin, D, t_hi)
-        want, want0 = ref.surface_crossing_candidates(origin, D, t_hi)
+        got, inside0 = _packed(dom, origin, D, t_hi)
+        want, want0 = _packed(ref, origin, D, t_hi)
         assert dom.fallback_rays < 0.15 * D.shape[0]
         assert ref.fallback_rays == D.shape[0]
         assert np.array_equal(inside0, want0)
@@ -808,7 +817,7 @@ def test_crease_rays_match_a_dense_sweep(rho, seed, ray, want):
     dom = perturb(base, theta.with_c2_norm(rho))
     D = _unit_rows(np.random.default_rng(seed), 1024)
     t_hi = dom.bounding_radius(origin)
-    flips, inside0 = dom.surface_crossing_candidates(origin, D, t_hi)
+    flips, inside0 = _packed(dom, origin, D, t_hi)
     got = flips[ray][np.isfinite(flips[ray])]
     sweep = _sweep_flips(dom, origin, D[ray], t_hi)
     assert inside0[ray]
@@ -845,7 +854,7 @@ def test_tangent_rays_are_traced_and_crease_rays_certified():
         origin, D = np.array([-3.0, height, 0.0]), np.array([[1.0, 0.0, 0.0]])
         t_hi = dom.bounding_radius(origin)
         dom.fallback_rays = 0
-        flips, _ = dom.surface_crossing_candidates(origin, D, t_hi)
+        flips, _ = _packed(dom, origin, D, t_hi)
         assert dom.fallback_rays == 1
         sweep = _sweep_flips(dom, origin, D[0], t_hi)
         assert np.isfinite(flips[0]).sum() == sweep.size
@@ -856,8 +865,8 @@ def test_tangent_rays_are_traced_and_crease_rays_certified():
     origin = np.array([0.0, 0.0, 0.0])
     D = (crease - origin)[None, :] / np.linalg.norm(crease - origin)
     t_hi = dom.bounding_radius(origin)
-    flips, _ = dom.surface_crossing_candidates(origin, D, t_hi)
-    want, _ = _all_traced(dom).surface_crossing_candidates(origin, D, t_hi)
+    flips, _ = _packed(dom, origin, D, t_hi)
+    want, _ = _packed(_all_traced(dom), origin, D, t_hi)
     assert dom.fallback_rays == 0
     assert np.array_equal(np.isfinite(flips), np.isfinite(want))
     assert np.nanmax(np.abs(flips - want)) <= 1e-9 * t_hi
@@ -882,7 +891,7 @@ def test_uncertifiable_leaves_trace_only_the_rays_that_meet_a_window():
     origin = np.array([0.0, 0.05, 0.0])
     D = _unit_rows(np.random.default_rng(16), 1024)
     t_hi = dom.bounding_radius(origin)
-    flips, inside0 = dom.surface_crossing_candidates(origin, D, t_hi)
+    flips, inside0 = _packed(dom, origin, D, t_hi)
     meets = np.zeros(D.shape[0], dtype=bool)
     for _, outer, _, _ in dom._leaf_bands:
         lo, hi = _leaf_span(outer, origin, D)
@@ -911,6 +920,111 @@ def _origins(dom, rng):
 def _unit_rows(rng, m):
     D = rng.normal(size=(m, 3))
     return D / np.linalg.norm(D, axis=1, keepdims=True)
+
+
+# The classifier the flat flips replaced, kept as their oracle: every span
+# end of a ray in (0, t_hi) sorted, and each gap between two ends classified
+# at its midpoint, so equal ends leave a zero-width gap classified at the end.
+def _on_ray(node, T, spans):
+    """Open membership at the (m, S) ray parameters T, from each leaf's ``(lo, hi)`` in ``_leaves`` order."""
+
+    def leaf(_):
+        lo, hi = next(spans)
+        return (lo[:, None] < T) & (T < hi[:, None])
+
+    return _csg(node, leaf, lambda l, r: l | r, lambda l, r: l & ~r)
+
+
+def _midpoint_span_flips(norm, spans, t_hi):
+    """Packed ``(flips, inside0)`` by the sort-and-midpoint rule."""
+    ends = np.concatenate([np.stack(span, axis=1) for span in spans], axis=1)
+    ends = np.where((ends > 1e-14 * max(t_hi, 1.0)) & (ends < t_hi), ends, np.nan)
+    ends.sort(axis=1)
+    m = ends.shape[0]
+    edges = np.concatenate([np.zeros((m, 1)), np.where(np.isfinite(ends), ends, t_hi), np.full((m, 1), t_hi)], axis=1)
+    inside = _on_ray(norm, 0.5 * (edges[:, :-1] + edges[:, 1:]), iter(spans))
+    ray, col = np.nonzero((inside[:, 1:] != inside[:, :-1]) & np.isfinite(ends))
+    return _pack(m, ray, ends[ray, col]), inside[:, 0]
+
+
+def _assert_opens_alternate(ray, t, opens, inside0):
+    """Sorted along each ray, the flips open an outside run exactly where the first-segment flag says the ray is inside."""
+    order = np.lexsort((t, ray))
+    ray = ray[order]
+    rank = np.arange(ray.size) - np.searchsorted(ray, ray)
+    assert np.array_equal(opens[order], inside0[ray] ^ (rank % 2 == 1))
+
+
+def _assert_flips_match_the_midpoint_rule(dom, origin, D):
+    origin = np.asarray(origin, dtype=float)
+    t_hi = dom.bounding_radius(origin)
+    want, want0 = _midpoint_span_flips(dom._norm, [_leaf_span(leaf, origin, D) for leaf, _ in dom.leaves()], t_hi)
+    got, inside0 = _packed(dom, origin, D, t_hi)
+    assert _same_bits(got, want) and _same_bits(inside0, want0)
+    _assert_opens_alternate(*dom.surface_crossing_candidates(origin, D, t_hi))
+
+
+def _fan_with_axes(rng, m, *through):
+    """Random unit rows, the coordinate axes both ways, and the unit rows along ``through``."""
+    extra = np.array(through, dtype=float).reshape(-1, 3)
+    extra = extra[np.linalg.norm(extra, axis=1) > 0.0]
+    return np.concatenate([_unit_rows(rng, m), np.eye(3), -np.eye(3), extra / np.linalg.norm(extra, axis=1, keepdims=True)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(_tree, st.integers(min_value=0, max_value=10**6))
+def test_flat_flips_match_the_midpoint_rule(root, seed):
+    dom = Domain(3, root)
+    rng = np.random.default_rng(seed)
+    D = _fan_with_axes(rng, 256)
+    for origin in _origins(dom, rng):
+        _assert_flips_match_the_midpoint_rule(dom, origin, D)
+
+
+_CREASE = np.array([-1.5 + np.sqrt(1.0 - 0.35**2), 0.35, 0.0])  # where the dumbbell's bridge meets its left ball
+
+
+@pytest.mark.parametrize(
+    "root, origins, through",
+    [
+        # rays through the contact point of two externally tangent balls, and from it
+        (Union(Ball([-1.0, 0, 0], 1.0), Ball([1.0, 0, 0], 1.0)), [[-1.5, 0.2, 0], [0, 0, 0], [2.5, 0, 0]], [[0, 0, 0]]),
+        (Union(Ball([0.2, 0, 0], 0.7), Ball([0.2, 0, 0], 0.7)), [[0, 0, 0], [1.5, 0.1, 0]], [[0.9, 0, 0]]),
+        (Union(*(Capsule([-0.5, 0, 0], [0.5, 0.2, 0], 0.4),) * 2), [[0, 0.1, 0], [2.0, 0, 0]], [[0.5, 0.6, 0]]),
+        # a hole tangent to the ball from inside, at (1, 0, 0)
+        (Difference(Ball(np.zeros(3), 1.0), Ball([0.5, 0, 0], 0.5)), [[-0.5, 0, 0], [0, 0.5, 0], [1.0, 0, 0]], [[1.0, 0, 0]]),
+        (dumbbell().root, [[0, 0, 0], [-1.5, 0, 0], [1.4, 0.1, 0]], [_CREASE, _CREASE * [1, -1, 1]]),
+    ],
+    ids=["tangent-balls", "union-ball-ball", "union-capsule-capsule", "tangent-hole", "dumbbell-creases"],
+)
+def test_flat_flips_break_ties_like_zero_width_gaps(root, origins, through):
+    dom = Domain(3, root)
+    rng = np.random.default_rng(19)
+    for origin in origins:
+        D = _fan_with_axes(rng, 64, *(np.asarray(through) - origin))
+        _assert_flips_match_the_midpoint_rule(dom, origin, D)
+
+
+def test_perturbed_flips_match_the_midpoint_rule_on_traced_and_certified_rays():
+    theta = PerturbationField.random(3, 3, 1, support_radius=1.2 * dumbbell().bounding_radius(np.zeros(3)))
+    origin = np.array([1.4, 0.1, 0.0])
+    D = _unit_rows(np.random.default_rng(1), 1024)
+    dom, ref = (perturb(dumbbell(), theta.with_c2_norm(0.05)) for _ in range(2))
+    t_hi = dom.bounding_radius(origin)
+    got = dom.surface_crossing_candidates(origin, D, t_hi)
+
+    def midpoint_flat(norm, spans, t_hi):
+        flips, inside0 = _midpoint_span_flips(norm, spans, t_hi)
+        ray, col = np.nonzero(np.isfinite(flips))
+        return ray, flips[ray, col], inside0[ray] ^ (col % 2 == 1), inside0
+
+    with mock.patch.object(geometry, "_span_flips", midpoint_flat):
+        want, want0 = _packed(ref, origin, D, t_hi)
+    assert 0 < dom.fallback_rays == ref.fallback_rays < D.shape[0]
+    ray, t, _, inside0 = got
+    order = np.lexsort((t, ray))
+    assert _same_bits(_pack(D.shape[0], ray[order], t[order]), want) and _same_bits(inside0, want0)
+    _assert_opens_alternate(*got)
 
 
 @settings(max_examples=40, deadline=None)
@@ -948,8 +1062,11 @@ def _agree(x, y, scale=None):
 
 
 def _with_reference(fn):
+    """Run fn with psi from the per-cell kernel and every mass from the midpoint slicer."""
+    per_cell = functools.partial(_psi_replicate_per_cell, segments=_midpoint_segments)
     with mock.patch.object(quadrature, "_outside_segments", _midpoint_segments):
-        return fn()
+        with mock.patch.object(quadrature, "_psi_replicate", per_cell):
+            return fn()
 
 
 @settings(max_examples=25, deadline=None)
@@ -995,7 +1112,7 @@ def test_diameter_pair_of_a_union_is_the_farthest_boundary_pair(root):
     flips = []
     for leaf, _ in dom.leaves():
         for o in leaf_anchors(leaf):
-            t, _ = dom.surface_crossing_candidates(o, D, 2.0 * dom.bounding_radius(o))
+            t, _ = _packed(dom, o, D, 2.0 * dom.bounding_radius(o))
             ray, col = np.nonzero(np.isfinite(t))
             flips.append(o + t[ray, col][:, None] * D[ray])
     X = np.concatenate(flips)
@@ -1017,7 +1134,7 @@ def test_tangent_balls_start_inside_from_their_contact_point():
     # Rays cast from the tangency point of two balls start outside their
     # open union, yet almost every ray starts inside one.
     virtual = Domain(3, Union(Ball([-1.0, 0, 0], 1.0), Ball([1.0, 0, 0], 1.0)))
-    _, inside0 = virtual.surface_crossing_candidates(np.zeros(3), _unit_rows(np.random.default_rng(0), 512), 2.0)
+    _, inside0 = _packed(virtual, np.zeros(3), _unit_rows(np.random.default_rng(0), 512), 2.0)
     assert not contains(virtual, np.zeros(3)) and inside0.mean() > 0.99
     cfg = QuadratureConfig(seed=0, near_budget=2**13, replicates=2)
     c1, c2 = np.array([-1.0, 0, 0]), np.array([1.0, 0, 0])

@@ -201,9 +201,9 @@ def test_offcenter_ball_against_closed_forms(n):
     assert np.all(np.abs(ev.hessian - hess) <= 6.0 * ev.hessian_std + 1e-9 * np.max(np.abs(hess)))
 
 
-def _psi_replicate_per_cell(domain, xi, D, R, n):
-    """Reference kernel: the three negative powers on every (ray, segment) cell, masked by np.where."""
-    a, b, mask, n_seg = _outside_segments(domain, xi, D, R)
+def _psi_replicate_per_cell(domain, xi, D, R, n, segments=_outside_segments):
+    """Reference kernel: the three negative powers on every (ray, segment) cell of ``segments``, masked by np.where."""
+    a, b, mask, n_seg = segments(domain, xi, D, R)
     a_safe = np.where(mask, a, 1.0)
     b_safe = np.where(mask, b, 1.0)
     iv = np.where(mask, (a_safe**-n - b_safe**-n) / n, 0.0)
@@ -294,9 +294,9 @@ def test_cached_fans_match_fresh_fans():
 
 
 def test_repeated_psi_calls_do_not_page_fault():
-    # A 2^17-ray dumbbell call allocates arrays of up to 1 MB.  Without the
+    # A 2^17-ray dumbbell call allocates arrays of up to 0.75 MB.  Without the
     # allocator thresholds set on import, each is a fresh mmap on every call:
-    # about 9,000 minor faults per repeated call, against 0.
+    # about 7,000 minor faults per repeated call, against 0.
     code = (
         "import resource, sys\n"
         "import bubblescape\n"
