@@ -367,7 +367,7 @@ def mountain_pass(domain, x1, x2, quad_cfg: QuadratureConfig, crit_cfg: CritConf
     if length <= radius:
         raise PreconditionError("endpoints are too close to separate")
     ray, *_ = domain.surface_crossing_candidates(x1, ((x2 - x1) / length)[None, :], length)
-    if ray.size:
+    if np.any(ray == 0):  # ray 1 runs backward from x1, off the segment
         raise ConvergenceError("the segment between the two minima leaves the region")
     anchor = deep_point(domain)[0]
     scale = float(domain.bounding_radius(anchor))

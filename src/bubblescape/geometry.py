@@ -21,7 +21,9 @@ each leaf's inside value, combined by ``max`` over a union and
 Ray classification: every leaf is convex, so a ray meets it in one span of
 parameters.  Membership along the ray is a comparison of the ray parameter
 with those spans, combined down the CSG tree like point membership; it can
-flip only at a span end, so only the ends are classified.  On a perturbed
+flip only at a span end, so only the ends are classified.  The unit is the
+line: its span also serves the opposite ray, so the two rays of a line are
+classified together.  On a perturbed
 domain each leaf's surface can only be crossed inside band windows of the
 same spans; where a certificate admits one root, that root replaces the
 span end, and the perturbed spans combine down the tree the same way.  A
@@ -359,47 +361,60 @@ def _leaf_slope(leaf, Y: np.ndarray, D: np.ndarray) -> np.ndarray:
 
 
 def _span_flips(norm, spans, t_hi: float):
-    """Membership flips along rays from their leaf spans, flat, and first-segment flags.
+    """Membership flips along both rays of each line from its leaf spans, flat, and first-segment flags.
 
-    ``spans`` holds each leaf's ``(lo, hi)`` in ``_leaves`` order.  Only the
-    span ends in (0, t_hi) are classified, by open-interval states folded
-    down the tree: an exit by the states just below it and at it, an entry
-    by those at it and just above it.  Equal ends of one ray count once per
-    kind, so ends that coincide act as a zero-width gap classified at them,
-    and a crease or a tangency flips once or twice there, never more.
+    ``spans`` holds each leaf's ``(lo, hi)`` along the m lines ``o + tau H``
+    in ``_leaves`` order.  Ray ``j`` is ``+H[j]`` and ray ``j + m`` is
+    ``-H[j]``, which meets the leaf in ``(-hi, -lo)``, so one span serves
+    both.  Only the ends with ``|tau|`` in (0, t_hi) are classified, by
+    open-interval states folded down the tree in line coordinates: a hi end
+    by the states just below it and at it, a lo end by those at it and just
+    above it, on either side.  Equal ends of one line count once per kind,
+    so ends that coincide act as a zero-width gap classified at them, and a
+    crease or a tangency flips once or twice there, never more.
 
-    Returns ``(ray, t, opens, inside0)``: the flips grouped by kind, not
-    sorted by ``t`` within a ray; ``opens`` where membership ends there (an
-    outside run opens); each ray's membership at the midpoint of its first gap.
+    Returns ``(ray, t, opens, inside0)`` with ``t = |tau|``: the flips
+    grouped by kind, not sorted by ``t`` within a ray; ``opens`` where
+    membership ends there (an outside run opens: the state behind the end,
+    which is below it on the + side and above it on the - side); each ray's
+    membership at the midpoint of its first gap.
     """
     L = len(spans)
-    ends = np.stack([hi for _, hi in spans] + [lo for lo, _ in spans])  # (2L, m): the exits, then the entries
-    live = (ends > 1e-14 * max(t_hi, 1.0)) & (ends < t_hi)
-    mid0 = 0.5 * np.where(live, ends, t_hi).min(axis=0)
+    ends = np.stack([hi for _, hi in spans] + [lo for lo, _ in spans])  # (2L, m): the hi ends, then the lo ends
+    m = ends.shape[1]
+    size = np.abs(ends)
+    live = (size > 1e-14 * max(t_hi, 1.0)) & (size < t_hi)
     for i in range(1, L):
         for j in range(i):
             live[i] &= ends[i] != ends[j]
             live[L + i] &= ends[L + i] != ends[L + j]
-    row, ray = np.nonzero(live)
-    t = ends[row, ray]
-    nx = int(np.searchsorted(row, L))
-    x, e = slice(None, nx), slice(nx, None)  # the exits, the entries
+    mid0 = np.empty((2, m))  # each ray's first-gap midpoint in line coordinates: ahead of the origin, behind it
+    for side, on_side in enumerate((ends > 0.0, ends < 0.0)):
+        mid0[side] = np.where(live & on_side, size, t_hi).min(axis=0)
+    mid0 *= [[0.5], [-0.5]]
+    idx = np.flatnonzero(live)
+    counts = np.count_nonzero(live, axis=1)
+    tau = ends.take(idx)
+    line = np.subtract(idx, np.repeat(np.arange(2 * L) * m, counts), out=idx)
+    nx = int(counts[:L].sum())
+    x, e = slice(None, nx), slice(nx, None)  # the hi ends, the lo ends
     it = iter(spans)
 
     def leaf(_):
         lo, hi = next(it)
-        a, b = lo[ray], hi[ray]
-        below, above = (a[x] < t[x]) & (t[x] <= b[x]), (a[e] <= t[e]) & (t[e] < b[e])
-        return np.concatenate([(a < t) & (t < b), below, above, (lo < mid0) & (mid0 < hi)])
+        a, b = lo[line], hi[line]
+        below, above = (a[x] < tau[x]) & (tau[x] <= b[x]), (a[e] <= tau[e]) & (tau[e] < b[e])
+        return np.concatenate([(a < tau) & (tau < b), below, above, ((lo < mid0) & (mid0 < hi)).ravel()])
 
-    at, beside, inside0 = np.split(_csg(norm, leaf, np.logical_or, lambda l, r: l & ~r), [t.size, 2 * t.size])
+    at, beside, inside0 = np.split(_csg(norm, leaf, np.logical_or, lambda l, r: l & ~r), [tau.size, 2 * tau.size])
     flip = at != beside
-    opens = np.concatenate([beside[x], at[e]])  # inside before the end: below an exit, at an entry
-    return ray[flip], t[flip], opens[flip], inside0
+    ahead = tau > 0.0
+    opens = np.concatenate([np.where(ahead[x], beside[x], at[x]), np.where(ahead[e], at[e], beside[e])])
+    return (line + m * ~ahead)[flip], np.abs(tau)[flip], opens[flip], inside0
 
 
 def _probe_fan(n: int) -> np.ndarray:
-    """The fixed 512-direction fan of the boundary and carved-leaf queries."""
+    """The fixed 512-direction fan of the boundary and carved-leaf queries; as lines the ray engine takes its first 256 (512 rays)."""
     return sphere_points(sobol_points(n, 512))
 
 
@@ -439,11 +454,16 @@ class Domain:
     def bounding_radius(self, center) -> float:
         return _enclosing_radius(self._norm, _as_point(center, self.dimension))
 
-    def surface_crossing_candidates(self, origin, D: np.ndarray, t_hi: float):
-        """Membership flips along the rays ``origin + t D``, t in (0, t_hi), flat as ``(ray, t, opens, inside0)`` (:func:`_span_flips`)."""
+    def surface_crossing_candidates(self, origin, H: np.ndarray, t_hi: float):
+        """Membership flips along both rays ``origin + t H[j]`` and ``origin - t H[j]`` of each line, t in (0, t_hi).
+
+        Flat as ``(ray, t, opens, inside0)`` over ``2 m`` rays, ray ``j`` the
+        ``+H[j]`` side and ray ``j + m`` the ``-H[j]`` side (m the rows of
+        ``H``).  Each leaf span is computed once per line (:func:`_span_flips`).
+        """
         o = _as_point(origin, self.dimension)
-        D = np.asarray(D, dtype=float)
-        return _span_flips(self._norm, [_leaf_span(leaf, o, D) for leaf, _ in _leaves(self._norm)], t_hi)
+        H = np.asarray(H, dtype=float)
+        return _span_flips(self._norm, [_leaf_span(leaf, o, H) for leaf, _ in _leaves(self._norm)], t_hi)
 
     def leaves(self) -> list[tuple[object, int]]:
         return _leaves(self._norm)
@@ -702,8 +722,10 @@ class PerturbedDomain:
     def bounding_radius(self, center) -> float:
         return self.base.bounding_radius(center) + self.theta.amplitude_bound()
 
-    def surface_crossing_candidates(self, origin, D: np.ndarray, t_hi: float):
-        """Membership flips along the rays ``origin + t D``, t in (0, t_hi), with ``Domain``'s ``(ray, t, opens, inside0)`` contract.
+    def surface_crossing_candidates(self, origin, H: np.ndarray, t_hi: float):
+        """Membership flips along both rays of each line ``origin + t H[j]``, t in (0, t_hi), with ``Domain``'s ``(ray, t, opens, inside0)`` contract.
+
+        The rays ``D = [H; -H]`` are traced one by one, as follows.
 
         Perturbed leaf spans: let ``s`` be the distance to a leaf's axis
         segment minus its radius ``r``, ``a`` and ``L`` the field's amplitude
@@ -734,7 +756,8 @@ class PerturbedDomain:
         first-segment flag is the membership of ``origin``.
         """
         o = _as_point(origin, self.dimension)
-        D = np.asarray(D, dtype=float)
+        H = np.asarray(H, dtype=float)
+        D = np.concatenate([H, -H])
         m = D.shape[0]
         ends, W0, W1, certified = [], [], [], []
         for leaf, outer, inner, kappa in self._leaf_bands:
@@ -752,7 +775,9 @@ class PerturbedDomain:
         live = (W1 > 0.0) & (W0 < t_hi)
         ray, col = np.nonzero(live & certified)
         ends[ray, col] = self._roots(o, D[ray], W0[ray, col], W1[ray, col], col // 2)
-        ray, t, opens, _ = _span_flips(self.base._norm, list(zip(ends.T[0::2], ends.T[1::2])), t_hi)
+        # each ray is its own line: an end behind the origin becomes -inf, so no flip lies on the backward side
+        ahead = np.where(ends > 0.0, ends, -np.inf).T
+        ray, t, opens, _ = _span_flips(self.base._norm, list(zip(ahead[0::2], ahead[1::2])), t_hi)
         inside0 = np.full(m, self.contains_many(o[None, :])[0])
         uncertified = live & ~certified
         h0 = np.maximum(np.min(np.where(uncertified, W0, np.inf), axis=1), 0.0)  # hull of the uncertified
@@ -904,7 +929,7 @@ def boundary_nearest(domain, x) -> BoundaryPoint:
     Exact per-leaf projections are validated by one two-sided membership probe;
     if every leaf projection lands on a carved-away surface patch (the
     nearest boundary point sits on a CSG crease), the closest first
-    membership flip along a fixed direction fan supplies the answer.
+    membership flip along the rays of a fixed fan of lines supplies the answer.
     Distance ties are broken toward the lexicographically largest point.
     A ``PerturbedDomain`` has no leaf projections and raises ``PreconditionError``.
     """
@@ -920,10 +945,11 @@ def boundary_nearest(domain, x) -> BoundaryPoint:
         i = min(valid, key=lambda i: (dist[i], _lex_key(P[i])))
         return BoundaryPoint(P[i], nu[i])
 
-    # Crease fallback: the closest first flip along a deterministic direction
-    # fan (lexicographic tie-break among flips within eps of the closest).
-    D = _probe_fan(domain.dimension)
-    ray, t, _, inside0 = domain.surface_crossing_candidates(x, D, 2.0 * scale)
+    # Crease fallback: the closest first flip along the probe fan's lines, both
+    # ways (lexicographic tie-break among flips within eps of the closest).
+    H = _probe_fan(domain.dimension)[:256]
+    ray, t, _, inside0 = domain.surface_crossing_candidates(x, H, 2.0 * scale)
+    D = np.concatenate([H, -H])
     first = np.full(D.shape[0], np.nan)
     np.fmin.at(first, ray, t)
     if not np.any(np.isfinite(first)):
@@ -1053,19 +1079,20 @@ def positive_leaf_components(domain) -> list[list[object]]:
     The number of groups is a lower bound for the number of connected
     components of the domain (carving can only disconnect further, and any
     connection within the domain passes through overlapping positive leaves).
-    A leaf is kept when some ray of the fixed 512-direction fan from its
-    first anchor starts inside the domain or enters it before leaving the
-    leaf; leaves carved away along every ray are dropped.
+    A leaf is kept when some ray of the fixed 512-ray fan (256 lines, both
+    ways) from its first anchor starts inside the domain or enters it before
+    leaving the leaf; leaves carved away along every ray are dropped.
     """
     base = domain.base if isinstance(domain, PerturbedDomain) else domain
-    D = _probe_fan(base.dimension)
+    H = _probe_fan(base.dimension)[:256]
     kept = []
     for leaf, sign in base.leaves():
         if sign < 0:
             continue
         o = leaf_anchors(leaf)[0]
-        ray, t, _, inside0 = base.surface_crossing_candidates(o, D, base.bounding_radius(o))
-        if np.any(inside0) or np.any(t < _leaf_span(leaf, o, D)[1][ray]):
+        ray, t, _, inside0 = base.surface_crossing_candidates(o, H, base.bounding_radius(o))
+        lo, hi = _leaf_span(leaf, o, H)
+        if np.any(inside0) or np.any(t < np.concatenate([hi, -lo])[ray]):
             kept.append(leaf)
     overlap = [[i < j and _leaf_overlap(a, b) for j, b in enumerate(kept)] for i, a in enumerate(kept)]
     count, labels = connected_components(np.array(overlap, dtype=bool).reshape(len(kept), len(kept)), directed=False)

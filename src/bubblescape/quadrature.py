@@ -29,7 +29,11 @@ Directions are scrambled Sobol points pushed to the sphere, expanded over
 the full 2^n sign-flip orbit.  The orbit makes every odd direction moment
 vanish identically, so gradient estimates are exactly zero at points of
 mirror symmetry - symmetric critical points are located to the tolerance of
-the deterministic part rather than of the noise.
+the deterministic part rather than of the noise.  The orbit holds each
+direction with its opposite, so the engine traces lines: the half orbit
+``H`` (the sign rows with first sign +1), each line giving the rays ``+H[j]``
+and ``-H[j]`` from one set of leaf spans.  psi runs the lines of all
+replicates through one pass, in blocks of a fixed line count.
 
 Each evaluation runs ``replicates`` independently scrambled copies; reported
 values are replicate means and ``std_error`` is the sample standard
@@ -146,32 +150,69 @@ def _base_direction_count(n: int, config: QuadratureConfig, nodes_per_ray: int =
 
 
 def _folded_fan(seed: int, tag: int, rep: int, n: int, m_base: int) -> np.ndarray:
-    """``m_base`` scrambled-Sobol sphere points folded into the positive orthant (read-only)."""
-    G = np.abs(sphere_points(sobol_points(n, m_base, (seed, tag, rep))))
-    G.setflags(write=False)
-    return G
+    """``m_base`` scrambled-Sobol sphere points folded into the positive orthant."""
+    return np.abs(sphere_points(sobol_points(n, m_base, (seed, tag, rep))))
 
 
-# Every call with the same seed and budget draws the same fans.  Small fans
-# are cached: there the Sobol set-up is a visible share of a landscape call.
-# A fan above _CACHED_FAN_MAX base points costs little next to the call that
-# uses it, so caching it would only hold memory.
-_cached_folded_fan = functools.lru_cache(maxsize=32)(_folded_fan)
-_CACHED_FAN_MAX = 4096
+def _half_lines(G: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Lines ``start:stop`` of the half orbit of the folded fan ``G``: line ``i`` is sign row ``i // m`` times ``G[i % m]``.
+
+    The half orbit is the sign rows of :func:`_sign_orbit` whose first sign
+    is +1; row ``2^n - 1 - s`` is the negation of row ``s``, so it holds one
+    direction of every line of the full orbit.  The range lies within one
+    sign row or spans whole ones (``m = len(G)`` and the range are powers of 2).
+    """
+    m, n = G.shape
+    s0, g0 = divmod(start, m)
+    signs = _sign_orbit(n)[s0 : -(-stop // m)]
+    return (signs[:, None, :] * G[None, g0 : g0 + min(stop - start, m)]).reshape(-1, n)
 
 
-def _fans(n: int, config: QuadratureConfig, tag: int, nodes_per_ray: int = 1):
-    """One direction fan per replicate, each independently scrambled.
+@functools.lru_cache(maxsize=16)
+def _stacked_half_fans(seed: int, tag: int, n: int, m_base: int, replicates: int) -> np.ndarray:
+    """Every replicate's half fan, stacked replicate by replicate (read-only: psi-grid's threads share it)."""
+    half = m_base * 2 ** (n - 1)
+    H = np.concatenate([_half_lines(_folded_fan(seed, tag, rep, n, m_base), 0, half) for rep in range(replicates)])
+    H.setflags(write=False)
+    return H
 
-    A fan is a folded base fan expanded over the full sign-flip orbit into a
-    fresh array of shape ``(m_base * 2^n, n)``.
+
+# Every call with the same seed and budget draws the same fans.  Stacked
+# half fans of up to _CACHED_LINES lines are cached: there the Sobol set-up
+# is a visible share of a call.  A larger fan costs little next to the call
+# that uses it.
+_CACHED_LINES = 2**16
+# psi traces its lines in blocks of this many, all replicates of a call in one
+# pass.  Measured on one CPU of a 2-vCPU machine, on 2^15 x 4 and 2^17 x 8
+# calls: 2^11 lines took 15-20% more time, and 2^13 lines 5-10% less but
+# raised the landscape benchmark's peak RSS by up to 5 MB.
+_BLOCK_LINES = 2**12
+
+
+def _fans(n: int, config: QuadratureConfig, tag: int, nodes_per_ray: int = 1, block: int | None = None):
+    """Each replicate's half fan, independently scrambled (:func:`_half_lines`), as ``(replicates, lines)``.
+
+    A half fan holds ``m_base 2^(n-1)`` lines; with the opposite rays
+    ``[H; -H]`` it makes the full sign-flip orbit of the replicate's fan.
+    ``replicates`` is the slice of replicates whose lines follow, each the
+    same number of consecutive lines.  Without ``block`` each item is one
+    whole half fan; with it, at most ``block`` lines: the whole half fans of
+    consecutive replicates, or one block of a single replicate's, so that a
+    fan larger than a block is built block by block, never whole.
     """
     m_base = _base_direction_count(n, config, nodes_per_ray)
-    folded = _cached_folded_fan if m_base <= _CACHED_FAN_MAX else _folded_fan
-    signs = _sign_orbit(n)
-    for rep in range(config.replicates):
-        G = folded(int(config.seed), tag, rep, n, m_base)
-        yield (signs[:, None, :] * G[None, :, :]).reshape(-1, n)
+    half, k, seed = m_base * 2 ** (n - 1), config.replicates, int(config.seed)
+    per, width = max((block or half) // half, 1), min(half, block or half)
+    stacked = _stacked_half_fans(seed, tag, n, m_base, k) if k * half <= _CACHED_LINES else None
+    for r in range(0, k, per):
+        reps = slice(r, min(r + per, k))
+        if stacked is None:
+            G = [_folded_fan(seed, tag, q, n, m_base) for q in range(reps.start, reps.stop)]
+        for i in range(0, half, width):
+            if stacked is None:
+                yield reps, np.concatenate([_half_lines(g, i, i + width) for g in G])
+            else:
+                yield reps, stacked[r * half + i : (reps.stop - 1) * half + i + width]
 
 
 def _reduce(samples):
@@ -193,18 +234,18 @@ def _pack(m: int, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _outside_segments(domain, origin: np.ndarray, D: np.ndarray, t_hi: float):
-    """Per-ray radial intervals lying outside the domain, within (0, t_hi).
+def _outside_segments(domain, origin: np.ndarray, H: np.ndarray, t_hi: float):
+    """Per-ray radial intervals lying outside the domain, within (0, t_hi), on the rays ``[H; -H]``.
 
     The domain's flips, sorted along each ray and packed into (m, K), cut each
     ray into segments that alternate between inside and outside, starting from
     its first-segment flag.  Returns ``(a, b, mask, n_segments)``: (m, K + 1)
     interval ends, ``mask`` flagging outside intervals of positive width, and
-    ``n_segments = m (K + 1)``.
+    ``n_segments = m (K + 1)``, with ``m = 2 len(H)`` rays.
     """
-    ray, t, _, inside0 = domain.surface_crossing_candidates(origin, D, t_hi)
+    ray, t, _, inside0 = domain.surface_crossing_candidates(origin, H, t_hi)
     order = np.lexsort((t, ray))
-    flips = _pack(D.shape[0], ray[order], t[order])
+    flips = _pack(2 * H.shape[0], ray[order], t[order])
     m, K = flips.shape
     ts = np.concatenate([np.zeros((m, 1)), np.where(np.isfinite(flips), flips, t_hi), np.full((m, 1), t_hi)], axis=1)
     a = ts[:, :-1]
@@ -218,34 +259,6 @@ def _outside_segments(domain, origin: np.ndarray, D: np.ndarray, t_hi: float):
 # ---------------------------------------------------------------------------
 
 
-def _psi_replicate(domain, xi: np.ndarray, D: np.ndarray, R: float, n: int):
-    """One replicate's ray-averaged near-field value/gradient/hessian.
-
-    A ray's outside runs ``(a, b)`` give ``(a^-k - b^-k)/k`` for k = n, n + 1,
-    n + 2: ``+t^-k/k`` at each flip that opens one and ``-t^-k/k`` at each that
-    closes one, ``-R^-k/k`` if the ray ends outside and infinity if it starts
-    outside.  The count ``m (K + 1)``, K the most flips on a ray (at least 1),
-    is that of :func:`_outside_segments`.
-    """
-    ray, t, opens, inside0 = domain.surface_crossing_candidates(xi, D, R)
-    m = D.shape[0]
-    count = np.bincount(ray, minlength=m)
-    ends_out, start = inside0 == (count % 2 == 1), np.where(inside0, 0.0, np.inf)
-    r = 1.0 / t
-    p = np.where(opens, 1.0, -1.0) * r**n
-    sums = []
-    for k in range(n, n + 3):
-        sums.append(np.bincount(ray, p / k, minlength=m) - ends_out * (R**-k / k) + start)
-        p = p * r
-    sv, sg, sh = sums
-    omega = sphere_area(n)
-    value = omega * float(sv.mean())
-    grad = omega * 2.0 * n * (sg @ D) / m
-    dd = (D.T * sh) @ D / m
-    hess = omega * 2.0 * n * ((2.0 * n + 2.0) * dd - np.eye(n) * float(sh.mean()))
-    return value, grad, hess, m * (max(int(count.max(initial=0)), 1) + 1)
-
-
 def psi_integrals(domain, xi, config: QuadratureConfig) -> PsiEvaluation:
     """Exterior inverse-power landscape at an interior point.
 
@@ -253,6 +266,17 @@ def psi_integrals(domain, xi, config: QuadratureConfig) -> PsiEvaluation:
     |x - xi|^(-2n) dx`` together with its gradient and Hessian in ``xi``,
     by ray-fan quadrature inside the enclosing ball plus exact closed forms
     beyond it.  Raises ``PreconditionError`` if ``xi`` is not interior.
+
+    One engine pass traces the lines of every replicate's half fan, in
+    blocks of ``_BLOCK_LINES`` (:func:`_fans`).  A ray's outside runs
+    ``(a, b)`` give ``(a^-k - b^-k)/k`` for k = n, n + 1, n + 2: ``+t^-k/k``
+    at each flip that opens one and ``-t^-k/k`` at each that closes one,
+    ``-R^-k/k`` if the ray ends outside and infinity if it starts outside.  With ``sg+``, ``sg-``
+    (and ``sh+``, ``sh-``) the k = n + 1 (and n + 2) sums of the rays ``+H``
+    and ``-H``, the gradient takes ``(sg+ - sg-) @ H`` and the Hessian
+    ``(sh+ + sh-)`` on ``H``.  ``n_evals`` counts ``m (K + 1)`` per
+    replicate, m its rays and K the most flips on one of them (at least 1),
+    as :func:`_outside_segments` would.
     """
     n = domain.dimension
     xi = _as_point(xi, n)
@@ -261,11 +285,37 @@ def psi_integrals(domain, xi, config: QuadratureConfig) -> PsiEvaluation:
     R = float(domain.bounding_radius(xi))
     omega = sphere_area(n)
 
-    samples = [_psi_replicate(domain, xi, D, R, n) for D in _fans(n, config, _TAG_PSI)]
-    vals, grads, hesss, n_seg = zip(*samples)
-    value, value_std = _reduce(vals)
-    gradient, gradient_std = _reduce(grads)
-    hessian, hessian_std = _reduce(hesss)
+    k = config.replicates
+    m = _base_direction_count(n, config) * 2**n  # rays per replicate: the full sign-flip orbit
+    sv, sh, sg, dd = np.zeros(k), np.zeros(k), np.zeros((k, n)), np.zeros((k, n, n))
+    K = np.ones(k, dtype=np.int64)
+    for reps, H in _fans(n, config, _TAG_PSI, block=_BLOCK_LINES):
+        ray, t, opens, inside0 = domain.surface_crossing_candidates(xi, H, R)
+        rays = 2 * H.shape[0]
+        count = np.bincount(ray, minlength=rays)
+        ends_out, start = inside0 == (count & 1).astype(bool), np.zeros(rays)
+        start[~inside0] = np.inf
+        r = 1.0 / t
+        p = np.where(opens, r, -r)
+        for _ in range(n - 1):
+            p *= r
+        sums = []
+        for j in range(n, n + 3):
+            sums.append(np.bincount(ray, p / j, minlength=rays) - ends_out * (R**-j / j) + start)
+            p *= r
+        q = reps.stop - reps.start
+        v, g, h = (s.reshape(2, q, -1) for s in sums)  # [side, replicate, line]
+        Hq = H.reshape(q, -1, n)
+        sv[reps] += v.sum(axis=(0, 2))
+        sh[reps] += h.sum(axis=(0, 2))
+        sg[reps] += ((g[0] - g[1])[:, None, :] @ Hq)[:, 0]
+        dd[reps] += (Hq.transpose(0, 2, 1) * (h[0] + h[1])[:, None, :]) @ Hq
+        K[reps] = np.maximum(K[reps], count.reshape(2, q, -1).max(axis=(0, 2)))
+
+    value, value_std = _reduce(omega * sv / m)
+    gradient, gradient_std = _reduce(omega * 2.0 * n * sg / m)
+    hess = omega * 2.0 * n * ((2.0 * n + 2.0) * dd / m - np.eye(n) * (sh / m)[:, None, None])
+    hessian, hessian_std = _reduce(hess)
     value = float(value) + omega * R**-n / n
     return PsiEvaluation(
         value=value,
@@ -274,7 +324,7 @@ def psi_integrals(domain, xi, config: QuadratureConfig) -> PsiEvaluation:
         value_std=float(value_std),
         gradient_std=gradient_std,
         hessian_std=hessian_std,
-        n_evals=sum(n_seg),
+        n_evals=int(m * (K + 1).sum()),
         converged=config.accepts(value, value_std),
     )
 
@@ -352,11 +402,11 @@ def exterior_lp_mass(domain, f, p: float, config: QuadratureConfig, center=None)
     R = float(domain.bounding_radius(center))
     f_abs_p = _abs_pow(f, p)
 
-    fans = list(_fans(n, config, _TAG_LP, nodes_per_ray=24))
+    fans = [(H, np.concatenate([H, -H])) for _, H in _fans(n, config, _TAG_LP, nodes_per_ray=24)]
     near = np.empty(len(fans))
     n_evals = 0
-    for rep, D in enumerate(fans):
-        a, b, mask, n_seg = _outside_segments(domain, center, D, R)
+    for rep, (H, D) in enumerate(fans):
+        a, b, mask, n_seg = _outside_segments(domain, center, H, R)
         ri, ci = np.nonzero(mask)
         near[rep], ne = _segment_quadrature(f_abs_p, center, D, ri, a[ri, ci], b[ri, ci])
         n_evals += n_seg + ne
@@ -367,7 +417,7 @@ def exterior_lp_mass(domain, f, p: float, config: QuadratureConfig, center=None)
     stopped = False
     for shell in range(config.far_shells):
         shell_vals = np.empty(len(fans))
-        for rep, D in enumerate(fans):
+        for rep, (_, D) in enumerate(fans):
             shell_vals[rep], ne = _whole_rays(f_abs_p, center, D, R * 2.0**shell, R * 2.0 ** (shell + 1))
             n_evals += ne
         far += shell_vals
@@ -415,10 +465,10 @@ def exterior_bubble_mass(domain, delta: float, center, m: float, config: Quadrat
         return np.where(b * b <= d2, within, beyond(a) - beyond(b))
 
     samples, n_evals = [], 0
-    for D in _fans(n, config, _TAG_LP, nodes_per_ray=24):
-        a, b, mask, n_seg = _outside_segments(domain, center, D, R)
+    for _, H in _fans(n, config, _TAG_LP, nodes_per_ray=24):
+        a, b, mask, n_seg = _outside_segments(domain, center, H, R)
         ri, ci = np.nonzero(mask)
-        per_ray = np.bincount(ri, share(a[ri, ci], b[ri, ci]), minlength=D.shape[0])
+        per_ray = np.bincount(ri, share(a[ri, ci], b[ri, ci]), minlength=a.shape[0])
         samples.append(whole * (float(per_ray.mean()) + beyond(R)))
         n_evals += n_seg
     return _result(samples, n_evals, config)
@@ -432,7 +482,10 @@ def ball_lp_mass(f, p: float, center, radius: float, dimension: int, config: Qua
         raise PreconditionError("ball radius must be positive")
     f_abs_p = _abs_pow(f, p)
     vals, n_evals = zip(
-        *(_whole_rays(f_abs_p, center, D, 0.0, float(radius)) for D in _fans(n, config, _TAG_BALL, nodes_per_ray=24))
+        *(
+            _whole_rays(f_abs_p, center, np.concatenate([H, -H]), 0.0, float(radius))
+            for _, H in _fans(n, config, _TAG_BALL, nodes_per_ray=24)
+        )
     )
     return _result(vals, sum(n_evals), config)
 

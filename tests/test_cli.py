@@ -13,7 +13,9 @@ import pytest
 import bubblescape
 from bubblescape.bubbles import ResidualRow, ResidualTable
 from bubblescape.cli import main
+from bubblescape.geometry import load_domain
 from bubblescape.landscape import constants as model_constants
+from bubblescape.quadrature import QuadratureConfig, psi_integrals
 
 FAST = ["--near-budget", "4096", "--far-shells", "16", "--replicates", "2"]
 MID = ["--near-budget", "32768", "--far-shells", "24", "--replicates", "4", "--multistart", "4"]
@@ -207,6 +209,31 @@ def test_psi_grid_asymmetric_dumbbell_ridge(tmp_path):
     bridge = min(v for (x, y), v in interior.items() if abs(x - 0.1) < 1e-9 and abs(y) < 1e-9)
     assert bridge > big_min and bridge > small_min
     assert big_min < small_min  # deeper lobe hosts the global minimum
+
+
+def test_psi_grid_csv_equals_single_point_psi(tmp_path):
+    # Each cell is one psi_integrals call, whichever pool thread ran it: a
+    # fresh call at the cell's point gives its CSV value bit for bit, and on
+    # the mirror-symmetric dumbbell mirror cells agree to round-off.
+    lobe = [{"type": "ball", "center": [c, 0.0, 0.0], "radius": 1.0} for c in (-1.75, 1.75)]
+    neck = {"type": "capsule", "a": [-1.75, 0.0, 0.0], "b": [1.75, 0.0, 0.0], "radius": 0.35}
+    root = {"type": "union", "left": lobe[0], "right": {"type": "union", "left": lobe[1], "right": neck}}
+    path = write_domain(tmp_path, "dumbbell.json", {"dimension": 3, "root": root})
+    out = str(tmp_path / "g")
+    budget = ["--near-budget", "32768", "--replicates", "4"]  # 4,096 lines a replicate: four blocks a call
+    grid = ["--steps", "7", "3", "--lo", "-2.4", "-0.5", "--hi", "2.4", "0.5"]
+    assert main(["psi-grid", "--domain", path, "--out", out, "--seed", "3", *budget, *grid]) == 0
+    _, _, rows = read_csv(os.path.join(out, "psi_grid.csv"))
+    cells = {(int(r[0]), int(r[1])): (float(r[2]), float(r[3]), float(r[4])) for r in rows}
+    dom = load_domain(path)
+    cfg = QuadratureConfig(seed=3, near_budget=32768, replicates=4)
+    interior = [key for key, (_, _, value) in cells.items() if value != -1.0]
+    assert len(interior) >= 15
+    for i, j in interior:
+        x, y, value = cells[i, j]
+        assert psi_integrals(dom, [x, y, 0.0], cfg).value == value
+        for mirror in ((6 - i, j), (i, 2 - j)):
+            assert abs(cells[mirror][2] - value) <= 1e-12 * value
 
 
 def test_psi_grid_slice_outside_exits_2(tmp_path):

@@ -449,6 +449,19 @@ def test_mountain_pass_polishes_the_top_of_the_segment(monkeypatch, name, seed):
     assert len(calls) <= 60
 
 
+def test_mountain_pass_ignores_the_backward_extension_of_its_segment():
+    # The line through the peanut's minima leaves it 1.06 behind either
+    # minimum, within the segment's length of 1.67: only the ray along the
+    # segment may refuse it.
+    dom, a = Domain(3, PEANUT_ROOT), 0.836
+    x1, x2 = np.array([a, 0.0, 0.0]), np.array([-a, 0.0, 0.0])
+    ray, t, *_ = dom.surface_crossing_candidates(x1, ((x2 - x1) / (2.0 * a))[None, :], 2.0 * a)
+    assert ray.tolist() == [1] and t[0] == pytest.approx(1.9 - a)
+    p = mountain_pass(dom, x1, x2, CFG)
+    assert p.morse_index == 1
+    assert np.linalg.norm(p.location) <= 1e-3
+
+
 def test_crit_exits_3_where_a_hole_cuts_the_segment(tmp_path, capsys):
     # the peanut's two minima lie on either side of the hole
     root = {"type": "difference", "left": _union(_ball([-0.9, 0.0, 0.0]), _ball([0.9, 0.0, 0.0])),

@@ -42,8 +42,16 @@ from bubblescape.geometry import (
     positive_leaf_components,
     sobol_points,
 )
-from bubblescape.quadrature import QuadratureConfig, _outside_segments, _pack, exterior_lp_mass, psi_integrals
-from test_quadrature import _psi_replicate_per_cell
+from bubblescape.quadrature import (
+    _TAG_PSI,
+    QuadratureConfig,
+    _fans,
+    _outside_segments,
+    _pack,
+    exterior_lp_mass,
+    psi_integrals,
+)
+from test_quadrature import _psi_per_cell
 
 
 def unit_ball(n=3, center=None, radius=1.0):
@@ -62,11 +70,16 @@ def holed_ball(n=3, hole=0.25):
     return Domain(n, Difference(Ball(np.zeros(n), 1.0), Ball(np.zeros(n), hole)))
 
 
-def _packed(dom, origin, D, t_hi):
-    """The flat flips of ``surface_crossing_candidates`` as ``(flips, inside0)``: each ray's flips ascending in one NaN-padded row."""
-    ray, t, _, inside0 = dom.surface_crossing_candidates(origin, D, t_hi)
+def _both_ways(H):
+    """The rays ``[H; -H]`` that ``surface_crossing_candidates`` traces along the lines ``H``."""
+    return np.concatenate([H, -H])
+
+
+def _packed(dom, origin, H, t_hi):
+    """The flat flips of ``surface_crossing_candidates`` as ``(flips, inside0)``: each ray of ``[H; -H]`` with its flips ascending in one NaN-padded row."""
+    ray, t, _, inside0 = dom.surface_crossing_candidates(origin, H, t_hi)
     order = np.lexsort((t, ray))
-    return _pack(D.shape[0], ray[order], t[order]), inside0
+    return _pack(2 * H.shape[0], ray[order], t[order]), inside0
 
 
 # ---------------------------------------------------------------------------
@@ -625,7 +638,7 @@ def _near_and_far_points(base, amplitude, rng):
     cand, _ = _packed(base, np.zeros(3), D, R)
     ray, col = np.nonzero(np.isfinite(cand))
     t = cand[ray, col] + amplitude * rng.uniform(-3.0, 3.0, size=ray.size)
-    near = t[:, None] * D[ray]
+    near = t[:, None] * _both_ways(D)[ray]
     far = rng.uniform(-R, R, size=(200, 3))
     return np.concatenate([near, far])
 
@@ -759,14 +772,15 @@ def _assert_crossings_on_surfaces(dom, origin, D, t_hi, rng):
     """Every flip pulls back onto a leaf surface, and membership inside each segment matches its flag."""
     leaves = [leaf for leaf, _ in dom.base.leaves()]
     flips, _ = _packed(dom, origin, D, t_hi)
+    rays = _both_ways(D)
     ray, col = np.nonzero(np.isfinite(flips))
-    X = dom.pull_back(origin + flips[ray, col][:, None] * D[ray])
+    X = dom.pull_back(origin + flips[ray, col][:, None] * rays[ray])
     s = np.stack([np.abs(np.linalg.norm(_axis_offset(leaf, X), axis=1) - leaf.radius) for leaf in leaves])
     assert np.all(s.min(axis=0) <= 1e-9)
     a, b, outside, _ = _outside_segments(dom, origin, D, t_hi)
     ray, seg = np.nonzero(b - a > 1e-6 * t_hi)
     t = a[ray, seg] + rng.uniform(0.01, 0.99, ray.size) * (b[ray, seg] - a[ray, seg])
-    assert np.array_equal(dom.contains_many(origin + t[:, None] * D[ray]), ~outside[ray, seg])
+    assert np.array_equal(dom.contains_many(origin + t[:, None] * rays[ray]), ~outside[ray, seg])
 
 
 @pytest.mark.parametrize("rho", [0.01, 0.05])
@@ -790,8 +804,8 @@ def test_certified_crossings_match_the_scan(base, origin, rho):
         t_hi = dom.bounding_radius(origin)
         got, inside0 = _packed(dom, origin, D, t_hi)
         want, want0 = _packed(ref, origin, D, t_hi)
-        assert dom.fallback_rays < 0.15 * D.shape[0]
-        assert ref.fallback_rays == D.shape[0]
+        assert dom.fallback_rays < 0.15 * 2 * D.shape[0]
+        assert ref.fallback_rays == 2 * D.shape[0]
         assert np.array_equal(inside0, want0)
         assert np.array_equal(np.isfinite(got).sum(axis=1), np.isfinite(want).sum(axis=1))
         K = want.shape[1]
@@ -892,15 +906,16 @@ def test_uncertifiable_leaves_trace_only_the_rays_that_meet_a_window():
     D = _unit_rows(np.random.default_rng(16), 1024)
     t_hi = dom.bounding_radius(origin)
     flips, inside0 = _packed(dom, origin, D, t_hi)
-    meets = np.zeros(D.shape[0], dtype=bool)
+    rays = _both_ways(D)
+    meets = np.zeros(rays.shape[0], dtype=bool)
     for _, outer, _, _ in dom._leaf_bands:
-        lo, hi = _leaf_span(outer, origin, D)
+        lo, hi = _leaf_span(outer, origin, rays)
         meets |= (hi > 0.0) & (lo < t_hi)
-    assert 0 < meets.sum() < D.shape[0]
+    assert 0 < meets.sum() < rays.shape[0]
     assert dom.fallback_rays == meets.sum()
     assert np.all(np.isnan(flips[~meets]))
     assert np.any(np.isfinite(flips[meets, 0]))
-    _assert_crossings_on_surfaces(dom, origin, D[meets], t_hi, np.random.default_rng(17))
+    _assert_crossings_on_surfaces(dom, origin, rays[meets], t_hi, np.random.default_rng(17))
 
 
 def _origins(dom, rng):
@@ -948,8 +963,12 @@ def _midpoint_span_flips(norm, spans, t_hi):
 
 
 def _assert_opens_alternate(ray, t, opens, inside0):
-    """Sorted along each ray, the flips open an outside run exactly where the first-segment flag says the ray is inside."""
-    order = np.lexsort((t, ray))
+    """Sorted along each ray, the flips open an outside run exactly where the first-segment flag says the ray is inside.
+
+    Two flips at one ``t`` bound a zero-width outside gap (an open set has no
+    one-point inside run), so the one that opens it sorts first.
+    """
+    order = np.lexsort((~opens, t, ray))
     ray = ray[order]
     rank = np.arange(ray.size) - np.searchsorted(ray, ray)
     assert np.array_equal(opens[order], inside0[ray] ^ (rank % 2 == 1))
@@ -958,7 +977,8 @@ def _assert_opens_alternate(ray, t, opens, inside0):
 def _assert_flips_match_the_midpoint_rule(dom, origin, D):
     origin = np.asarray(origin, dtype=float)
     t_hi = dom.bounding_radius(origin)
-    want, want0 = _midpoint_span_flips(dom._norm, [_leaf_span(leaf, origin, D) for leaf, _ in dom.leaves()], t_hi)
+    rays = _both_ways(D)
+    want, want0 = _midpoint_span_flips(dom._norm, [_leaf_span(leaf, origin, rays) for leaf, _ in dom.leaves()], t_hi)
     got, inside0 = _packed(dom, origin, D, t_hi)
     assert _same_bits(got, want) and _same_bits(inside0, want0)
     _assert_opens_alternate(*dom.surface_crossing_candidates(origin, D, t_hi))
@@ -984,7 +1004,7 @@ def test_flat_flips_match_the_midpoint_rule(root, seed):
 _CREASE = np.array([-1.5 + np.sqrt(1.0 - 0.35**2), 0.35, 0.0])  # where the dumbbell's bridge meets its left ball
 
 
-@pytest.mark.parametrize(
+_TIES = pytest.mark.parametrize(
     "root, origins, through",
     [
         # rays through the contact point of two externally tangent balls, and from it
@@ -997,12 +1017,90 @@ _CREASE = np.array([-1.5 + np.sqrt(1.0 - 0.35**2), 0.35, 0.0])  # where the dumb
     ],
     ids=["tangent-balls", "union-ball-ball", "union-capsule-capsule", "tangent-hole", "dumbbell-creases"],
 )
+
+
+@_TIES
 def test_flat_flips_break_ties_like_zero_width_gaps(root, origins, through):
     dom = Domain(3, root)
     rng = np.random.default_rng(19)
     for origin in origins:
         D = _fan_with_axes(rng, 64, *(np.asarray(through) - origin))
         _assert_flips_match_the_midpoint_rule(dom, origin, D)
+
+
+# The per-ray classifier that the line classifier replaced, kept as its
+# oracle: every ray has its own spans, and only the ends ahead of the origin
+# are classified, an exit by the states just below it and at it, an entry by
+# those at it and just above it.
+def _ray_span_flips(norm, spans, t_hi):
+    L = len(spans)
+    ends = np.stack([hi for _, hi in spans] + [lo for lo, _ in spans])  # (2L, m): the exits, then the entries
+    live = (ends > 1e-14 * max(t_hi, 1.0)) & (ends < t_hi)
+    mid0 = 0.5 * np.where(live, ends, t_hi).min(axis=0)
+    for i in range(1, L):
+        for j in range(i):
+            live[i] &= ends[i] != ends[j]
+            live[L + i] &= ends[L + i] != ends[L + j]
+    row, ray = np.nonzero(live)
+    t = ends[row, ray]
+    nx = int(np.searchsorted(row, L))
+    x, e = slice(None, nx), slice(nx, None)
+    it = iter(spans)
+
+    def leaf(_):
+        lo, hi = next(it)
+        a, b = lo[ray], hi[ray]
+        below, above = (a[x] < t[x]) & (t[x] <= b[x]), (a[e] <= t[e]) & (t[e] < b[e])
+        return np.concatenate([(a < t) & (t < b), below, above, (lo < mid0) & (mid0 < hi)])
+
+    at, beside, inside0 = np.split(_csg(norm, leaf, np.logical_or, lambda l, r: l & ~r), [t.size, 2 * t.size])
+    flip = at != beside
+    opens = np.concatenate([beside[x], at[e]])
+    return ray[flip], t[flip], opens[flip], inside0
+
+
+def _assert_line_flips_match_the_ray_classifier(dom, origin, H):
+    """Per ray of ``[H; -H]``: the same flips, ``t`` bit for bit with their ``opens``, and the same ``inside0``."""
+    origin = np.asarray(origin, dtype=float)
+    t_hi = dom.bounding_radius(origin)
+    got = dom.surface_crossing_candidates(origin, H, t_hi)
+    want = _ray_span_flips(dom._norm, [_leaf_span(leaf, origin, _both_ways(H)) for leaf, _ in dom.leaves()], t_hi)
+    for (ray, t, opens, inside0), other in zip((got, want), (want, got)):
+        order = np.lexsort((opens, t, ray))
+        assert _same_bits(inside0, other[3])
+        assert all(_same_bits(u[order], v[np.lexsort((other[2], other[1], other[0]))]) for u, v in zip((ray, t, opens), other))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_tree, st.integers(min_value=0, max_value=10**6))
+def test_line_flips_match_the_ray_classifier(root, seed):
+    dom = Domain(3, root)
+    rng = np.random.default_rng(seed)
+    H = _fan_with_axes(rng, 256)
+    for origin in _origins(dom, rng):
+        _assert_line_flips_match_the_ray_classifier(dom, origin, H)
+
+
+@_TIES
+def test_line_flips_match_the_ray_classifier_at_ties(root, origins, through):
+    dom = Domain(3, root)
+    rng = np.random.default_rng(19)
+    for origin in origins:
+        _assert_line_flips_match_the_ray_classifier(dom, origin, _fan_with_axes(rng, 64, *(np.asarray(through) - origin)))
+
+
+def test_opposite_rays_meet_a_leaf_in_the_negated_span():
+    # why one span serves both rays of a line: bit for bit (NaN where a ray
+    # misses), for a ball and for a capsule's wall
+    rng = np.random.default_rng(23)
+    H = _unit_rows(rng, 2048)
+    for leaf in (Capsule([0.1, -0.2, 0.3], [0.1, -0.2, 0.3], 0.8), Capsule([-0.7, 0.2, 0.1], [0.9, -0.3, 0.4], 0.45)):
+        for origin in (np.zeros(3), np.array([2.0, -1.0, 0.5]), np.array([0.9, -0.3, 0.4])):
+            lo, hi = _leaf_span(leaf, origin, H)
+            back_lo, back_hi = _leaf_span(leaf, origin, -H)
+            hit = np.isfinite(lo)
+            assert hit.any() and np.array_equal(np.isfinite(back_lo), hit)
+            assert _same_bits(back_lo[hit], -hi[hit]) and _same_bits(back_hi[hit], -lo[hit])
 
 
 def test_perturbed_flips_match_the_midpoint_rule_on_traced_and_certified_rays():
@@ -1020,10 +1118,10 @@ def test_perturbed_flips_match_the_midpoint_rule_on_traced_and_certified_rays():
 
     with mock.patch.object(geometry, "_span_flips", midpoint_flat):
         want, want0 = _packed(ref, origin, D, t_hi)
-    assert 0 < dom.fallback_rays == ref.fallback_rays < D.shape[0]
+    assert 0 < dom.fallback_rays == ref.fallback_rays < 2 * D.shape[0]
     ray, t, _, inside0 = got
     order = np.lexsort((t, ray))
-    assert _same_bits(_pack(D.shape[0], ray[order], t[order]), want) and _same_bits(inside0, want0)
+    assert _same_bits(_pack(2 * D.shape[0], ray[order], t[order]), want) and _same_bits(inside0, want0)
     _assert_opens_alternate(*got)
 
 
@@ -1041,7 +1139,7 @@ def test_alternating_segment_flags_match_membership(root, seed):
         frac = np.concatenate([np.full(ray.size, 0.5), rng.uniform(0.01, 0.99, ray.size)])
         ray, seg = np.tile(ray, 2), np.tile(seg, 2)
         t = a[ray, seg] + frac * (b[ray, seg] - a[ray, seg])
-        assert np.array_equal(dom.contains_many(origin + t[:, None] * D[ray]), ~outside[ray, seg])
+        assert np.array_equal(dom.contains_many(origin + t[:, None] * _both_ways(D)[ray]), ~outside[ray, seg])
 
 
 def _midpoint_segments(domain, origin, D, t_hi):
@@ -1062,11 +1160,9 @@ def _agree(x, y, scale=None):
 
 
 def _with_reference(fn):
-    """Run fn with psi from the per-cell kernel and every mass from the midpoint slicer."""
-    per_cell = functools.partial(_psi_replicate_per_cell, segments=_midpoint_segments)
-    with mock.patch.object(quadrature, "_outside_segments", _midpoint_segments):
-        with mock.patch.object(quadrature, "_psi_replicate", per_cell):
-            return fn()
+    """Run fn with every mass from the midpoint slicer, on the rays ``[H; -H]`` of each half fan ``H``."""
+    with mock.patch.object(quadrature, "_outside_segments", lambda dom, o, H, t: _midpoint_segments(dom, o, _both_ways(H), t)):
+        return fn()
 
 
 @settings(max_examples=25, deadline=None)
@@ -1079,13 +1175,15 @@ def test_span_engine_matches_midpoint_reference(root, seed):
     if len(origins) == 3:
         xi = origins[2]
         ev = psi_integrals(dom, xi, cfg)
-        ref = _with_reference(lambda: psi_integrals(dom, xi, cfg))
+        # the per-cell kernel on the midpoint slicer's segments of the same rays
+        fans = (_both_ways(H) for _, H in _fans(3, cfg, _TAG_PSI))
+        value, gradient, hessian, _ = _psi_per_cell(dom, xi, fans, _midpoint_segments)
         # psi's terms come from distances of at least the depth d, so value / d
         # scales the gradient where symmetry makes it vanish.
         d = dom.depth_bound_many(xi[None, :])[0]
-        assert _agree(ev.value, ref.value)
-        assert _agree(ev.gradient, ref.gradient, max(np.max(np.abs(ref.gradient)), ref.value / d))
-        assert _agree(ev.hessian, ref.hessian)
+        assert _agree(ev.value, value)
+        assert _agree(ev.gradient, gradient, max(np.max(np.abs(gradient)), value / d))
+        assert _agree(ev.hessian, hessian)
     for c in origins:
         R = dom.bounding_radius(c)
 
@@ -1114,7 +1212,7 @@ def test_diameter_pair_of_a_union_is_the_farthest_boundary_pair(root):
         for o in leaf_anchors(leaf):
             t, _ = _packed(dom, o, D, 2.0 * dom.bounding_radius(o))
             ray, col = np.nonzero(np.isfinite(t))
-            flips.append(o + t[ray, col][:, None] * D[ray])
+            flips.append(o + t[ray, col][:, None] * _both_ways(D)[ray])
     X = np.concatenate(flips)
     farthest = max(cdist(X[i : i + 512], X).max() for i in range(0, X.shape[0], 512))
     assert np.linalg.norm(bp1.point - bp2.point) >= farthest * (1.0 - 1e-12)

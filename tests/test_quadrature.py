@@ -10,6 +10,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -22,12 +23,17 @@ import bubblescape
 from bubblescape.errors import PreconditionError
 from bubblescape.geometry import Ball, Capsule, Difference, Domain, Scale, Translate, Union
 from bubblescape.quadrature import (
+    _BLOCK_LINES,
     _TAG_LP,
     _TAG_PSI,
     QuadratureConfig,
+    _base_direction_count,
     _fans,
+    _folded_fan,
+    _half_lines,
     _outside_segments,
-    _psi_replicate,
+    _sign_orbit,
+    _stacked_half_fans,
     ball_lp_mass,
     bubble_alpha,
     bubble_moment,
@@ -201,7 +207,15 @@ def test_offcenter_ball_against_closed_forms(n):
     assert np.all(np.abs(ev.hessian - hess) <= 6.0 * ev.hessian_std + 1e-9 * np.max(np.abs(hess)))
 
 
-def _psi_replicate_per_cell(domain, xi, D, R, n, segments=_outside_segments):
+def _ray_segments(domain, origin, D, t_hi):
+    """``_outside_segments`` of the rays ``D`` alone: it traces each row both ways, so keep the + side, cut to its most flips K."""
+    a, b, mask, _ = _outside_segments(domain, origin, D, t_hi)
+    m = D.shape[0]
+    K = max(int(np.count_nonzero(a[:m, 1:] < t_hi, axis=1).max(initial=0)), 1)
+    return a[:m, : K + 1], b[:m, : K + 1], mask[:m, : K + 1], m * (K + 1)
+
+
+def _psi_replicate_per_cell(domain, xi, D, R, n, segments=_ray_segments):
     """Reference kernel: the three negative powers on every (ray, segment) cell of ``segments``, masked by np.where."""
     a, b, mask, n_seg = segments(domain, xi, D, R)
     a_safe = np.where(mask, a, 1.0)
@@ -218,6 +232,32 @@ def _psi_replicate_per_cell(domain, xi, D, R, n, segments=_outside_segments):
     return value, grad, hess, n_seg
 
 
+def _psi_per_cell(domain, xi, fans, segments=_ray_segments):
+    """``(value, gradient, hessian, n_evals)`` of psi from the per-cell kernel on each replicate's rays in ``fans``."""
+    n = domain.dimension
+    xi = np.asarray(xi, dtype=float)
+    R = float(domain.bounding_radius(xi))
+    vals, grads, hesss, n_seg = zip(*(_psi_replicate_per_cell(domain, xi, D, R, n, segments) for D in fans))
+    omega = sphere_area(n)
+    value = float(np.mean(vals)) + omega * R**-n / n
+    hess = np.mean(hesss, axis=0) + 2.0 * omega * R ** -(n + 2) * np.eye(n)
+    return value, np.mean(grads, axis=0), hess, sum(n_seg)
+
+
+def _signed_fans(n, config):
+    """Each replicate's folded fan expanded over the full sign-flip orbit, sign row by sign row."""
+    m_base = _base_direction_count(n, config)
+    for rep in range(config.replicates):
+        G = _folded_fan(config.seed, _TAG_PSI, rep, n, m_base)
+        yield (_sign_orbit(n)[:, None, :] * G[None, :, :]).reshape(-1, n)
+
+
+def _assert_psi_matches(ev, want, rel):
+    for g, w in zip((ev.value, ev.gradient, ev.hessian), want[:3]):
+        assert np.max(np.abs(np.subtract(g, w))) <= rel * np.max(np.abs(w))
+    assert ev.n_evals == want[3]
+
+
 @pytest.mark.parametrize(
     "domain, xi",
     [
@@ -226,15 +266,26 @@ def _psi_replicate_per_cell(domain, xi, D, R, n, segments=_outside_segments):
     ],
 )
 def test_psi_kernel_matches_per_cell_reference(domain, xi):
-    xi = np.array(xi)
-    R = float(domain.bounding_radius(xi))
+    # the engine's own rays: each replicate's half fan H and its opposites -H
     cfg = QuadratureConfig(seed=3, near_budget=2**15, replicates=2)
-    for D in _fans(3, cfg, _TAG_PSI):
-        got = _psi_replicate(domain, xi, D, R, 3)
-        want = _psi_replicate_per_cell(domain, xi, D, R, 3)
-        for g, w in zip(got[:3], want[:3]):
-            assert np.max(np.abs(np.subtract(g, w))) <= 1e-13 * np.max(np.abs(w))
-        assert got[3] == want[3]
+    fans = [np.concatenate([H, -H]) for _, H in _fans(3, cfg, _TAG_PSI)]
+    _assert_psi_matches(psi_integrals(domain, xi, cfg), _psi_per_cell(domain, xi, fans), 1e-13)
+
+
+@pytest.mark.parametrize(
+    "domain, xi, budget",
+    [
+        (dumbbell(3), (1.2, 0.1, 0.0), 2**13),  # 2,048 lines a replicate: two replicates a block
+        (Domain(4, Difference(Ball(np.zeros(4), 1.0), Ball([0.3, 0.1, 0.0, 0.0], 0.2))), (-0.2, 0.1, 0.05, 0.1), 2**17),
+        (dumbbell(5), (1.2, 0.1, 0.0, -0.1, 0.05), 2**18),  # 65,536 lines a replicate, not cached: built block by block
+    ],
+    ids=["n3", "n4", "n5"],
+)
+def test_psi_matches_per_cell_reference_on_full_signed_fans(domain, xi, budget):
+    # every sign row of the orbit, not the half orbit the engine traces
+    cfg = QuadratureConfig(seed=4, near_budget=budget, replicates=2)
+    n = domain.dimension
+    _assert_psi_matches(psi_integrals(domain, xi, cfg), _psi_per_cell(domain, xi, _signed_fans(n, cfg)), 1e-13)
 
 
 def test_nested_domains_are_monotone():
@@ -279,24 +330,63 @@ def test_determinism_and_counters():
 
 
 def test_cached_fans_match_fresh_fans():
-    from bubblescape.quadrature import _cached_folded_fan, _fans, _folded_fan
-
     cfg = QuadratureConfig(seed=5, near_budget=2**14, replicates=4)
-    first = list(_fans(3, cfg, 0x5A1))
-    again = list(_fans(3, cfg, 0x5A1))
-    for rep, (a, b) in enumerate(zip(first, again)):
-        assert a is not b and a.flags.writeable
-        assert np.array_equal(a, b)
-        cached = _cached_folded_fan(5, 0x5A1, rep, 3, a.shape[0] // 8)
-        assert not cached.flags.writeable
-        assert np.array_equal(cached, _folded_fan(5, 0x5A1, rep, 3, a.shape[0] // 8))
-        assert np.array_equal(a[: cached.shape[0]], cached)
+    m_base = _base_direction_count(3, cfg)
+    half = m_base * 4
+    stacked = _stacked_half_fans(5, 0x5A1, 3, m_base, 4)
+    assert not stacked.flags.writeable  # psi-grid's threads share it
+    assert _stacked_half_fans(5, 0x5A1, 3, m_base, 4) is stacked
+    for rep, (reps, H) in enumerate(_fans(3, cfg, 0x5A1)):
+        assert reps == slice(rep, rep + 1) and not H.flags.writeable
+        G = _folded_fan(5, 0x5A1, rep, 3, m_base)
+        full = (_sign_orbit(3)[:, None, :] * G[None, :, :]).reshape(-1, 3)
+        assert np.array_equal(H, _half_lines(G, 0, half))
+        # the half orbit's sign rows, then their negations in reverse order: the full orbit
+        assert np.array_equal(H, full[:half])
+        assert np.array_equal(-H.reshape(4, m_base, 3)[::-1].reshape(-1, 3), full[half:])
+
+
+@pytest.mark.parametrize("budget, replicates", [(2**12, 3), (2**14, 4), (2**17, 2), (2**19, 2), (2**18, 256)])
+def test_fan_blocks_cover_the_stacked_half_fans(budget, replicates):
+    # whole half fans a block, blocks of one half fan, and fans too large to
+    # cache: one (2^19 x 2) built block by block, many small ones (2^18 x 256)
+    cfg = QuadratureConfig(seed=6, near_budget=budget, replicates=replicates)
+    m_base = _base_direction_count(3, cfg)
+    half = m_base * 4
+    blocks = list(_fans(3, cfg, 0x5A1, block=_BLOCK_LINES))
+    assert all(H.shape[0] <= _BLOCK_LINES and H.shape[0] % (reps.stop - reps.start) == 0 for reps, H in blocks)
+    covered = [r for reps, H in blocks for r in range(reps.start, reps.stop) for _ in range(H.shape[0] // (reps.stop - reps.start))]
+    assert covered == sorted(covered) and len(covered) == replicates * half
+    want = np.concatenate([_half_lines(_folded_fan(6, 0x5A1, rep, 3, m_base), 0, half) for rep in range(replicates)])
+    assert np.array_equal(np.concatenate([H for _, H in blocks]), want)
+
+
+@pytest.mark.parametrize(
+    "domain, xi",
+    [(dumbbell(3), (1.2, 0.1, 0.0)), (unit_ball(4), (0.3, -0.2, 0.25, 0.1))],
+    ids=["dumbbell", "ball4"],
+)
+def test_default_budget_psi_peak_memory(domain, xi):
+    # One 2^20-ray x 8 call.  Traced per replicate over whole fans, the peak
+    # was 29.4 MiB on this dumbbell and 18.0 MiB on the 4-ball; one stacked
+    # half fan of all replicates alone would take 12 MiB (3-D).  Traced in
+    # blocks of 2^12 lines, it is 2.6 and 1.9 MiB.
+    cfg = QuadratureConfig(seed=0, near_budget=2**20, replicates=8)
+    psi_integrals(domain, xi, cfg)
+    tracemalloc.start()
+    try:
+        psi_integrals(domain, xi, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_repeated_psi_calls_do_not_page_fault():
-    # A 2^17-ray dumbbell call allocates arrays of up to 0.75 MB.  Without the
-    # allocator thresholds set on import, each is a fresh mmap on every call:
-    # about 7,000 minor faults per repeated call, against 0.
+    # A 2^17-ray dumbbell call traces blocks whose arrays reach about 0.2 MB.
+    # With both allocator thresholds at 128 KiB instead of those set on
+    # import, each is a fresh mmap on every call: about 1,500 minor faults
+    # per repeated call, against 0.
     code = (
         "import resource, sys\n"
         "import bubblescape\n"
@@ -480,7 +570,7 @@ def test_exterior_bubble_mass_matches_mpmath():
         # one count per ray segment: no Gauss-Legendre node and no far octave
         R = dom.bounding_radius(np.zeros(n))
         fans = _fans(n, CFG, _TAG_LP, nodes_per_ray=24)
-        assert res.n_evals == sum(_outside_segments(dom, np.zeros(n), D, R)[3] for D in fans)
+        assert res.n_evals == sum(_outside_segments(dom, np.zeros(n), H, R)[3] for _, H in fans)
 
 
 def test_exterior_bubble_mass_agrees_with_gauss_legendre_on_the_same_fans():
