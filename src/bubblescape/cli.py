@@ -19,7 +19,6 @@ import dataclasses
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,8 +120,7 @@ def cmd_psi_grid(manifest: RunManifest, domain) -> int:
 
     values = np.full(points.shape[0], -1.0)
     idx = np.flatnonzero(keep)
-    with ThreadPoolExecutor(max_workers=min(8, _usable_cpus())) as pool:
-        evals = list(pool.map(lambda k: psi_integrals(domain, points[k], manifest.quadrature), idx))
+    evals = [psi_integrals(domain, points[k], manifest.quadrature) for k in idx]
     values[idx] = [ev.value for ev in evals]
     unconverged = sum(not ev.converged for ev in evals)
     if np.any(values[idx] <= 0.0):
@@ -148,13 +146,6 @@ def cmd_psi_grid(manifest: RunManifest, domain) -> int:
         f" ({unconverged} not converged); {summary[2:]}"
     )
     return 0
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on (its affinity mask where the OS has one)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _grid_summary(values: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> str:

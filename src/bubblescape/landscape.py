@@ -35,7 +35,7 @@ import numpy as np
 from scipy import special
 
 from .errors import ConvergenceError, PreconditionError
-from .geometry import BoundaryPoint, _as_point, diameter_pair
+from .geometry import BoundaryPoint, _as_point, deep_point, diameter_pair
 from .quadrature import QuadratureConfig, bubble_alpha, bubble_moment, psi_integrals, sphere_area
 
 __all__ = [
@@ -300,6 +300,7 @@ def predict_nodal(
     """
     _check_eps(eps)
     n = consts.n
+    deep_point(domain)  # an empty or too-thin domain is a precondition error, not a failed search
     bp1, bp2 = diameter_pair(domain)
     diff = bp1.point - bp2.point
     sep = float(np.linalg.norm(diff))

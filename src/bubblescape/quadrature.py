@@ -170,7 +170,7 @@ def _half_lines(G: np.ndarray, start: int, stop: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=16)
 def _stacked_half_fans(seed: int, tag: int, n: int, m_base: int, replicates: int) -> np.ndarray:
-    """Every replicate's half fan, stacked replicate by replicate (read-only: psi-grid's threads share it)."""
+    """Every replicate's half fan, stacked replicate by replicate (read-only: every call is handed this one cached array)."""
     half = m_base * 2 ** (n - 1)
     H = np.concatenate([_half_lines(_folded_fan(seed, tag, rep, n, m_base), 0, half) for rep in range(replicates)])
     H.setflags(write=False)

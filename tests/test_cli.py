@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -135,27 +136,6 @@ def test_psi_grid_reports_unconverged_cells(tmp_path, capsys):
     assert 0 < int(match.group(2)) < int(match.group(1))
 
 
-def test_psi_grid_pool_sized_by_usable_cpus(tmp_path, monkeypatch):
-    import bubblescape.cli as cli
-
-    workers = []
-    real_pool = cli.ThreadPoolExecutor
-
-    def spy(max_workers):
-        workers.append(max_workers)
-        return real_pool(max_workers=max_workers)
-
-    monkeypatch.setattr(cli, "ThreadPoolExecutor", spy)
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    argv = ["psi-grid", "--domain", ball3_file(tmp_path), "--out", str(tmp_path / "g"), *FAST, "--steps", "3", "3"]
-    assert main(argv) == 0
-    monkeypatch.delattr(os, "sched_getaffinity")
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    assert main(argv) == 0
-    assert workers == [1, 3]
-
-
 def test_psi_grid_csv_is_plain_lf_decimal_dot(tmp_path):
     out = str(tmp_path / "g")
     main(
@@ -212,9 +192,9 @@ def test_psi_grid_asymmetric_dumbbell_ridge(tmp_path):
 
 
 def test_psi_grid_csv_equals_single_point_psi(tmp_path):
-    # Each cell is one psi_integrals call, whichever pool thread ran it: a
-    # fresh call at the cell's point gives its CSV value bit for bit, and on
-    # the mirror-symmetric dumbbell mirror cells agree to round-off.
+    # Each cell is one psi_integrals call: a fresh call at the cell's point
+    # gives its CSV value bit for bit, and on the mirror-symmetric dumbbell
+    # mirror cells agree to round-off.
     lobe = [{"type": "ball", "center": [c, 0.0, 0.0], "radius": 1.0} for c in (-1.75, 1.75)]
     neck = {"type": "capsule", "a": [-1.75, 0.0, 0.0], "b": [1.75, 0.0, 0.0], "radius": 0.35}
     root = {"type": "union", "left": lobe[0], "right": {"type": "union", "left": lobe[1], "right": neck}}
@@ -640,15 +620,32 @@ def test_request_too_large_to_allocate_exits_2(tmp_path, args):
     assert proc.stderr.startswith("precondition violated: Unable to allocate") and "Traceback" not in proc.stderr
 
 
-def test_empty_domain_exits_2(tmp_path, capsys):
+EMPTY = "the domain is empty or too thin to find an interior point"
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        pytest.param(["psi-grid"], EMPTY, id="psi-grid"),
+        pytest.param(["crit"], EMPTY, id="crit"),
+        pytest.param(["predict", "--regime", "sub"], EMPTY, id="predict-sub"),
+        pytest.param(["predict", "--regime", "nodal"], EMPTY, id="predict-nodal"),
+        pytest.param(["predict", "--regime", "hole"], "requires an interior point", id="predict-hole"),
+        pytest.param(["energy-check", "--regime", "sub"], EMPTY, id="energy-sub"),
+        pytest.param(["energy-check", "--regime", "hole"], "hole center must be interior", id="energy-hole"),
+        pytest.param(["morse-audit"], EMPTY, id="morse-audit"),
+    ],
+)
+def test_empty_domain_exits_2(tmp_path, capsys, command, message):
     empty = {
         "type": "difference",
         "left": {"type": "ball", "center": [0.0, 0.0, 0.0], "radius": 1.0},
         "right": {"type": "ball", "center": [0.0, 0.0, 0.0], "radius": 2.0},
     }
     path = write_domain(tmp_path, "empty.json", {"dimension": 3, "root": empty})
-    assert main(["crit", "--domain", path, "--out", str(tmp_path), *FAST]) == 2
-    assert "empty" in capsys.readouterr().err
+    assert main([*command, "--domain", path, "--out", str(tmp_path), *FAST]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("precondition violated: ") and message in err and "Traceback" not in err
 
 
 def test_crit_past_the_sobol_table_exits_2(tmp_path, capsys):
@@ -767,8 +764,26 @@ def test_xi_on_wrong_regime_exits_2(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# numeric-library thread default
+# threads
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["psi-grid", "--steps", "3", "3"], ["crit"], ["predict", "--regime", "nodal"], ["morse-audit", "--trials", "1"]],
+    ids=lambda c: c[0],
+)
+def test_no_subcommand_starts_a_thread(tmp_path, monkeypatch, command):
+    started = []
+    real_start = threading.Thread.start
+
+    def spy(thread):
+        started.append(thread.name)
+        real_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", spy)
+    assert main([*command, "--domain", ball3_file(tmp_path), "--out", str(tmp_path / "o"), *FAST]) == 0
+    assert started == []
 
 
 @pytest.mark.parametrize("preset", [None, "2"])

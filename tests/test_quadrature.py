@@ -334,7 +334,7 @@ def test_cached_fans_match_fresh_fans():
     m_base = _base_direction_count(3, cfg)
     half = m_base * 4
     stacked = _stacked_half_fans(5, 0x5A1, 3, m_base, 4)
-    assert not stacked.flags.writeable  # psi-grid's threads share it
+    assert not stacked.flags.writeable  # one cached array is handed to every call
     assert _stacked_half_fans(5, 0x5A1, 3, m_base, 4) is stacked
     for rep, (reps, H) in enumerate(_fans(3, cfg, 0x5A1)):
         assert reps == slice(rep, rep + 1) and not H.flags.writeable
