@@ -308,7 +308,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="far-field octaves of the general-integrand masses only, which no subcommand runs (kept in manifest.json)",
     )
     common.add_argument("--replicates", type=int, default=8, help="independent scramblings")
-    common.add_argument("--multistart", type=int, default=12, help="extra Newton starts")
+    common.add_argument("--multistart", type=int, default=12, help="cap on fallback Sobol starts per leaf")
 
     top = argparse.ArgumentParser(
         prog="bubblescape",

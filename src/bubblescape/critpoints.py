@@ -1,14 +1,16 @@
 """Critical points of the concentration landscape.
 
-Locates minima in two stages.  Every start of a deterministic multistart
-(each positive-leaf anchor inside the domain, plus scrambled Sobol points)
-runs a damped Newton descent at a light quadrature budget; each light
-endpoint is then polished once by a full-budget Newton iteration, unless it
-lies within the merge radius of a minimum already polished, so every basin
-pays the full budget once (sample-size continuation, Byrd, Chin, Nocedal and
-Wu 2012, with the basin test of multi-level single linkage, Rinnooy Kan and
-Timmer 1987).  As there, the merge radius comes from the domain (a tenth of
-its largest positive leaf radius), so similar domains have similar censuses.
+Locates minima in two stages.  The starts come from the geometry: each
+positive-leaf anchor inside the domain, or a deep interior point when none
+is.  Each start runs a damped Newton descent at a light quadrature budget;
+each light endpoint is then polished once by a full-budget Newton
+iteration, unless it lies within the merge radius of a minimum already
+polished, so every basin pays the full budget once (sample-size
+continuation, Byrd, Chin, Nocedal and Wu 2012, with the basin test of
+multi-level single linkage, Rinnooy Kan and Timmer 1987).  As there, the
+merge radius comes from the domain (a tenth of its largest positive leaf
+radius), so similar domains have similar censuses.  Sobol starts run only
+as a counted fallback, in a leaf component left without a minimum.
 Neighbouring minima are joined by a saddle: the highest node of the segment
 between them is polished by a full Newton iteration (the mountain pass of
 Ambrosetti and Rabinowitz 1973); both are assembled into a census, and the
@@ -54,6 +56,7 @@ __all__ = [
     "CriticalPoint",
     "CensusReport",
     "MorseAudit",
+    "Minima",
     "find_minima",
     "mountain_pass",
     "census",
@@ -70,8 +73,8 @@ _MORSE_TOL = 1e-6  # relative eigenvalue floor of a nondegenerate Hessian
 class CritConfig:
     """Knobs for critical-point search.
 
-    ``multistart`` caps the Sobol starts of :func:`find_minima`.  The merge
-    radius is not a knob: :func:`_merge_radius` derives it from the domain.
+    ``multistart`` caps :func:`find_minima`'s fallback Sobol starts per leaf.
+    The merge radius is not a knob: :func:`_merge_radius` derives it from the domain.
     """
 
     multistart: int = 12
@@ -127,11 +130,13 @@ class CriticalPoint:
 
 @dataclass
 class CensusReport:
-    """Minima and connecting saddles, with a topological richness check."""
+    """Minima and joining saddles, a topological richness check, and :class:`Minima`'s counts (not in ``to_dict``)."""
 
     points: list
     cat_lower_bound: int
     satisfied: bool
+    fallback_descents: int = 0
+    dropped_starts: int = 0
 
     @property
     def minima(self):
@@ -293,22 +298,40 @@ def _dedupe(points: list, radius: float) -> list:
     return [p for run in runs for p in sorted(run, key=lambda p: _lex_key(p.location))]
 
 
-def find_minima(domain, quad_cfg: QuadratureConfig, crit_cfg: CritConfig | None = None) -> list:
+class Minima(list):
+    """Minima in census order, counting the fallback descents run and the starts dropped on ``ConvergenceError``."""
+
+    def __init__(self, points, fallback_descents: int = 0, dropped_starts: int = 0):
+        super().__init__(points)
+        self.fallback_descents, self.dropped_starts = fallback_descents, dropped_starts
+
+
+def _component_of(comps: list, x: np.ndarray) -> int:
+    """Index of the positive leaf component holding ``x``, or -1."""
+    return next((ci for ci, comp in enumerate(comps) if any(_member(leaf, x[None, :])[0] for leaf in comp)), -1)
+
+
+def find_minima(domain, quad_cfg: QuadratureConfig, crit_cfg: CritConfig | None = None) -> Minima:
     """Local landscape minima: light descent from every start, one full polish per basin.
 
     The starts are every positive-leaf anchor inside the domain (each
-    distinct point once, in lexicographic order) and up to ``multistart``
-    Sobol points, scrambled from ``quad_cfg.seed``, inside the domain from the
-    cube anchor +- bounding radius.  Each start descends at :func:`_light_config`; its
+    distinct point once, in lexicographic order), or :func:`deep_point` when
+    none is inside.  Each start descends at :func:`_light_config`; its
     endpoint is polished at ``quad_cfg`` unless it lies within
     :func:`_merge_radius` of a minimum polished earlier.  A polished point is
-    kept when :func:`_polish` accepts it and it has Morse index 0.
+    kept when :func:`_polish` accepts it and it has Morse index 0.  A positive
+    leaf component that then holds no minimum gets fallback starts: in each
+    leaf, the first ``multistart`` Sobol points of its axis-aligned box,
+    scrambled from ``quad_cfg.seed``, that lie in the leaf and the domain.  No
+    start certifies a complete census: a component split by carving, or a
+    missing minimum-saddle pair, does not fire the fallback.
     """
     cfg = crit_cfg or CritConfig()
     radius = _merge_radius(domain)
     anchor = deep_point(domain)[0]
     scale = float(domain.bounding_radius(anchor))
-    anchors = [c for comp in positive_leaf_components(domain) for leaf in comp for c in leaf_anchors(leaf)]
+    comps = positive_leaf_components(domain)
+    anchors = [c for comp in comps for leaf in comp for c in leaf_anchors(leaf)]
     starts = []
     if anchors:
         A = np.unique(np.array(anchors), axis=0)
@@ -316,34 +339,39 @@ def find_minima(domain, quad_cfg: QuadratureConfig, crit_cfg: CritConfig | None 
     if not starts:
         starts = [anchor]
 
-    raw = sobol_points(domain.dimension, 8 * cfg.multistart, (int(quad_cfg.seed), 0xC417))
-    pts = anchor[None, :] + (2.0 * raw - 1.0) * scale
-    inside = domain.contains_many(pts)
-    extra = [pts[i] for i in np.nonzero(inside)[0][: cfg.multistart]]
+    found, dropped = [], 0
 
-    light = _light_config(quad_cfg)
-    found = []
-    for x0 in starts + extra:
-        x, _ = _newton(domain, x0, light, pd_floor=True, scale=scale)
+    def descend(x0):
+        nonlocal dropped
+        x, _ = _newton(domain, x0, _light_config(quad_cfg), pd_floor=True, scale=scale)
         if any(np.linalg.norm(x - p.location) <= radius for p in found):
-            continue
+            return
         try:
             p = _polish(domain, x, quad_cfg, scale, pd_floor=True)
         except ConvergenceError:
-            continue
+            dropped += 1
+            return
         if p.morse_index == 0:
             found.append(p)
+
+    for x0 in starts:
+        descend(x0)
+    held = {_component_of(comps, p.location) for p in found}
+    extra = []
+    for leaf in [leaf for ci, comp in enumerate(comps) if ci not in held for leaf in comp]:
+        lo, hi = np.minimum(leaf.a, leaf.b) - leaf.radius, np.maximum(leaf.a, leaf.b) + leaf.radius
+        pts = lo + sobol_points(domain.dimension, 8 * cfg.multistart, (int(quad_cfg.seed), 0xC417)) * (hi - lo)
+        extra += list(pts[_member(leaf, pts) & domain.contains_many(pts)][: cfg.multistart])
+    for x0 in extra:
+        descend(x0)
     if not found:
         raise ConvergenceError("no landscape minimum could be located")
-    return _dedupe(found, radius)
+    return Minima(_dedupe(found, radius), len(extra), dropped)
 
 
 def _light_config(quad_cfg: QuadratureConfig) -> QuadratureConfig:
-    return dataclasses.replace(
-        quad_cfg,
-        near_budget=max(1024, quad_cfg.near_budget // 8),
-        replicates=max(2, quad_cfg.replicates // 4),
-    )
+    budget, replicates = max(1024, quad_cfg.near_budget // 8), max(2, quad_cfg.replicates // 4)
+    return dataclasses.replace(quad_cfg, near_budget=budget, replicates=replicates)
 
 
 def mountain_pass(domain, x1, x2, quad_cfg: QuadratureConfig, crit_cfg: CritConfig | None = None):
@@ -369,8 +397,7 @@ def mountain_pass(domain, x1, x2, quad_cfg: QuadratureConfig, crit_cfg: CritConf
     ray, *_ = domain.surface_crossing_candidates(x1, ((x2 - x1) / length)[None, :], length)
     if np.any(ray == 0):  # ray 1 runs backward from x1, off the segment
         raise ConvergenceError("the segment between the two minima leaves the region")
-    anchor = deep_point(domain)[0]
-    scale = float(domain.bounding_radius(anchor))
+    scale = float(domain.bounding_radius(deep_point(domain)[0]))
     light = _light_config(quad_cfg)
 
     nodes = np.linspace(0.0, 1.0, _PATH_NODES)[1:-1, None] * (x2 - x1)[None, :] + x1[None, :]
@@ -395,8 +422,7 @@ def census(domain, quad_cfg: QuadratureConfig, crit_cfg: CritConfig | None = Non
     used by the perturbation audit.
     """
     radius = _merge_radius(domain)
-    anchor = deep_point(domain)[0]
-    scale = float(domain.bounding_radius(anchor))
+    scale = float(domain.bounding_radius(deep_point(domain)[0]))
     comps = positive_leaf_components(domain)
 
     if warm_starts is not None:
@@ -404,19 +430,12 @@ def census(domain, quad_cfg: QuadratureConfig, crit_cfg: CritConfig | None = Non
             _polish(domain, w.location if isinstance(w, CriticalPoint) else w, quad_cfg, scale, pd_floor=False)
             for w in warm_starts
         ]
-        minima = _dedupe([p for p in pts if p.morse_index == 0], radius)
+        minima = Minima(_dedupe([p for p in pts if p.morse_index == 0], radius))
         saddles = _dedupe([p for p in pts if p.morse_index > 0], radius)
     else:
         minima = find_minima(domain, quad_cfg, crit_cfg)
-
-        def comp_of(x: np.ndarray) -> int:
-            for ci, comp in enumerate(comps):
-                if any(_member(leaf, x[None, :])[0] for leaf in comp):
-                    return ci
-            return -1
-
         locs = [p.location for p in minima]
-        cid = [comp_of(x) for x in locs]
+        cid = [_component_of(comps, x) for x in locs]
         pairs = [(i, j) for i in range(len(locs)) for j in range(i + 1, len(locs)) if cid[i] == cid[j] >= 0]
         pairs.sort(key=lambda ij: (float(np.linalg.norm(locs[ij[0]] - locs[ij[1]])), ij))
         label = list(range(len(locs)))  # minima joined by the saddles so far share a label
@@ -429,15 +448,11 @@ def census(domain, quad_cfg: QuadratureConfig, crit_cfg: CritConfig | None = Non
 
     cat = len(comps)
     # both lists come from _dedupe, already in census order
-    return CensusReport(points=minima + saddles, cat_lower_bound=cat, satisfied=len(minima) >= cat)
+    return CensusReport(minima + saddles, cat, len(minima) >= cat, minima.fallback_descents, minima.dropped_starts)
 
 
 def morse_audit(
-    domain,
-    rho: float,
-    trials: int,
-    quad_cfg: QuadratureConfig,
-    crit_cfg: CritConfig | None = None,
+    domain, rho: float, trials: int, quad_cfg: QuadratureConfig, crit_cfg: CritConfig | None = None
 ) -> MorseAudit:
     """Census stability under random boundary deformations of C^2 size rho.
 
@@ -456,7 +471,6 @@ def morse_audit(
     base = census(domain, quad_cfg, crit_cfg)
     anchor = deep_point(domain)[0]
     scale = float(domain.bounding_radius(anchor))
-    light = _light_config(quad_cfg)
 
     failures: list = []
     min_margin = min((p.margin() for p in base.points), default=0.0)
@@ -468,36 +482,22 @@ def morse_audit(
         ).with_c2_norm(rho)
         pdom = perturb(domain, fld)
         try:
-            rep = census(pdom, light, crit_cfg, warm_starts=base.points)
+            rep = census(pdom, _light_config(quad_cfg), crit_cfg, warm_starts=base.points)
         except (ConvergenceError, PreconditionError) as exc:
             failures.append(f"trial {t}: census failed: {exc}")
             continue
         if len(rep.points) != len(base.points):
-            failures.append(
-                f"trial {t}: point count changed from {len(base.points)} to {len(rep.points)}"
-            )
+            failures.append(f"trial {t}: point count changed from {len(base.points)} to {len(rep.points)}")
             continue
-        cost = np.array(
-            [[np.linalg.norm(bp.location - rp.location) for rp in rep.points] for bp in base.points]
-        )
+        cost = np.array([[np.linalg.norm(bp.location - rp.location) for rp in rep.points] for bp in base.points])
         for i, k in zip(*linear_sum_assignment(cost)):
             bp, rp, dist = base.points[i], rep.points[k], float(cost[i, k])
             max_disp = max(max_disp, dist)
             if dist > 0.25 * scale:
                 failures.append(f"trial {t}: a critical point moved by {dist:.3f}")
             if rp.morse_index != bp.morse_index:
-                failures.append(
-                    f"trial {t}: Morse index flipped {bp.morse_index} -> {rp.morse_index}"
-                )
+                failures.append(f"trial {t}: Morse index flipped {bp.morse_index} -> {rp.morse_index}")
             if not rp.nondegenerate:
                 failures.append(f"trial {t}: a Hessian became degenerate")
             min_margin = min(min_margin, rp.margin())
-    return MorseAudit(
-        trials=trials,
-        rho=rho,
-        stable=not failures,
-        base=base,
-        min_margin=min_margin,
-        max_displacement=max_disp,
-        failures=failures,
-    )
+    return MorseAudit(trials, rho, not failures, base, min_margin, max_disp, failures)

@@ -596,16 +596,24 @@ def test_unloadable_domain_exits_2(tmp_path, capsys, text, message):
     assert err.startswith("precondition violated:") and message in err and "Traceback" not in err
 
 
+def carved_file(tmp_path):
+    """Two unit balls, the right one's centre carved out, so crit's fallback draws Sobol starts there."""
+    right = {"type": "difference", "left": {"type": "ball", "center": [2.5, 0.0, 0.0], "radius": 1.0},
+             "right": {"type": "ball", "center": [2.6, 0.0, 0.0], "radius": 0.2}}
+    root = {"type": "union", "left": {"type": "ball", "center": [-2.5, 0.0, 0.0], "radius": 1.0}, "right": right}
+    return write_domain(tmp_path, "carved.json", {"dimension": 3, "root": root})
+
+
 @pytest.mark.parametrize(
-    "args",
+    "args, domain_file",
     [
-        ["psi-grid", "--steps", "1000000", "1000000"],  # 21.8 TiB of grid points
-        ["predict", "--regime", "hole", "--sweep-count", "1000000000000"],  # 7.28 TiB of sweep values
-        ["crit", "--multistart", "100000000000"],  # 24.0 TiB of start points
+        (["psi-grid", "--steps", "1000000", "1000000"], ball3_file),  # 21.8 TiB of grid points
+        (["predict", "--regime", "hole", "--sweep-count", "1000000000000"], ball3_file),  # 7.28 TiB of sweep values
+        (["crit", "--multistart", "100000000000"], carved_file),  # 8.73 TiB of fallback Sobol points
     ],
     ids=["psi-grid-steps", "predict-sweep-count", "crit-multistart"],
 )
-def test_request_too_large_to_allocate_exits_2(tmp_path, args):
+def test_request_too_large_to_allocate_exits_2(tmp_path, args, domain_file):
     # a 3 GiB address-space limit makes the allocation fail at malloc, so no large memory is touched
     code = (
         "import resource, sys\n"
@@ -614,7 +622,7 @@ def test_request_too_large_to_allocate_exits_2(tmp_path, args):
         "sys.exit(main(sys.argv[1:]))\n"
     )
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(bubblescape.__file__)))
-    argv = [sys.executable, "-c", code, *args, "--domain", ball3_file(tmp_path), "--out", str(tmp_path)]
+    argv = [sys.executable, "-c", code, *args, "--domain", domain_file(tmp_path), "--out", str(tmp_path)]
     proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 2
     assert proc.stderr.startswith("precondition violated: Unable to allocate") and "Traceback" not in proc.stderr

@@ -471,3 +471,79 @@ def test_crit_exits_3_where_a_hole_cuts_the_segment(tmp_path, capsys):
     argv = ["crit", "--domain", str(path), "--out", str(tmp_path / "k"), "--seed", "0"]
     assert main(argv + ["--near-budget", "32768", "--replicates", "4", "--far-shells", "24"]) == 3
     assert "the segment between the two minima leaves the region" in capsys.readouterr().err
+
+
+# Two unit balls whose right anchor, its centre, lies in a carved-out ball:
+# the geometric starts reach only the left ball, so the right one needs the
+# fallback.  Its minimum is pushed off the hole, to about (2.06, 0, 0).
+CARVED = _union(_ball([-2.5, 0.0, 0.0]), {"type": "difference", "left": _ball([2.5, 0.0, 0.0]),
+                                          "right": _ball([2.6, 0.0, 0.0], 0.2)})
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_crit_finds_the_minimum_of_a_leaf_whose_anchor_is_carved_out(tmp_path, monkeypatch, seed):
+    reports = []
+
+    def recording(*args, **kwargs):
+        reports.append(census(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr("bubblescape.cli.census", recording)
+    path = tmp_path / "carved.json"
+    path.write_text(json.dumps({"dimension": 3, "root": CARVED}))
+    out = str(tmp_path / "k")
+    argv = ["crit", "--domain", str(path), "--out", out, "--seed", str(seed)]
+    assert main(argv + ["--near-budget", "32768", "--replicates", "4", "--far-shells", "24"]) == 0
+    points = json.loads(open(os.path.join(out, "census.json")).read())["points"]
+    assert [p["morse_index"] for p in points] == [0, 0]
+    assert reports[0].fallback_descents > 0
+    right = max((np.array(p["location"]) for p in points), key=lambda x: x[0])
+    assert np.linalg.norm(right - [2.06, 0.0, 0.0]) <= 0.1  # the merge radius
+
+
+CANONICAL = {
+    "ball3": (Domain(3, Ball(np.zeros(3), 1.0)), 1),
+    "ball4": (Domain(4, Ball(np.zeros(4), 1.0)), 1),
+    "dumbbell": (dumbbell(), 2),
+    "holed-ball": (holed_ball(), 1),
+    "two-balls": (Domain(3, Union(Ball(np.array([-2.5, 0.0, 0.0]), 1.0), Ball(np.array([2.5, 0.0, 0.0]), 1.0))), 2),
+    "peanut": (Domain(3, PEANUT_ROOT), 2),
+}
+
+
+@pytest.mark.parametrize("name", CANONICAL)
+def test_find_minima_needs_no_fallback_on_the_canonical_domains(monkeypatch, name):
+    calls = []
+    psi = critpoints.psi_integrals
+
+    def counting(domain, x, cfg):
+        calls.append(x)
+        return psi(domain, x, cfg)
+
+    monkeypatch.setattr(critpoints, "psi_integrals", counting)
+    domain, count = CANONICAL[name]
+    pts = find_minima(domain, CFG, CritConfig())
+    assert (len(pts), pts.fallback_descents, pts.dropped_starts) == (count, 0, 0)
+    if name == "holed-ball":
+        assert len(calls) <= 20  # one light descent and one polish from the ball's centre
+
+
+def test_census_counts_dropped_starts_and_fallback_descents(monkeypatch):
+    # the first polish, the left ball's, fails; its component then holds no
+    # minimum, so fallback starts in that ball find it again
+    polish = critpoints._polish
+    calls = []
+
+    def failing_once(*args, **kwargs):
+        calls.append(args[1])
+        if len(calls) == 1:
+            raise ConvergenceError("stalled")
+        return polish(*args, **kwargs)
+
+    monkeypatch.setattr(critpoints, "_polish", failing_once)
+    domain = CANONICAL["two-balls"][0]
+    rep = census(domain, CFG, CRIT)
+    assert (len(rep.minima), rep.dropped_starts) == (2, 1)
+    assert 0 < rep.fallback_descents <= CRIT.multistart
+    assert calls[0][0] < 0.0 and all(np.linalg.norm(x - [-2.5, 0.0, 0.0]) < 1.0 for x in calls[2:])
+    assert set(rep.to_dict()) == {"points", "cat_lower_bound", "satisfied"}
