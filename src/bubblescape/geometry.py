@@ -27,9 +27,9 @@ classified together.  On a perturbed
 domain each leaf's surface can only be crossed inside band windows of the
 same spans; where a certificate admits one root, that root replaces the
 span end, and the perturbed spans combine down the tree the same way.  A
-ray with an uncertified window is traced by bisecting the perturbed depth
-over those windows (``PerturbedDomain.fallback_rays`` counts them), which
-misses only features thinner than the pull-back tolerance.
+ray with an uncertified window is traced over the hull of those windows by
+bisecting the perturbed depth, which misses only features thinner than the
+pull-back tolerance; each flip keeps the side its own source gives it.
 
 All queries are deterministic.  Batched variants operate on ``(m, n)`` arrays
 of row points and are the workhorses of the quadrature layer; scalar wrappers
@@ -749,11 +749,13 @@ class PerturbedDomain:
 
         Trace: a ray with an uncertified window in (0, t_hi) (a grazing ray,
         a leaf with ``r <= band + a``, an origin inside a window) is counted
-        in ``fallback_rays``; inside the hull of those windows its flips come
-        from :meth:`_trace`, which misses only features thinner than the
-        pull-back tolerance, and the merged flips are sorted within each ray,
-        with ``opens`` alternating from the first-segment flag.  Every ray's
-        first-segment flag is the membership of ``origin``.
+        in ``fallback_rays``; inside the hull of those windows, started no
+        nearer than ``eps = 1e-9 * max(scale, 1)`` (the band's rounding term),
+        its flips come from :meth:`_trace`, and outside it from its spans,
+        each with the ``opens`` of its own source.  A hull that reaches
+        ``eps`` also takes the first-segment flag from the trace (membership
+        at ``eps``) and drops the span flips nearer than ``eps``; every other
+        ray takes its flag from its spans.
         """
         o = _as_point(origin, self.dimension)
         H = np.asarray(H, dtype=float)
@@ -775,24 +777,20 @@ class PerturbedDomain:
         live = (W1 > 0.0) & (W0 < t_hi)
         ray, col = np.nonzero(live & certified)
         ends[ray, col] = self._roots(o, D[ray], W0[ray, col], W1[ray, col], col // 2)
-        # each ray is its own line: an end behind the origin becomes -inf, so no flip lies on the backward side
+        # each ray is the + side of its own line: an end behind the origin becomes -inf, so no flip lies on the - side
         ahead = np.where(ends > 0.0, ends, -np.inf).T
-        ray, t, opens, _ = _span_flips(self.base._norm, list(zip(ahead[0::2], ahead[1::2])), t_hi)
-        inside0 = np.full(m, self.contains_many(o[None, :])[0])
-        uncertified = live & ~certified
-        h0 = np.maximum(np.min(np.where(uncertified, W0, np.inf), axis=1), 0.0)  # hull of the uncertified
-        h1 = np.minimum(np.max(np.where(uncertified, W1, -np.inf), axis=1), t_hi)  # windows, empty if none
-        traced = np.nonzero(np.any(uncertified, axis=1))[0]
-        if traced.size:
-            self.fallback_rays += int(traced.size)
-            keep = (t < h0[ray]) | (t > h1[ray])
-            tr_ray, tr_t = self._trace(o, D[traced], h0[traced], h1[traced])
-            ray, t = np.concatenate([ray[keep], traced[tr_ray]]), np.concatenate([t[keep], tr_t])
-            order = np.lexsort((t, ray))
-            ray, t = ray[order], t[order]
-            rank = np.arange(ray.size) - np.searchsorted(ray, ray)  # each flip's place along its ray
-            opens = inside0[ray] ^ (rank % 2 == 1)
-        return ray, t, opens, inside0
+        ray, t, opens, inside0 = _span_flips(self.base._norm, list(zip(ahead[0::2], ahead[1::2])), t_hi)
+        eps, uncertified = min(1e-9 * max(self._scale, 1.0), t_hi), live & ~certified
+        lo = np.clip(np.where(uncertified, W0, t_hi).min(axis=1), eps, t_hi)  # the hull of a ray's uncertified
+        hi = np.clip(np.where(uncertified, W1, 0.0).max(axis=1), lo, t_hi)  # windows, cut off below eps
+        rows = np.flatnonzero(uncertified.any(axis=1))
+        if rows.size:
+            self.fallback_rays += int(rows.size)
+            keep = (t < lo[ray]) & (lo[ray] > eps) | (t > hi[ray])
+            tr_ray, tr_t, tr_opens, inside = self._trace(o, D[rows], lo[rows], hi[rows])
+            inside0[rows] = np.where(lo[rows] > eps, inside0[rows], inside)
+            ray, t, opens = (np.concatenate([u[keep], v]) for u, v in ((ray, rows[tr_ray]), (t, tr_t), (opens, tr_opens)))
+        return ray, t, opens, inside0[:m]
 
     def _roots(self, o: np.ndarray, D: np.ndarray, a: np.ndarray, b: np.ndarray, leaf: np.ndarray) -> np.ndarray:
         """The zero of base leaf ``leaf[i]``'s perturbed depth ``r - dist(pull_back(o + t D[i]), axis)`` in each bracket ``[a[i], b[i]]``.
@@ -836,7 +834,7 @@ class PerturbedDomain:
         return root
 
     def _trace(self, o: np.ndarray, D: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-        """Membership flips of the rays ``o + t D[i]`` inside ``[lo[i], hi[i]]``, as ``(rows, t)``.
+        """Membership flips of the rays ``o + t D[i]`` inside ``[lo[i], hi[i]]`` as ``(rows, t, opens)``, and each ray's membership at ``lo[i]``.
 
         Breadth-first bisection of the perturbed depth
         ``g(t) = depth_bound_many(o + t D[i])``, which is 1-Lipschitz in t
@@ -845,24 +843,24 @@ class PerturbedDomain:
         ``g`` (the bound behind sphere tracing: Hart, The Visual Computer 12,
         1996) and is dropped; every other gap is halved until it is no wider
         than the pull-back tolerance, and one whose ends still differ in
-        membership gives its midpoint as a flip.  So only a feature thinner
-        than that tolerance can be missed.
+        membership gives its midpoint as a flip (opening an outside run where
+        ``g > 0`` at the gap's start).  So only thinner features are missed.
         """
         tol = 1e-12 * max(self._scale, 1.0)
         rows, a, b = np.arange(lo.size), lo, hi
         ga, gb = np.split(self.depth_bound_many(o + np.concatenate([a, b])[:, None] * np.tile(D, (2, 1))), 2)
-        found = []
+        inside, found = ga > 0.0, []
         while rows.size:
             c = 0.5 * (a + b)
             flip = (ga > 0.0) != (gb > 0.0)
             split = flip | (np.abs(ga) + np.abs(gb) <= b - a)  # else the Lipschitz bound excludes a zero
             fine = (b - a <= tol) | (c <= a) | (c >= b)
-            found.append((rows[split & fine & flip], c[split & fine & flip]))
+            found.append((rows[fine & flip], c[fine & flip], ga[fine & flip] > 0.0))
             rows, a, b, c, ga, gb = (v[split & ~fine] for v in (rows, a, b, c, ga, gb))
             gc = self.depth_bound_many(o + c[:, None] * D[rows])
             rows, a, b = np.tile(rows, 2), np.concatenate([a, c]), np.concatenate([c, b])
             ga, gb = np.concatenate([ga, gc]), np.concatenate([gc, gb])
-        return tuple(np.concatenate(v) for v in zip(*found))
+        return (*(np.concatenate(v) for v in zip(*found)), inside)
 
 
 # ---------------------------------------------------------------------------

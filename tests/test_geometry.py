@@ -769,7 +769,8 @@ def _sweep_flips(dom, origin, d, t_hi, n=200_001):
 
 
 def _assert_crossings_on_surfaces(dom, origin, D, t_hi, rng):
-    """Every flip pulls back onto a leaf surface, and membership inside each segment matches its flag."""
+    """Every flip pulls back onto a leaf surface, membership inside each segment matches its flag, and ``opens`` alternates from ``inside0``."""
+    _assert_opens_alternate(*dom.surface_crossing_candidates(origin, D, t_hi))
     leaves = [leaf for leaf, _ in dom.base.leaves()]
     flips, _ = _packed(dom, origin, D, t_hi)
     rays = _both_ways(D)
@@ -849,6 +850,9 @@ def test_crease_rays_match_a_dense_sweep(rho, seed, ray, want):
     0.25,
     61,
 )
+# an origin on a leaf surface, where membership and the sign of the depth round
+# apart: every segment of its rays must still be flagged by membership
+@example(Union(Translate([0, 0, -1], Ball([0, -1, -1], 1.19933597578325)), Ball([0, 0, 0], 1.0)), 0.25, 69694)
 def test_perturbed_crossings_lie_on_leaf_surfaces(root, c2, seed):
     base = Domain(3, root)
     theta = PerturbationField.random(3, bumps=3, seed=seed, support_radius=1.5).with_c2_norm(c2)
@@ -857,6 +861,23 @@ def test_perturbed_crossings_lie_on_leaf_surfaces(root, c2, seed):
     D = _unit_rows(rng, 128)
     for origin in _origins(base, rng):
         _assert_crossings_on_surfaces(dom, origin, D, dom.bounding_radius(origin), rng)
+
+
+@pytest.mark.parametrize("offset", [1e-11, 1e-9])
+def test_origins_near_a_perturbed_surface_start_on_the_side_their_segments_show(offset):
+    # Every ray from within the band of a leaf surface is traced from
+    # eps = 1e-9 times the scale: flips nearer than that are dropped, and the
+    # first segment takes the side of the perturbed depth at eps.
+    base = Domain(3, Union(Translate([0, 0, -1], Ball([0, -1, -1], 1.19933597578325)), Ball([0, 0, 0], 1.0)))
+    dom = perturb(base, PerturbationField.random(3, bumps=3, seed=69694, support_radius=1.5).with_c2_norm(0.25))
+    rng = np.random.default_rng(29)
+    D = _unit_rows(rng, 16)
+    for leaf, _ in base.leaves():
+        for v in _unit_rows(rng, 8):
+            p, normal = _leaf_nearest(leaf, leaf.a + v)
+            for side in (offset, -offset):
+                origin = dom.push_forward(p + side * dom._scale * normal)[0]
+                _assert_crossings_on_surfaces(dom, origin, D, dom.bounding_radius(origin), rng)
 
 
 def test_tangent_rays_are_traced_and_crease_rays_certified():
@@ -957,7 +978,12 @@ def _midpoint_span_flips(norm, spans, t_hi):
     ends.sort(axis=1)
     m = ends.shape[0]
     edges = np.concatenate([np.zeros((m, 1)), np.where(np.isfinite(ends), ends, t_hi), np.full((m, 1), t_hi)], axis=1)
-    inside = _on_ray(norm, 0.5 * (edges[:, :-1] + edges[:, 1:]), iter(spans))
+    # in extended precision, so the midpoint of two ends one ulp apart is not rounded onto either
+    lo, hi = edges[:, :-1].astype(np.longdouble), edges[:, 1:]
+    mid = 0.5 * (lo + hi)
+    if np.any((lo < hi) & ((mid == lo) | (mid == hi))):
+        pytest.skip("long double is no wider than double here, so a gap one ulp wide has no midpoint to classify")
+    inside = _on_ray(norm, mid, iter(spans))
     ray, col = np.nonzero((inside[:, 1:] != inside[:, :-1]) & np.isfinite(ends))
     return _pack(m, ray, ends[ray, col]), inside[:, 0]
 
@@ -993,6 +1019,8 @@ def _fan_with_axes(rng, m, *through):
 
 @settings(max_examples=40, deadline=None)
 @given(_tree, st.integers(min_value=0, max_value=10**6))
+# one capsule twice, its axis reversed: at the second origin two span ends lie one ulp apart
+@example(Union(Capsule([0, 1, 0], [1, 0, 0], 1.0), Capsule([1, 0, 0], [0, 1, 0], 1.0)), 0)
 def test_flat_flips_match_the_midpoint_rule(root, seed):
     dom = Domain(3, root)
     rng = np.random.default_rng(seed)
