@@ -20,9 +20,9 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("OMP_NUM_THREADS", "1")
 
-# psi's temporaries are arrays of about 0.2 MB (0.4 MB for a fan too large to
-# cache); above glibc's mmap threshold each is a fresh mapping that every psi
-# call page-faults in again (README, "Numerical notes").  Skipped without mallopt.
+# psi's temporaries are arrays of about 0.2 MB (0.4 MB for a folded fan above
+# the fan cache's cap); above glibc's mmap threshold each is a fresh mapping that
+# every psi call page-faults in again (README, "Numerical notes").  Skipped without mallopt.
 try:
     _mallopt = ctypes.CDLL(None).mallopt
 except (AttributeError, OSError, TypeError):

@@ -289,18 +289,18 @@ def _axis_offset(leaf, X: np.ndarray) -> np.ndarray:
 
 
 def _csg_value(node, X: np.ndarray, leaf) -> np.ndarray:
-    """The CSG value of each row: ``leaf`` values, max over a union, ``min(l, -r)`` over a difference (Ricci, 1973)."""
-    return _csg(node, lambda c: leaf(c, _axis_offset(c, X)), np.maximum, lambda l, r: np.minimum(l, -r))
+    """The CSG value of each row: ``leaf(c, |x - axis|^2)``, max over a union, ``min(l, -r)`` over a difference (Ricci, 1973)."""
+    return _csg(node, lambda c: leaf(c, np.einsum("ij,ij->i", d := _axis_offset(c, X), d)), np.maximum, lambda l, r: np.minimum(l, -r))
 
 
 def _member(node, X: np.ndarray) -> np.ndarray:
     """Open membership of each row: the CSG value of ``r^2 - |x - axis|^2`` is > 0."""
-    return _csg_value(node, X, lambda c, d: c.radius * c.radius - np.einsum("ij,ij->i", d, d)) > 0.0
+    return _csg_value(node, X, lambda c, dd: c.radius * c.radius - dd) > 0.0
 
 
 def _depth(node, X: np.ndarray) -> np.ndarray:
-    """Conservative signed interior depth (positive inside) for each row."""
-    return _csg_value(node, X, lambda c, d: c.radius - np.sqrt(np.einsum("ij,ij->i", d, d)))
+    """Conservative signed interior depth (positive inside) for each row: ``r - |x - axis|`` as ``(r^2 - |x - axis|^2) / (r + |x - axis|)``, whose sign is :func:`_member`'s."""
+    return _csg_value(node, X, lambda c, dd: (c.radius * c.radius - dd) / (c.radius + np.sqrt(dd)))
 
 
 def _enclosing_radius(node, center: np.ndarray) -> float:

@@ -139,8 +139,11 @@ class QuadratureResult:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _sign_orbit(n: int) -> np.ndarray:
-    return np.array(list(itertools.product((1.0, -1.0), repeat=n)))
+    signs = np.array(list(itertools.product((1.0, -1.0), repeat=n)))
+    signs.setflags(write=False)  # built once per dimension, shared by every block
+    return signs
 
 
 def _base_direction_count(n: int, config: QuadratureConfig, nodes_per_ray: int = 1) -> int:
@@ -177,11 +180,17 @@ def _stacked_half_fans(seed: int, tag: int, n: int, m_base: int, replicates: int
     return H
 
 
-# Every call with the same seed and budget draws the same fans.  Stacked
-# half fans of up to _CACHED_LINES lines are cached: there the Sobol set-up
-# is a visible share of a call.  A larger fan costs little next to the call
-# that uses it.
+@functools.lru_cache(maxsize=4)
+def _folded_fans(seed: int, tag: int, n: int, m_base: int, replicates: int) -> np.ndarray:
+    G = np.stack([_folded_fan(seed, tag, rep, n, m_base) for rep in range(replicates)])
+    G.setflags(write=False)
+    return G
+
+
+# Every call with the same seed and budget draws the same fans (at 2^20 x 8, 11 ms of an 84 ms 3-ball call on one CPU of a
+# 2-vCPU machine): stacked half fans of up to _CACHED_LINES lines are cached, larger sets as read-only folded fans.
 _CACHED_LINES = 2**16
+_CACHED_FAN_FLOATS = 2**19  # a folded set's cap: 4 MiB, 4 sets, 16 MiB at worst; 2^20 x 8 holds 3 MiB in 3-D, 2 in 4-D
 # psi traces its lines in blocks of this many, all replicates of a call in one
 # pass.  Measured on one CPU of a 2-vCPU machine, on 2^15 x 4 and 2^17 x 8
 # calls: 2^11 lines took 15-20% more time, and 2^13 lines 5-10% less but
@@ -204,10 +213,11 @@ def _fans(n: int, config: QuadratureConfig, tag: int, nodes_per_ray: int = 1, bl
     half, k, seed = m_base * 2 ** (n - 1), config.replicates, int(config.seed)
     per, width = max((block or half) // half, 1), min(half, block or half)
     stacked = _stacked_half_fans(seed, tag, n, m_base, k) if k * half <= _CACHED_LINES else None
+    folded = _folded_fans(seed, tag, n, m_base, k) if stacked is None and k * m_base * n <= _CACHED_FAN_FLOATS else None
     for r in range(0, k, per):
         reps = slice(r, min(r + per, k))
         if stacked is None:
-            G = [_folded_fan(seed, tag, q, n, m_base) for q in range(reps.start, reps.stop)]
+            G = folded[reps] if folded is not None else [_folded_fan(seed, tag, q, n, m_base) for q in range(reps.start, reps.stop)]
         for i in range(0, half, width):
             if stacked is None:
                 yield reps, np.concatenate([_half_lines(g, i, i + width) for g in G])

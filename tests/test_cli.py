@@ -16,7 +16,7 @@ from bubblescape.bubbles import ResidualRow, ResidualTable
 from bubblescape.cli import main
 from bubblescape.geometry import load_domain
 from bubblescape.landscape import constants as model_constants
-from bubblescape.quadrature import QuadratureConfig, psi_integrals
+from bubblescape.quadrature import QuadratureConfig, _folded_fans, psi_integrals
 
 FAST = ["--near-budget", "4096", "--far-shells", "16", "--replicates", "2"]
 MID = ["--near-budget", "32768", "--far-shells", "24", "--replicates", "4", "--multistart", "4"]
@@ -214,6 +214,22 @@ def test_psi_grid_csv_equals_single_point_psi(tmp_path):
         assert psi_integrals(dom, [x, y, 0.0], cfg).value == value
         for mirror in ((6 - i, j), (i, 2 - j)):
             assert abs(cells[mirror][2] - value) <= 1e-12 * value
+
+
+def test_psi_grid_above_the_stacked_fan_cache_equals_cold_single_point_psi(tmp_path):
+    # 2^19 rays x 2 is above _CACHED_LINES: the cells read their blocks from
+    # the cached folded fans, and each equals a call that builds them afresh.
+    path, out = ball3_file(tmp_path), str(tmp_path / "g")
+    budget = ["--near-budget", "524288", "--replicates", "2"]
+    grid = ["--steps", "3", "3", "--lo", "-0.5", "-0.5", "--hi", "0.5", "0.5"]
+    assert main(["psi-grid", "--domain", path, "--out", out, "--seed", "3", *budget, *grid]) == 0
+    _, _, rows = read_csv(os.path.join(out, "psi_grid.csv"))
+    dom = load_domain(path)
+    cfg = QuadratureConfig(seed=3, near_budget=524288, replicates=2)
+    assert len(rows) == 9
+    for row in rows:
+        _folded_fans.cache_clear()
+        assert psi_integrals(dom, [float(row[2]), float(row[3]), 0.0], cfg).value == float(row[4])
 
 
 def test_psi_grid_slice_outside_exits_2(tmp_path):

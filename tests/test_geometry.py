@@ -672,6 +672,30 @@ def test_depth_is_lipschitz_with_the_sign_of_membership(root, seed):
     assert np.array_equal(dom.contains_many(X[clear]), dX[clear] > 0.0)
 
 
+@pytest.mark.parametrize(
+    "root",
+    [
+        Ball([0.0, 0.0, 0.0], 1.19933597578325),
+        Difference(
+            Union(Translate([0, 0, -1], Ball([0, -1, -1], 1.19933597578325)), Ball([0, 0, 0], 1.0)),
+            Ball([0.3, 0.2, 0.1], 0.45),
+        ),
+    ],
+    ids=["ball", "union_difference"],
+)
+def test_depth_has_the_sign_of_membership_on_leaf_surfaces(root):
+    # On a leaf surface r^2 - |x - axis|^2 rounds to either sign.  The depth
+    # is positive exactly where open membership holds, through the CSG fold;
+    # r - |x - axis| read <= 0 at about 78% of the inside points of this ball.
+    dom = Domain(3, root)
+    U = np.random.default_rng(5).normal(size=(20_000, 3))
+    U /= np.linalg.norm(U, axis=1)[:, None]
+    X = np.concatenate([leaf.a + leaf.radius * U for leaf, _ in dom.leaves()])
+    inside = dom.contains_many(X)
+    assert 0 < inside.sum() < inside.size
+    assert np.array_equal(dom.depth_bound_many(X) > 0.0, inside)
+
+
 def test_depth_zero_on_the_surface():
     dom = holed_ball(hole=0.5)
     S = np.array([[1.0, 0.0, 0.0], [0.0, -0.5, 0.0]])
@@ -694,7 +718,8 @@ def _member_walk(node, X, closed):
 def _depth_walk(node, X):
     if isinstance(node, Capsule):
         d = _axis_offset(node, X)
-        return node.radius - np.sqrt(np.einsum("ij,ij->i", d, d))
+        d2 = np.einsum("ij,ij->i", d, d)
+        return (node.radius * node.radius - d2) / (node.radius + np.sqrt(d2))  # r - |d|, with the sign of r^2 - |d|^2
     if isinstance(node, Union):
         return np.maximum(_depth_walk(node.left, X), _depth_walk(node.right, X))
     return np.minimum(_depth_walk(node.left, X), -_depth_walk(node.right, X))

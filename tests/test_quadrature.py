@@ -6,6 +6,7 @@ off-center and hole configurations, and Beta/digamma closed forms for the
 standard-bubble moments.
 """
 
+import functools
 import math
 import os
 import subprocess
@@ -20,16 +21,20 @@ from scipy.special import beta as beta_fn
 from scipy.special import digamma
 
 import bubblescape
+from bubblescape import quadrature
 from bubblescape.errors import PreconditionError
-from bubblescape.geometry import Ball, Capsule, Difference, Domain, Scale, Translate, Union
+from bubblescape.geometry import Ball, Capsule, Difference, Domain, Scale, Translate, Union, sobol_points
 from bubblescape.quadrature import (
     _BLOCK_LINES,
+    _CACHED_FAN_FLOATS,
+    _CACHED_LINES,
     _TAG_LP,
     _TAG_PSI,
     QuadratureConfig,
     _base_direction_count,
     _fans,
     _folded_fan,
+    _folded_fans,
     _half_lines,
     _outside_segments,
     _sign_orbit,
@@ -336,6 +341,7 @@ def test_cached_fans_match_fresh_fans():
     stacked = _stacked_half_fans(5, 0x5A1, 3, m_base, 4)
     assert not stacked.flags.writeable  # one cached array is handed to every call
     assert _stacked_half_fans(5, 0x5A1, 3, m_base, 4) is stacked
+    assert _sign_orbit(3) is _sign_orbit(3) and not _sign_orbit(3).flags.writeable
     for rep, (reps, H) in enumerate(_fans(3, cfg, 0x5A1)):
         assert reps == slice(rep, rep + 1) and not H.flags.writeable
         G = _folded_fan(5, 0x5A1, rep, 3, m_base)
@@ -346,19 +352,58 @@ def test_cached_fans_match_fresh_fans():
         assert np.array_equal(-H.reshape(4, m_base, 3)[::-1].reshape(-1, 3), full[half:])
 
 
-@pytest.mark.parametrize("budget, replicates", [(2**12, 3), (2**14, 4), (2**17, 2), (2**19, 2), (2**18, 256)])
+@pytest.mark.parametrize(
+    "budget, replicates", [(2**12, 3), (2**14, 4), (2**17, 2), (2**19, 2), (2**18, 256), (2**21, 2)]
+)
 def test_fan_blocks_cover_the_stacked_half_fans(budget, replicates):
-    # whole half fans a block, blocks of one half fan, and fans too large to
-    # cache: one (2^19 x 2) built block by block, many small ones (2^18 x 256)
+    # Whole half fans a block and blocks of one half fan, from the stacked
+    # half fans; above _CACHED_LINES, blocks of the cached folded fans: one
+    # replicate's fan block by block (2^19 x 2), many small fans (2^18 x 256);
+    # above _CACHED_FAN_FLOATS (2^21 x 2), folded fans built afresh and not
+    # retained.  Each block is compared with fresh half lines as it comes.
     cfg = QuadratureConfig(seed=6, near_budget=budget, replicates=replicates)
     m_base = _base_direction_count(3, cfg)
     half = m_base * 4
-    blocks = list(_fans(3, cfg, 0x5A1, block=_BLOCK_LINES))
-    assert all(H.shape[0] <= _BLOCK_LINES and H.shape[0] % (reps.stop - reps.start) == 0 for reps, H in blocks)
-    covered = [r for reps, H in blocks for r in range(reps.start, reps.stop) for _ in range(H.shape[0] // (reps.stop - reps.start))]
-    assert covered == sorted(covered) and len(covered) == replicates * half
-    want = np.concatenate([_half_lines(_folded_fan(6, 0x5A1, rep, 3, m_base), 0, half) for rep in range(replicates)])
-    assert np.array_equal(np.concatenate([H for _, H in blocks]), want)
+    fresh = functools.cache(lambda rep: _folded_fan(6, 0x5A1, rep, 3, m_base))
+    done = [0] * replicates  # lines of each replicate seen so far
+    _folded_fans.cache_clear()
+    for reps, H in _fans(3, cfg, 0x5A1, block=_BLOCK_LINES):
+        q = reps.stop - reps.start
+        width = H.shape[0] // q
+        assert H.shape[0] <= _BLOCK_LINES and H.shape[0] == q * width
+        assert all(done[r] == half for r in range(reps.start)) and not any(done[reps.stop :])
+        want = [_half_lines(fresh(r), done[r], done[r] + width) for r in range(reps.start, reps.stop)]
+        assert np.array_equal(H, np.concatenate(want))
+        done[reps] = [d + width for d in done[reps]]
+    assert done == [half] * replicates
+    admitted = replicates * half > _CACHED_LINES and replicates * m_base * 3 <= _CACHED_FAN_FLOATS
+    assert _folded_fans.cache_info().currsize == admitted
+    assert admitted == (budget in (2**19, 2**18))
+
+
+def test_default_budget_psi_reuses_its_folded_fans(monkeypatch):
+    # A 2^20-ray x 8 call is above _CACHED_LINES.  Its first call draws each
+    # replicate's Sobol points once; a second call draws none and reads the
+    # same read-only folded fans.
+    draws = []
+
+    def counting_sobol_points(*args):
+        draws.append(args)
+        return sobol_points(*args)
+
+    monkeypatch.setattr(quadrature, "sobol_points", counting_sobol_points)
+    cfg = QuadratureConfig(seed=7, near_budget=2**20, replicates=8)
+    m_base = _base_direction_count(3, cfg)
+    _folded_fans.cache_clear()
+    first = psi_integrals(unit_ball(3), (0.2, -0.1, 0.05), cfg)
+    assert len(draws) == 8
+    G = _folded_fans(7, _TAG_PSI, 3, m_base, 8)
+    second = psi_integrals(unit_ball(3), (0.2, -0.1, 0.05), cfg)
+    assert len(draws) == 8
+    assert _folded_fans(7, _TAG_PSI, 3, m_base, 8) is G and not G.flags.writeable
+    assert G.nbytes == 3 * 2**20
+    assert (first.value, first.value_std) == (second.value, second.value_std)
+    assert np.array_equal(first.hessian, second.hessian)
 
 
 @pytest.mark.parametrize(
@@ -370,7 +415,8 @@ def test_default_budget_psi_peak_memory(domain, xi):
     # One 2^20-ray x 8 call.  Traced per replicate over whole fans, the peak
     # was 29.4 MiB on this dumbbell and 18.0 MiB on the 4-ball; one stacked
     # half fan of all replicates alone would take 12 MiB (3-D).  Traced in
-    # blocks of 2^12 lines, it is 2.6 and 1.9 MiB.
+    # blocks of 2^12 lines, it is 2.6 and 1.9 MiB; from cached folded fans
+    # (not counted here: the first call made them), 2.2 and 1.5 MiB.
     cfg = QuadratureConfig(seed=0, near_budget=2**20, replicates=8)
     psi_integrals(domain, xi, cfg)
     tracemalloc.start()
