@@ -35,7 +35,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import ConvergenceError, PreconditionError
 from .geometry import (
@@ -464,6 +463,8 @@ def morse_audit(
     assignment of least total displacement, so a swapped pair neither fakes
     a failure nor hides one.
     """
+    from scipy.optimize import linear_sum_assignment  # here, not at start-up: only the audit pairs points
+
     if not 0.0 < rho < 0.5:
         raise PreconditionError("the perturbation size must lie in (0, 0.5)")
     if trials < 1:

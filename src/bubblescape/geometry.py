@@ -52,7 +52,6 @@ import json
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
 from scipy.special import ndtri
 
 from .errors import ConvergenceError, PreconditionError
@@ -1092,6 +1091,8 @@ def positive_leaf_components(domain) -> list[list[object]]:
         lo, hi = _leaf_span(leaf, o, H)
         if np.any(inside0) or np.any(t < np.concatenate([hi, -lo])[ray]):
             kept.append(leaf)
-    overlap = [[i < j and _leaf_overlap(a, b) for j, b in enumerate(kept)] for i, a in enumerate(kept)]
-    count, labels = connected_components(np.array(overlap, dtype=bool).reshape(len(kept), len(kept)), directed=False)
-    return [[leaf for leaf, label in zip(kept, labels) if label == k] for k in range(count)]
+    groups: list[list[int]] = []  # indices into kept, each group ascending
+    for j, b in enumerate(kept):
+        touched = [g for g in groups if any(_leaf_overlap(kept[i], b) for i in g)]
+        groups = [g for g in groups if g not in touched] + [sorted([j, *(i for g in touched for i in g)])]
+    return [[kept[i] for i in g] for g in sorted(groups)]  # by lowest member: find_minima's start order

@@ -20,9 +20,8 @@ Three concentration regimes share one bookkeeping scheme:
 
 All dimension-dependent constants are produced by :func:`constants`: Beta
 integrals for the bubble's whole-space mass and the half-space wall kernel,
-closed forms for the couplings, and a radial quadrature for the log-weighted
-moment alone; the digamma form of that moment lives in the test suite as an
-independent oracle.
+a Beta-digamma closed form for its log-weighted moment, and closed forms for
+the couplings; no constant needs a quadrature.
 """
 
 from __future__ import annotations
@@ -75,9 +74,9 @@ class Constants:
     n: int = field(metadata={"provenance": "input dimension"})
     p: float = field(metadata={"provenance": "closed form"})
     critical_mass: float = field(metadata={"provenance": "Beta integral of the bubble profile"})
-    log_mass: float = field(metadata={"provenance": "radial quadrature of the log-weighted bubble moment"})
+    log_mass: float = field(metadata={"provenance": "Beta-digamma closed form of the log-weighted bubble moment"})
     a: float = field(metadata={"provenance": "Beta integral (leading energy level)"})
-    b: float = field(metadata={"provenance": "radial quadrature of the log-weighted moment (first-order coefficient)"})
+    b: float = field(metadata={"provenance": "Beta-digamma closed form of the log-weighted moment (first-order coefficient)"})
     c: float = field(metadata={"provenance": "Beta integral (log-term coefficient)"})
     c1: float = field(metadata={"provenance": "closed form (landscape coupling)"})
     c2: float = field(metadata={"provenance": "Beta integral (log-derivative coupling)"})

@@ -23,7 +23,9 @@ The flips bound the runs of each ray that lie outside the domain:
 * the whole-space pair interaction ``int U_1^p U_2`` casts no rays at all:
   the spherical mean of ``U_2`` about the first centre is a closed form,
   which leaves one smooth 1-D radial integral for ``radial_integral``
-  (``bubbles.interaction``).
+  (``bubbles.interaction``);
+* the whole-space moments of one bubble, with or without the ``ln U``
+  weight, are Beta and digamma closed forms (``bubble_moment``).
 
 Directions are scrambled Sobol points pushed to the sphere, expanded over
 the full 2^n sign-flip orbit.  The orbit makes every odd direction moment
@@ -48,7 +50,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .errors import PreconditionError
 from .geometry import _as_point, deep_point, sobol_points, sphere_points
@@ -516,9 +518,12 @@ def bubble_moment(n: int, power: float, log_weight: bool = False) -> float:
     Computes ``integral of U^power`` (times ``ln U`` when ``log_weight``)
     over R^n for the unit-scale centered bubble
     ``U(x) = alpha_n (1 + |x|^2)^(-(n-2)/2)``: the Beta integral
-    ``omega_n alpha^power B(n/2, power (n-2)/2 - n/2) / 2``, or with the log
-    weight a radial quadrature to relative accuracy 1e-10.  Requires
-    ``power * (n - 2) > n`` for integrability.
+    ``omega_n alpha^power B(n/2, beta - n/2) / 2`` with
+    ``beta = power (n-2)/2``.  ``ln U = ln alpha - (n-2)/2 ln(1 + r^2)``, and
+    the ``ln(1 + r^2)`` moment is ``-d/dbeta`` of that Beta integral (DLMF
+    5.12.1), so the log weight multiplies it by
+    ``ln alpha - (n-2)/2 (digamma(beta) - digamma(beta - n/2))`` (DLMF 5.15.1).
+    Requires ``power * (n - 2) > n`` for integrability.
     """
     n = int(n)
     if n < 3:
@@ -530,14 +535,10 @@ def bubble_moment(n: int, power: float, log_weight: bool = False) -> float:
     alpha = bubble_alpha(n)
     omega = sphere_area(n)
     beta = power * (n - 2.0) / 2.0
+    moment = omega * alpha**power * 0.5 * float(special.beta(n / 2.0, beta - n / 2.0))
     if not log_weight:
-        return omega * alpha**power * 0.5 * float(special.beta(n / 2.0, beta - n / 2.0))
-
-    # Radial integrand with the constant alpha^power factored out.
-    def g(r):
-        return (1.0 + r * r) ** (-beta) * r ** (n - 1.0) * (math.log(alpha) - (n - 2.0) / 2.0 * math.log1p(r * r))
-
-    return omega * alpha**power * radial_integral(g)
+        return moment
+    return moment * (math.log(alpha) - (n - 2.0) / 2.0 * float(special.digamma(beta) - special.digamma(beta - n / 2.0)))
 
 
 def radial_integral(g, cut: float = 1.0, points=None) -> float:
@@ -545,8 +546,12 @@ def radial_integral(g, cut: float = 1.0, points=None) -> float:
 
     Adaptive quadrature over ``(0, cut)`` (with optional breakpoints
     ``points``), plus the tail through the substitution ``r = cut / s``,
-    ``dr = -cut ds / s^2``, which maps it onto ``s`` in ``(0, 1)``.
+    ``dr = -cut ds / s^2``, which maps it onto ``s`` in ``(0, 1)``.  Only
+    ``bubbles`` calls it, so ``scipy.integrate`` is imported here and not at
+    start-up.
     """
+    from scipy import integrate
+
     inner, _ = integrate.quad(g, 0.0, cut, epsabs=0.0, epsrel=1e-12, limit=400, points=points)
     outer, _ = integrate.quad(
         lambda s: g(cut / s) * cut / s**2, 0.0, 1.0, epsabs=0.0, epsrel=1e-12, limit=400

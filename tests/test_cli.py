@@ -80,6 +80,8 @@ def test_constants_command(tmp_path):
     assert len(payload["values"]) == 13 and "c2_nodal" not in payload["values"]
     assert payload["provenance"]["c2"] == "Beta integral (log-derivative coupling)"
     assert payload["provenance"]["c4_nodal"] == "Beta integral (half-space wall kernel)"
+    assert payload["provenance"]["log_mass"] == "Beta-digamma closed form of the log-weighted bubble moment"
+    assert payload["provenance"]["b"] == "Beta-digamma closed form of the log-weighted moment (first-order coefficient)"
     # rerun into the same directory: byte-identical files
     first = snapshot(out)
     assert main(["constants", "--dim", "4", "--out", out]) == 0
@@ -822,9 +824,32 @@ def test_import_sets_the_thread_default_unless_the_user_did(preset):
     assert out.split() == [want, want]
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats costs about half a second of start-up; the package draws its Sobol points itself
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["constants", "--dim", "3"],
+        ["crit"],
+        ["psi-grid", "--steps", "3", "3"],
+        ["predict", "--regime", "sub"],
+        ["predict", "--regime", "nodal"],
+        ["predict", "--regime", "hole"],
+        ["energy-check", "--regime", "sub"],
+        ["energy-check", "--regime", "hole"],
+    ],
+    ids=lambda c: c[0] + ("-" + c[2] if c[1:2] == ["--regime"] else ""),
+)
+def test_subcommands_load_no_scipy_beyond_special(tmp_path, command):
+    # scipy.stats, .integrate, .optimize and .sparse cost most of the start-up; the package imports only
+    # scipy.special at module level.  morse-audit is left out: it pairs the base and the perturbed critical
+    # points with scipy.optimize.linear_sum_assignment, imported when the audit runs.
+    domain = [] if command[0] == "constants" else ["--domain", ball3_file(tmp_path), *FAST]
+    args = [*command, *domain, "--out", str(tmp_path / "o")]
+    heavy = ["scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.stats"]
+    code = (
+        "import json, sys, bubblescape.cli\n"
+        f"rc = bubblescape.cli.main({args!r})\n"
+        f"print(json.dumps([rc, [m for m in {heavy!r} if m in sys.modules]]))"
+    )
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(bubblescape.__file__)))
-    code = "import sys, bubblescape.cli; print('scipy.stats' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
-    assert out.split() == ["False"]
+    out = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path, capture_output=True, text=True, check=True)
+    assert json.loads(out.stdout.splitlines()[-1]) == [0, []]

@@ -630,6 +630,42 @@ _tree = st.recursive(
 )
 
 
+# Leaves spread over a box four times wider, so that unions fall into several groups.
+_far3 = st.tuples(*[st.floats(min_value=-4.0, max_value=4.0, allow_nan=False)] * 3).map(np.array)
+_far_leaf = st.one_of(st.builds(Ball, _far3, _radius), st.builds(Capsule, _far3, _far3, _radius))
+
+
+def _ball_on_x(x, r=1.0):
+    return Ball([x, 0.0, 0.0], r)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_far_leaf, st.lists(st.tuples(_far_leaf, st.booleans()), min_size=1, max_size=5))
+@example(_ball_on_x(0.0), [(_ball_on_x(1.5), False), (_ball_on_x(3.0), False)])  # a chain: the ends do not overlap
+@example(_ball_on_x(0.0), [(_ball_on_x(5.0), False), (_ball_on_x(1.5), False)])  # the last leaf joins the first group
+@example(_ball_on_x(0.0), [(_ball_on_x(5.0), False), (_ball_on_x(2.5, 1.6), False), (_ball_on_x(5.0, 1.5), True)])
+def test_positive_leaf_components_match_a_breadth_first_search(first, rest):
+    # each later leaf is subtracted (True) or joined (False): 2-6 leaves, some of them carved away
+    root = functools.reduce(lambda node, leaf: Difference(node, leaf[0]) if leaf[1] else Union(node, leaf[0]), rest, first)
+    dom = Domain(3, root)
+    groups = positive_leaf_components(dom)
+    returned = {id(leaf) for group in groups for leaf in group}
+    kept = [leaf for leaf, sign in dom.leaves() if sign > 0 and id(leaf) in returned]
+    want, seen = [], set()
+    for s in range(len(kept)):  # a search from the lowest unseen leaf; each group listed in leaf order
+        if s in seen:
+            continue
+        seen.add(s)
+        queue = [s]
+        for i in queue:
+            for j in range(len(kept)):
+                if j not in seen and _leaf_overlap(kept[min(i, j)], kept[max(i, j)]):
+                    seen.add(j)
+                    queue.append(j)
+        want.append(sorted(queue))
+    assert [[id(leaf) for leaf in group] for group in groups] == [[id(kept[i]) for i in group] for group in want]
+
+
 def _near_and_far_points(base, amplitude, rng):
     """Points around the leaf surfaces (offsets up to 3 amplitudes) and far away."""
     R = base.bounding_radius(np.zeros(3)) + 1.0

@@ -660,9 +660,22 @@ def log_moment_oracle(n: int, m: float) -> float:
     )
 
 
+# the critical power 2n/(n-2) in every dimension, and three powers below or above it
+MOMENT_CASES = [(n, 2.0 * n / (n - 2.0)) for n in range(3, 9)] + [(3, 5.0), (4, 3.5), (8, 2.4)]
+
+
+def moment_mpmath(n: int, m: float, log_weight: bool) -> float:
+    """The moment as a 30-digit radial quadrature, with omega_n and alpha_n in mpmath."""
+    with mp.workdps(30):
+        alpha = mp.mpf(n * (n - 2)) ** (mp.mpf(n - 2) / 4)
+        beta = mp.mpf(m) * (n - 2) / 2
+        weight = (lambda r: mp.log(alpha) - mp.mpf(n - 2) / 2 * mp.log1p(r * r)) if log_weight else (lambda r: 1)
+        radial = mp.quad(lambda r: r ** (n - 1) * (1 + r * r) ** -beta * weight(r), [0, 1, mp.inf])
+        return float(2 * mp.pi ** (mp.mpf(n) / 2) / mp.gamma(mp.mpf(n) / 2) * alpha ** mp.mpf(m) * radial)
+
+
 def test_bubble_moment_matches_beta_closed_form():
-    cases = [(3, 6.0), (3, 5.0), (4, 4.0), (4, 3.5), (5, 10.0 / 3.0), (6, 3.0), (8, 2.4)]
-    for n, m in cases:
+    for n, m in MOMENT_CASES:
         val = bubble_moment(n, m)
         oracle = moment_oracle(n, m)
         assert val == pytest.approx(oracle, rel=1e-10)
@@ -675,10 +688,17 @@ def test_bubble_moment_frozen_values():
 
 
 def test_bubble_log_moment_matches_digamma_closed_form():
-    for n, m in [(3, 6.0), (4, 4.0), (5, 10.0 / 3.0)]:
+    for n, m in MOMENT_CASES:
         val = bubble_moment(n, m, log_weight=True)
         oracle = log_moment_oracle(n, m)
-        assert val == pytest.approx(oracle, rel=1e-9)
+        assert val == pytest.approx(oracle, rel=1e-14), (n, m)
+
+
+@pytest.mark.parametrize("log_weight", [False, True])
+def test_bubble_moments_match_a_30_digit_quadrature(log_weight):
+    # worst case 5.4e-15 at (4, 3.5) with the log weight: ln(alpha) and the digamma term cancel to 1/40 of either
+    for n, m in MOMENT_CASES:
+        assert bubble_moment(n, m, log_weight) == pytest.approx(moment_mpmath(n, m, log_weight), rel=1e-14), (n, m)
 
 
 def test_bubble_moment_preconditions():
